@@ -18,7 +18,8 @@
 // Every row reports the run's makespan (epoch time), aggregate throughput
 // (completed worker-iterations per simulated second — the `"throughput"`
 // key tools/check.sh fences at 20%), the membership counters, the
-// staleness-bound-violation count, and the executed-membership fingerprint.
+// staleness-bound-violation count, and the fingerprint of the executed
+// control-event journal.
 // All quantities are simulated and seeded: two runs are byte-identical.
 // Pipe through `python3 -m json.tool` to pretty-print.
 #include <cstdio>
@@ -29,6 +30,7 @@
 #include "elastic/membership.h"
 #include "fault/fault_plan.h"
 #include "fault/injector.h"
+#include "fault/journal.h"
 
 namespace {
 
@@ -69,8 +71,8 @@ void emit(const char* name, const cluster::PlatformTiming& timing, bool last) {
   std::printf("     \"quarantine_events\": %lld, \"staleness_violations\": %lld,\n",
               static_cast<long long>(timing.quarantine_events),
               static_cast<long long>(timing.staleness_violations));
-  std::printf("     \"membership_fingerprint\": %llu}%s\n",
-              static_cast<unsigned long long>(timing.membership_fingerprint),
+  std::printf("     \"journal_fingerprint\": %llu}%s\n",
+              static_cast<unsigned long long>(fault::journal_fingerprint(timing.journal)),
               last ? "" : ",");
 }
 

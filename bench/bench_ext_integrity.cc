@@ -19,8 +19,8 @@
 // Every row reports the run's makespan, aggregate throughput (completed
 // worker-iterations per simulated second — the `"throughput"` key
 // tools/check.sh fences at 20%), the integrity counters, the mean
-// injection-to-detection latency, the total repair cost, and the executed
-// integrity fingerprint.  A final sweep scales the per-copy repair cost to
+// injection-to-detection latency, the total repair cost, and the fingerprint
+// of the executed control-event journal.  A final sweep scales the per-copy repair cost to
 // show the makespan charge is linear in it.  All quantities are simulated
 // and seeded: two runs are byte-identical.  Pipe through
 // `python3 -m json.tool` to pretty-print.
@@ -31,6 +31,7 @@
 #include "core/sim_shmcaffe.h"
 #include "fault/fault_plan.h"
 #include "fault/injector.h"
+#include "fault/journal.h"
 #include "recovery/integrity.h"
 
 namespace {
@@ -107,8 +108,8 @@ void emit(const char* name, const cluster::PlatformTiming& timing, bool last) {
   std::printf("     \"detection_latency_seconds\": %.9f, "
               "\"repair_time_seconds\": %.9f,\n",
               to_seconds(timing.detection_latency), to_seconds(timing.repair_time));
-  std::printf("     \"integrity_fingerprint\": %llu}%s\n",
-              static_cast<unsigned long long>(timing.integrity_fingerprint),
+  std::printf("     \"journal_fingerprint\": %llu}%s\n",
+              static_cast<unsigned long long>(fault::journal_fingerprint(timing.journal)),
               last ? "" : ",");
 }
 

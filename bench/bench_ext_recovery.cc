@@ -29,7 +29,7 @@
 #include "core/trainer.h"
 #include "fault/fault_plan.h"
 #include "fault/injector.h"
-#include "recovery/schedule.h"
+#include "fault/journal.h"
 
 namespace {
 
@@ -116,8 +116,8 @@ int main() {
               recovered.recovered_workers.size());
   std::printf("    \"completed_worker_iterations\": %lld,\n",
               static_cast<long long>(recovered.completed_worker_iterations));
-  std::printf("    \"recovery_fingerprint\": %llu,\n",
-              static_cast<unsigned long long>(recovered.recovery_fingerprint));
+  std::printf("    \"journal_fingerprint\": %llu,\n",
+              static_cast<unsigned long long>(fault::journal_fingerprint(recovered.journal)));
 
   // Sweep the modelled failure-detection latency: recovery cost scales with
   // how long the ensemble takes to notice the dead primary.

@@ -8,6 +8,7 @@
 
 #include "coll/pcie_model.h"
 #include "fault/injector.h"
+#include "fault/journal.h"
 #include "minimpi/sim_mpi.h"
 #include "net/fabric.h"
 #include "sim/simulation.h"
@@ -168,7 +169,7 @@ cluster::PlatformTiming simulate_caffe_mpi(const SimPlatformOptions& options) {
         for (const elastic::MembershipEvent& ev : opts.membership->joins()) {
           if (ev.at_iteration <= it && !active[static_cast<std::size_t>(ev.worker)]) {
             active[static_cast<std::size_t>(ev.worker)] = 1;
-            service->join(ev.worker, ev.at_iteration);
+            service->join(ev.worker);
           }
         }
         for (const elastic::MembershipEvent& ev : opts.membership->drains()) {
@@ -176,7 +177,7 @@ cluster::PlatformTiming simulate_caffe_mpi(const SimPlatformOptions& options) {
           if (ev.worker != 0 && ev.at_iteration <= it &&
               active[static_cast<std::size_t>(ev.worker)]) {
             active[static_cast<std::size_t>(ev.worker)] = 0;
-            service->drain(ev.worker, ev.at_iteration);
+            service->drain(ev.worker);
           }
         }
       }
@@ -231,11 +232,9 @@ cluster::PlatformTiming simulate_caffe_mpi(const SimPlatformOptions& options) {
     timing.quarantine_events = membership->quarantine_events();
     // Planned joins/drains only (no straggler detection in a synchronous
     // star), filtered by what the run reached before any crash truncation.
-    const elastic::MembershipPolicy policy;
-    timing.membership_fingerprint = elastic::membership_fingerprint(
-        elastic::filter_executed(
-            elastic::membership_schedule(options.membership, nullptr, policy, k),
-            membership->execution()));
+    timing.journal = fault::executed(
+        elastic::plan_control_events(nullptr, {}, {}, options.membership, {}, k),
+        membership->journal());
   }
   return timing;
 }

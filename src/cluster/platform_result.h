@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/units.h"
+#include "fault/journal.h"
 
 namespace shmcaffe::cluster {
 
@@ -36,9 +37,6 @@ struct PlatformTiming {
   std::vector<int> recovered_workers;
   /// SMB primary failovers the model executed.
   std::int64_t smb_failovers = 0;
-  /// Fingerprint of the recovery actions actually executed (see
-  /// recovery::schedule_fingerprint); comparable with TrainResult's.
-  std::uint64_t recovery_fingerprint = 0;
   /// Elastic membership: workers that cold-joined / voluntarily drained
   /// mid-run, ascending; shard-map rebalances executed; straggler
   /// quarantine demotions.
@@ -50,9 +48,6 @@ struct PlatformTiming {
   /// maximum than the policy staleness bound (a heterogeneity health
   /// metric; see bench_ext_elastic).
   std::int64_t staleness_violations = 0;
-  /// Fingerprint of the membership transitions actually executed (see
-  /// elastic::membership_fingerprint); comparable with TrainResult's.
-  std::uint64_t membership_fingerprint = 0;
   /// Data integrity: distinct corruption markers the model expects checksum
   /// verification to catch, replica copies the read-repair vote rewrites,
   /// and scrub passes the run performs; comparable with TrainResult's.
@@ -65,9 +60,10 @@ struct PlatformTiming {
   /// Total modelled repair cost charged into the makespan
   /// (IntegrityPolicy::sim_repair_seconds per rewritten copy).
   SimTime repair_time = 0;
-  /// Fingerprint of the integrity events actually executed (see
-  /// recovery::integrity_fingerprint); comparable with TrainResult's.
-  std::uint64_t integrity_fingerprint = 0;
+  /// The planned control events (elastic::plan_control_events) the model
+  /// executed, in planned order (fault/journal.h); comparable with
+  /// TrainResult's.
+  std::vector<fault::ControlEvent> journal;
 };
 
 }  // namespace shmcaffe::cluster

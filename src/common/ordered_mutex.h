@@ -109,7 +109,7 @@
 
 // Determinism annotation, placed before the return type of a function that
 // must be bitwise-reproducible across runs, hosts and thread counts (the
-// schedule builders, the schedule/membership fingerprints, the parallel
+// control-event planner, the journal fingerprint, the parallel
 // chunk-boundary math).  shmcaffe-lint's `determinism` pass taints every
 // function reachable from an annotated root through the call index and
 // rejects unordered-container iteration, wall-clock reads, non-seeded RNG /

@@ -9,6 +9,7 @@
 #include "dl/models.h"
 #include "dl/solver.h"
 #include "elastic/membership.h"
+#include "fault/journal.h"
 #include "recovery/checkpoint.h"
 #include "recovery/integrity.h"
 #include "recovery/schedule.h"
@@ -163,10 +164,6 @@ struct TrainResult {
   /// from a checkpoint at start (0 for a fresh run).
   std::int64_t checkpoints_taken = 0;
   std::int64_t resumed_iterations = 0;
-  /// Fingerprint of the recovery actions actually executed (see
-  /// recovery::schedule_fingerprint); comparable across the functional and
-  /// simulated stacks.
-  std::uint64_t recovery_fingerprint = 0;
   /// Elastic membership: workers that cold-joined / voluntarily drained
   /// mid-run, ascending; shard-map rebalances executed; straggler
   /// quarantine demotions observed.
@@ -174,11 +171,6 @@ struct TrainResult {
   std::vector<int> drained_workers;
   std::int64_t rebalances = 0;
   std::int64_t quarantine_events = 0;
-  /// Fingerprint of the membership transitions actually executed (see
-  /// elastic::membership_fingerprint); comparable across the functional and
-  /// simulated stacks.  0 when the run is neither elastic nor
-  /// straggler-aware.
-  std::uint64_t membership_fingerprint = 0;
   /// Data integrity: distinct corruption markers caught by checksum
   /// verification, replica copies rewritten by read-repair, scrub passes
   /// completed, and checkpoint rollbacks forced by unrepairable segments.
@@ -186,10 +178,10 @@ struct TrainResult {
   std::int64_t integrity_repairs = 0;
   std::int64_t scrub_passes = 0;
   std::int64_t integrity_rollbacks = 0;
-  /// Fingerprint of the integrity events actually executed (see
-  /// recovery::integrity_fingerprint); comparable across the functional and
-  /// simulated stacks.  0 when the run has no fault plan or no integrity.
-  std::uint64_t integrity_fingerprint = 0;
+  /// The planned control events (elastic::plan_control_events) this run
+  /// executed, in planned order (fault/journal.h); comparable with the
+  /// simulated stack's PlatformTiming::journal.
+  std::vector<fault::ControlEvent> journal;
   double wall_seconds = 0.0;
 };
 

@@ -11,8 +11,8 @@
 
 #include "coll/pcie_model.h"
 #include "fault/injector.h"
+#include "fault/journal.h"
 #include "net/fabric.h"
-#include "recovery/schedule.h"
 #include "sim/simulation.h"
 #include "sim/sync.h"
 #include "smb/server.h"
@@ -191,7 +191,7 @@ sim::Task<void> group_worker(sim::Simulation& sim, const SimShmCaffeOptions& opt
       // Voluntary drain: flush the pipeline, deregister (rebalancing the
       // shard map), and leave with the slot's progress intact.
       co_await sim.delay(units::from_seconds(elastic->policy.drain_flush_seconds));
-      elastic->service->drain(group, drain_at);
+      elastic->service->drain(group);
       co_await sim.delay(units::from_seconds(elastic->policy.rebalance_seconds));
       stats.drained = true;
       break;
@@ -207,18 +207,18 @@ sim::Task<void> group_worker(sim::Simulation& sim, const SimShmCaffeOptions& opt
         co_await sim.delay(units::from_seconds(stall));
         if (elastic != nullptr && !crash_consumed && elastic->policy.straggler_detection &&
             stall >= elastic->policy.quarantine_stall_seconds) {
-          // The planned quarantine chain (membership_schedule): each
+          // The planned quarantine chain (elastic::membership_schedule): each
           // qualifying stall demotes the worker and readmits it once the
           // stall is over (it has caught back up by construction — the sim
           // worker reports at iteration granularity); the Nth one evicts.
           ++stall_violations;
           if (stall_violations >= elastic->policy.evict_after_violations) {
-            elastic->service->evict(group, it);
+            elastic->service->evict(group);
             co_await sim.delay(units::from_seconds(elastic->policy.rebalance_seconds));
             evicted_now = true;
           } else {
-            elastic->service->quarantine(group, it);
-            elastic->service->readmit_contributor(group, it);
+            elastic->service->quarantine(group);
+            elastic->service->readmit_contributor(group);
           }
         }
       }
@@ -317,7 +317,7 @@ sim::Task<void> join_worker(sim::Simulation& sim, const SimShmCaffeOptions& opti
     ep.delta = co_await clients[n]->create(
         1000 + static_cast<smb::ShmKey>(event.worker), ep.bytes);
   }
-  elastic.service->join(event.worker, event.at_iteration);
+  elastic.service->join(event.worker);
   co_await sim.delay(units::from_seconds(elastic.policy.rebalance_seconds));
   // Catch-up: adopt W_g before contributing (global read + local update);
   // always a copy read, like the functional trainer's catch-up path.
@@ -557,49 +557,26 @@ cluster::PlatformTiming simulate_shmcaffe(const SimShmCaffeOptions& options) {
   result.mean_comp = comp_sum / denom;
   result.mean_comm = comm_sum / denom;
 
+  // The control events this run observes (fault/journal.h): its
+  // re-admissions and failovers, the integrity model's events, and the
+  // membership registry's journal.
+  std::vector<fault::ControlEvent> observed;
   for (int g = 0; g < groups; ++g) {
     if (stats[static_cast<std::size_t>(g)].recovered) {
       result.recovered_workers.push_back(g * options.group_size);
+      fault::record(observed, fault::ControlAction::kWorkerReadmit, g * options.group_size);
     }
   }
-  for (const auto& log : failed_active) {
-    result.smb_failovers += static_cast<std::int64_t>(log.size());
-  }
-
-  // Fingerprint the executed recovery actions, in planned order — the same
-  // assembly the functional trainer performs, so equal fingerprints mean
-  // both stacks took the identical recovery schedule from this plan.
-  if (options.faults != nullptr) {
-    std::vector<std::vector<int>> remaining = failed_active;
-    std::vector<recovery::RecoveryEvent> executed;
-    for (const recovery::RecoveryEvent& event :
-         recovery::recovery_schedule(options.faults->plan(), options.recovery)) {
-      if (event.action == recovery::RecoveryAction::kSmbFailover) {
-        const int shard = event.target / options.smb_replicas;
-        const int replica = event.target % options.smb_replicas;
-        if (shard < 0 || static_cast<std::size_t>(shard) >= remaining.size()) continue;
-        auto& log = remaining[static_cast<std::size_t>(shard)];
-        const auto it = std::find(log.begin(), log.end(), replica);
-        if (it != log.end()) {
-          executed.push_back(event);
-          log.erase(it);
-        }
-      } else if (event.action == recovery::RecoveryAction::kWorkerReadmit) {
-        const int group = event.target / options.group_size;
-        if (group >= 0 && group < groups && event.target % options.group_size == 0 &&
-            stats[static_cast<std::size_t>(group)].recovered) {
-          executed.push_back(event);
-        }
-      }
+  for (int shard = 0; shard < nservers; ++shard) {
+    for (const int replica : failed_active[static_cast<std::size_t>(shard)]) {
+      result.smb_failovers += 1;
+      fault::record(observed, fault::ControlAction::kSmbFailover,
+                    shard * options.smb_replicas + replica);
     }
-    result.recovery_fingerprint = recovery::schedule_fingerprint(executed);
   }
 
-  // Integrity model: derive the executed outcome from the plan, the policy,
-  // and the run's own timing, then fingerprint it exactly the way the
-  // functional trainer does (the planned schedule filtered by the observed
-  // marker sets), so equal fingerprints mean both stacks agreed on which
-  // corruptions fired, were detected, and were repaired.
+  // Integrity model: derive which corruptions fire, are detected and are
+  // repaired from the plan, the policy, and the run's own timing.
   if (options.faults != nullptr) {
     const int replicas = options.smb_replicas;
     const int physical = nservers * replicas;
@@ -618,7 +595,7 @@ cluster::PlatformTiming simulate_shmcaffe(const SimShmCaffeOptions& options) {
     // shard write plus one delta write per sharing exchange per group
     // (ReplicatedSmb fans every write to every replica of the shard).  The
     // torn-write ordinal estimate is deliberately coarse — cross-stack
-    // fingerprint tests use corruption-only plans (see recovery/integrity.h).
+    // journal tests use corruption-only plans (see recovery/integrity.h).
     std::int64_t writes_est = 1;
     if (capacity > 1) {
       for (const GroupStats& s : stats) {
@@ -634,35 +611,34 @@ cluster::PlatformTiming simulate_shmcaffe(const SimShmCaffeOptions& options) {
     // for corruptions landing after the last exchange.
     const SimTime sharing_interval =
         result.mean_iteration() * std::max(1, options.update_interval);
-    recovery::IntegrityOutcome outcome;
     SimTime latency_sum = 0;
-    std::int64_t detections = 0;
+    const auto detect = [&](int server, std::uint64_t marker, SimTime latency) {
+      if (!detectable) return;
+      observed.push_back({fault::ControlAction::kCorruptionDetected, server, marker});
+      result.corruptions_detected += 1;
+      latency_sum += latency;
+      if (!repairable) return;
+      observed.push_back({fault::ControlAction::kCorruptionRepaired, server, marker});
+      result.integrity_repairs += 1;
+    };
     for (int n = 0; n < physical; ++n) {
       for (const fault::FaultEvent& ev : options.faults->segment_corruptions(n)) {
         const SimTime at = units::from_seconds(ev.start_seconds);
         if (at > result.makespan) continue;                         // run already over
         if (at >= dead_at[static_cast<std::size_t>(n)]) continue;   // replica dead
-        outcome.injected.push_back(ev.sequence);
-        if (!detectable) continue;
-        outcome.detected.push_back(ev.sequence);
-        latency_sum += std::min(sharing_interval, result.makespan - at);
-        detections += 1;
-        if (repairable) outcome.repaired.push_back(ev.sequence);
+        observed.push_back({fault::ControlAction::kCorruptionInjected, n, ev.sequence});
+        detect(n, ev.sequence, std::min(sharing_interval, result.makespan - at));
       }
       for (const fault::FaultEvent& ev : options.faults->torn_writes(n)) {
         if (ev.sequence < 1 || static_cast<std::int64_t>(ev.sequence) > writes_est) continue;
         const std::uint64_t marker = smb::SmbServer::kTornWriteMarkerBit | ev.sequence;
-        outcome.torn_applied.push_back(marker);
-        if (!detectable) continue;
-        outcome.detected.push_back(marker);
-        latency_sum += sharing_interval;
-        detections += 1;
-        if (repairable) outcome.repaired.push_back(marker);
+        observed.push_back({fault::ControlAction::kTornWriteApplied, n, marker});
+        detect(n, marker, sharing_interval);
       }
     }
-    result.corruptions_detected = static_cast<std::int64_t>(outcome.detected.size());
-    result.integrity_repairs = static_cast<std::int64_t>(outcome.repaired.size());
-    if (detections > 0) result.detection_latency = latency_sum / detections;
+    if (result.corruptions_detected > 0) {
+      result.detection_latency = latency_sum / result.corruptions_detected;
+    }
     // Each rewritten copy stalls the detecting reader for the modelled
     // repair cost; the charge lands on the critical path (comm side).
     result.repair_time = static_cast<SimTime>(result.integrity_repairs) *
@@ -670,10 +646,6 @@ cluster::PlatformTiming simulate_shmcaffe(const SimShmCaffeOptions& options) {
     result.makespan += result.repair_time;
     const std::int64_t denom_iters = std::max<std::int64_t>(1, completed_member_iters);
     result.mean_comm += result.repair_time / denom_iters;
-    const std::vector<recovery::IntegrityEvent> planned_integrity =
-        recovery::integrity_schedule(options.faults->plan(), options.integrity);
-    result.integrity_fingerprint = recovery::integrity_fingerprint(
-        recovery::executed_integrity(planned_integrity, outcome));
   }
   // The final scrub the functional trainer runs after training (one pass per
   // shard ensemble) — the walk exists only when there is a replica to vote
@@ -683,22 +655,24 @@ cluster::PlatformTiming simulate_shmcaffe(const SimShmCaffeOptions& options) {
     result.scrub_passes = nservers;
   }
 
-  // Fingerprint the executed membership transitions the same way the
-  // functional trainer does: the planned schedule filtered by what this run
-  // actually executed (a join whose trigger was never reached, or a
-  // quarantine chain cut short by a crash, drops out on both stacks).
   if (membership_service.has_value()) {
     result.joined_workers = membership_service->joined();
     result.drained_workers = membership_service->drained();
     result.rebalances = membership_service->rebalances();
     result.quarantine_events = membership_service->quarantine_events();
     result.staleness_violations = elastic_state.staleness_violations;
-    const std::vector<elastic::MembershipChange> planned = elastic::membership_schedule(
-        options.membership, options.faults != nullptr ? &options.faults->plan() : nullptr,
-        options.membership_policy, groups);
-    result.membership_fingerprint = elastic::membership_fingerprint(
-        elastic::filter_executed(planned, membership_service->execution()));
+    const std::vector<fault::ControlEvent> changes = membership_service->journal();
+    observed.insert(observed.end(), changes.begin(), changes.end());
   }
+
+  // The executed journal, filtered from the same plan the functional
+  // trainer filters: a join whose trigger was never reached, or a
+  // quarantine chain cut short by a crash, drops out on both stacks.
+  result.journal = fault::executed(
+      elastic::plan_control_events(
+          options.faults != nullptr ? &options.faults->plan() : nullptr, options.recovery,
+          options.integrity, options.membership, options.membership_policy, groups),
+      observed);
   return result;
 }
 

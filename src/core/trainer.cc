@@ -16,17 +16,16 @@
 #include "common/parallel.h"
 #include "core/evaluate.h"
 #include "core/progress_board.h"
-#include "elastic/membership.h"
 #include "core/seasgd_math.h"
 #include "core/sharded_buffer.h"
 #include "data/loader.h"
 #include "dl/param_vector.h"
+#include "elastic/membership.h"
 #include "fault/injector.h"
+#include "fault/journal.h"
 #include "minimpi/minimpi.h"
 #include "recovery/checkpoint.h"
-#include "recovery/integrity.h"
 #include "recovery/replicated_smb.h"
-#include "recovery/schedule.h"
 #include "smb/client.h"
 #include "smb/server.h"
 
@@ -418,9 +417,8 @@ void run_worker(WorkerShared& shared, int worker, WorkerLife life = WorkerLife::
   const int group_root_worker = worker - local_rank;
 
   // Straggler detection: route the transitions the shared-board sweep
-  // applied into the membership registry so the executed-change counts (and
-  // the fingerprint) see them.  Any worker may run the sweep; the board
-  // serialises concurrent sweepers.
+  // applied into the membership registry so its journal sees them.  Any
+  // worker may run the sweep; the board serialises concurrent sweepers.
   std::vector<float> grads(group_size > 1 ? param_count : 0);
   std::vector<float> vote(1);
   std::int64_t iteration = start_iteration;
@@ -434,13 +432,13 @@ void run_worker(WorkerShared& shared, int worker, WorkerLife life = WorkerLife::
          board->sweep_stragglers(options.membership_policy)) {
       switch (transition.verdict) {
         case elastic::StragglerVerdict::kQuarantine:
-          membership->quarantine(transition.worker, iteration);
+          membership->quarantine(transition.worker);
           break;
         case elastic::StragglerVerdict::kReadmit:
-          membership->readmit_contributor(transition.worker, iteration);
+          membership->readmit_contributor(transition.worker);
           break;
         case elastic::StragglerVerdict::kEvict:
-          membership->evict(transition.worker, iteration);
+          membership->evict(transition.worker);
           break;
         case elastic::StragglerVerdict::kNone:
           break;
@@ -475,7 +473,7 @@ void run_worker(WorkerShared& shared, int worker, WorkerLife life = WorkerLife::
           exchange.cv.wait(lock, [&] { return !exchange.pending || exchange.stopping; });
         }
         board->mark_drained(worker);
-        if (membership != nullptr) membership->drain(worker, drain_at);
+        if (membership != nullptr) membership->drain(worker);
         drained = true;
         break;
       }
@@ -801,9 +799,10 @@ TrainResult train_shmcaffe(const DistTrainOptions& options) {
   std::condition_variable fault_cv;
   bool fault_stop = false;
   std::thread fault_thread;
-  // Corruption markers that actually fired (chunks poisoned); written only
-  // by the fault thread, read after it is joined.
-  std::vector<std::uint64_t> injected_markers;
+  // The control events this run observes (fault/journal.h).  The fault
+  // thread appends the corruptions that actually fired (chunks poisoned);
+  // everything else is appended after it is joined.
+  std::vector<fault::ControlEvent> observed;
   if (options.faults != nullptr) {
     std::vector<fault::FaultEvent> server_events;
     for (int n = 0; n < physical_count; ++n) {
@@ -827,8 +826,8 @@ TrainResult train_shmcaffe(const DistTrainOptions& options) {
                 return a.start_seconds < b.start_seconds;
               });
     if (!server_events.empty()) {
-      fault_thread = std::thread([&servers, &fault_mutex, &fault_cv, &fault_stop,
-                                  &injected_markers, base_key = shared.base_key,
+      fault_thread = std::thread([&servers, &fault_mutex, &fault_cv, &fault_stop, &observed,
+                                  base_key = shared.base_key,
                                   wall_start, server_events = std::move(server_events)] {
         std::unique_lock lock(fault_mutex);
         for (const fault::FaultEvent& event : server_events) {
@@ -852,7 +851,8 @@ TrainResult train_shmcaffe(const DistTrainOptions& options) {
                 break;  // the server fail-stopped first: never fires
               }
               if (poisoned > 0) {
-                injected_markers.push_back(event.sequence);
+                observed.push_back({fault::ControlAction::kCorruptionInjected, event.target,
+                                    event.sequence});
                 break;
               }
               if (fault_cv.wait_for(lock, std::chrono::milliseconds(1),
@@ -875,59 +875,62 @@ TrainResult train_shmcaffe(const DistTrainOptions& options) {
     threads.emplace_back([&shared, w] { run_worker(shared, w); });
   }
 
-  // Re-admission monitors: one per crash the recovery schedule says to
-  // heal.  Each monitor exclusively owns its worker's join; once the first
-  // life exits crashed and the survivors have fenced the slot, the monitor
-  // runs the replacement life inline (re-attach, adopt W_g, readmit under a
-  // new incarnation).  It gives up if the run finishes first.
+  // The run's planned control events (recovery, integrity, membership);
+  // the executed journal is the part of this plan the run observes.
+  const std::vector<fault::ControlEvent> planned = elastic::plan_control_events(
+      options.faults != nullptr ? &options.faults->plan() : nullptr, options.recovery,
+      options.integrity, options.membership, options.membership_policy, options.workers);
+
+  // Re-admission monitors: one per planned kWorkerReadmit.  Each monitor
+  // exclusively owns its worker's join; once the first life exits crashed
+  // and the survivors have fenced the slot, the monitor runs the
+  // replacement life inline (re-attach, adopt W_g, readmit under a new
+  // incarnation).  It gives up if the run finishes first.
   std::vector<char> owned_by_monitor(static_cast<std::size_t>(options.workers), 0);
   std::vector<char> recovered(static_cast<std::size_t>(options.workers), 0);
   std::vector<std::thread> monitors;
-  if (options.recovery.respawn_crashed && options.faults != nullptr) {
-    for (const recovery::RecoveryEvent& event :
-         recovery::recovery_schedule(options.faults->plan(), options.recovery)) {
-      if (event.action != recovery::RecoveryAction::kWorkerReadmit) continue;
-      const int w = event.target;
-      if (w < 0 || w >= options.workers || owned_by_monitor[static_cast<std::size_t>(w)]) {
-        continue;
-      }
-      owned_by_monitor[static_cast<std::size_t>(w)] = 1;
-      monitors.emplace_back([&shared, &threads, &recovered, &options, w] {
-        threads[static_cast<std::size_t>(w)].join();
-        if (shared.outcomes[static_cast<std::size_t>(w)] != WorkerOutcome::kCrashed) {
-          return;  // the run stopped before the planned crash fired
-        }
-        using Clock = std::chrono::steady_clock;
-        const auto deadline =
-            Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                               std::chrono::duration<double>(
-                                   std::max(1.0, options.heartbeat_timeout_seconds * 5.0)));
-        bool fenced = false;
-        try {
-          ProgressBoard board(*shared.services.front(),
-                              shared.base_key + kProgressKeyOffset, options.workers,
-                              /*create=*/false);
-          while (Clock::now() < deadline) {
-            if (board.stop_raised()) break;
-            if (board.is_dead(w)) {
-              fenced = true;
-              break;
-            }
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-          }
-          board.release();
-        } catch (const smb::SmbError&) {
-          return;  // the board is gone (run over / SMB lost): no respawn
-        }
-        if (!fenced) return;
-        try {
-          run_worker(shared, w, WorkerLife::kRejoin);
-          recovered[static_cast<std::size_t>(w)] = 1;
-        } catch (const smb::SmbError&) {
-          // Re-attach raced the run's shutdown; the slot stays un-recovered.
-        }
-      });
+  for (const fault::ControlEvent& event : planned) {
+    if (event.action != fault::ControlAction::kWorkerReadmit) continue;
+    const int w = event.target;
+    if (w < 0 || w >= options.workers || owned_by_monitor[static_cast<std::size_t>(w)]) {
+      continue;
     }
+    owned_by_monitor[static_cast<std::size_t>(w)] = 1;
+    monitors.emplace_back([&shared, &threads, &recovered, &options, w] {
+      threads[static_cast<std::size_t>(w)].join();
+      if (shared.outcomes[static_cast<std::size_t>(w)] != WorkerOutcome::kCrashed) {
+        return;  // the run stopped before the planned crash fired
+      }
+      using Clock = std::chrono::steady_clock;
+      const auto deadline =
+          Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                             std::chrono::duration<double>(
+                                 std::max(1.0, options.heartbeat_timeout_seconds * 5.0)));
+      bool fenced = false;
+      try {
+        ProgressBoard board(*shared.services.front(),
+                            shared.base_key + kProgressKeyOffset, options.workers,
+                            /*create=*/false);
+        while (Clock::now() < deadline) {
+          if (board.stop_raised()) break;
+          if (board.is_dead(w)) {
+            fenced = true;
+            break;
+          }
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        board.release();
+      } catch (const smb::SmbError&) {
+        return;  // the board is gone (run over / SMB lost): no respawn
+      }
+      if (!fenced) return;
+      try {
+        run_worker(shared, w, WorkerLife::kRejoin);
+        recovered[static_cast<std::size_t>(w)] = 1;
+      } catch (const smb::SmbError&) {
+        // Re-attach raced the run's shutdown; the slot stays un-recovered.
+      }
+    });
   }
 
   // Join monitors: one per planned cold join.  Each watches the progress
@@ -974,7 +977,7 @@ TrainResult train_shmcaffe(const DistTrainOptions& options) {
           return;  // the board is gone (run over / SMB lost): no join
         }
         if (!go) return;
-        shared.membership->join(w, event.at_iteration);
+        shared.membership->join(w);
         try {
           run_worker(shared, w, WorkerLife::kColdJoin);
           joined_flag[static_cast<std::size_t>(w)] = 1;
@@ -1048,6 +1051,10 @@ TrainResult train_shmcaffe(const DistTrainOptions& options) {
         global.read(snapshot);
       } catch (const smb::SmbUnavailable&) {
         return;  // SMB permanently gone mid-run; keep the curve so far
+      } catch (const smb::SmbCorruption&) {
+        // W_g is corrupt and nothing could repair it yet: skip this pass
+        // and retry, after a worker's rollback has rewritten it.
+        return;
       }
       dl::copy_params_from(eval_net, snapshot);
       const EvalResult eval = evaluate(eval_net, test_set);
@@ -1116,6 +1123,7 @@ TrainResult train_shmcaffe(const DistTrainOptions& options) {
     }
     if (w < options.workers && recovered[static_cast<std::size_t>(w)]) {
       result.recovered_workers.push_back(w);
+      fault::record(observed, fault::ControlAction::kWorkerReadmit, w);
     }
   }
   if (membership.has_value()) {
@@ -1123,98 +1131,58 @@ TrainResult train_shmcaffe(const DistTrainOptions& options) {
     result.drained_workers = membership->drained();
     result.rebalances = membership->rebalances();
     result.quarantine_events = membership->quarantine_events();
-    // Fingerprint the membership transitions actually executed, in planned
-    // order, exactly like the recovery fingerprint below: the sim twin
-    // filters the same planned schedule by its own execution, so equal
-    // fingerprints mean identical membership histories across the stacks.
-    const std::vector<elastic::MembershipChange> planned = elastic::membership_schedule(
-        options.membership, options.faults != nullptr ? &options.faults->plan() : nullptr,
-        options.membership_policy, options.workers);
-    result.membership_fingerprint = elastic::membership_fingerprint(
-        elastic::filter_executed(planned, membership->execution()));
+    const std::vector<fault::ControlEvent> changes = membership->journal();
+    observed.insert(observed.end(), changes.begin(), changes.end());
   }
   result.checkpoints_taken = shared.checkpoints_taken.load(std::memory_order_relaxed);
   result.resumed_iterations = resumed_total;
-  for (const auto& ensemble : ensembles) {
-    result.smb_failovers += static_cast<std::int64_t>(ensemble->failover_count());
-  }
 
-  // Integrity observability: distinct detected / torn-applied markers across
-  // the physical servers, repair and scrub counts from the ensembles,
-  // rollbacks from the workers.
-  std::vector<std::uint64_t> detected;
-  std::vector<std::uint64_t> torn_applied;
-  for (const auto& server : servers) {
-    for (const std::uint64_t marker : server->detected_markers()) {
+  // Recovery and integrity observability.  Replica r of shard s is physical
+  // server s * smb_replicas + r.  A failover names the replica that died
+  // while active; detections and torn writes come from each physical
+  // server; the ensembles report repairs without the replica they rewrote,
+  // so each repaired marker is attributed to the replica of its shard whose
+  // server detected it.
+  for (std::size_t s = 0; s < ensembles.size(); ++s) {
+    result.smb_failovers += static_cast<std::int64_t>(ensembles[s]->failover_count());
+    for (const int replica : ensembles[s]->failover_log()) {
+      fault::record(observed, fault::ControlAction::kSmbFailover,
+                    static_cast<int>(s) * options.smb_replicas + replica);
+    }
+  }
+  std::vector<std::uint64_t> detected;  // distinct markers across the servers
+  for (int n = 0; n < physical_count; ++n) {
+    const smb::SmbServer& server = *servers[static_cast<std::size_t>(n)];
+    for (const std::uint64_t marker : server.detected_markers()) {
+      observed.push_back({fault::ControlAction::kCorruptionDetected, n, marker});
       if (std::find(detected.begin(), detected.end(), marker) == detected.end()) {
         detected.push_back(marker);
       }
     }
-    for (const std::uint64_t marker : server->torn_applied_markers()) {
-      if (std::find(torn_applied.begin(), torn_applied.end(), marker) == torn_applied.end()) {
-        torn_applied.push_back(marker);
-      }
+    for (const std::uint64_t marker : server.torn_applied_markers()) {
+      observed.push_back({fault::ControlAction::kTornWriteApplied, n, marker});
     }
   }
-  std::vector<std::uint64_t> repaired;
-  for (const auto& ensemble : ensembles) {
-    result.integrity_repairs += static_cast<std::int64_t>(ensemble->repairs());
-    result.scrub_passes += static_cast<std::int64_t>(ensemble->scrub_passes());
-    for (const std::uint64_t marker : ensemble->repaired_markers()) {
-      if (std::find(repaired.begin(), repaired.end(), marker) == repaired.end()) {
-        repaired.push_back(marker);
+  for (std::size_t s = 0; s < ensembles.size(); ++s) {
+    result.integrity_repairs += static_cast<std::int64_t>(ensembles[s]->repairs());
+    result.scrub_passes += static_cast<std::int64_t>(ensembles[s]->scrub_passes());
+    for (const std::uint64_t marker : ensembles[s]->repaired_markers()) {
+      for (int r = 0; r < options.smb_replicas; ++r) {
+        const int n = static_cast<int>(s) * options.smb_replicas + r;
+        const fault::ControlEvent detection{fault::ControlAction::kCorruptionDetected, n, marker};
+        if (std::find(observed.begin(), observed.end(), detection) != observed.end()) {
+          observed.push_back({fault::ControlAction::kCorruptionRepaired, n, marker});
+        }
       }
     }
   }
   result.corruptions_detected = static_cast<std::int64_t>(detected.size());
   result.integrity_rollbacks = shared.integrity_rollbacks.load(std::memory_order_relaxed);
 
-  // Fingerprint the recovery actions actually executed, in planned order:
-  // a failover counts only if the fail-stopped replica really was the
-  // active one at the time, a readmit only if the replacement ran.  The sim
-  // twin computes the same thing from the same plan, so equal fingerprints
-  // mean identical recovery schedules across the stacks.
-  if (options.faults != nullptr) {
-    std::vector<std::vector<int>> failed_active(ensembles.size());
-    for (std::size_t s = 0; s < ensembles.size(); ++s) {
-      failed_active[s] = ensembles[s]->failover_log();
-    }
-    std::vector<recovery::RecoveryEvent> executed;
-    for (const recovery::RecoveryEvent& event :
-         recovery::recovery_schedule(options.faults->plan(), options.recovery)) {
-      if (event.action == recovery::RecoveryAction::kSmbFailover) {
-        const int shard = event.target / options.smb_replicas;
-        const int replica = event.target % options.smb_replicas;
-        if (shard < 0 || static_cast<std::size_t>(shard) >= failed_active.size()) continue;
-        auto& log = failed_active[static_cast<std::size_t>(shard)];
-        const auto it = std::find(log.begin(), log.end(), replica);
-        if (it != log.end()) {
-          executed.push_back(event);
-          log.erase(it);
-        }
-      } else if (event.action == recovery::RecoveryAction::kWorkerReadmit) {
-        if (event.target >= 0 && event.target < options.workers &&
-            recovered[static_cast<std::size_t>(event.target)]) {
-          executed.push_back(event);
-        }
-      }
-    }
-    result.recovery_fingerprint = recovery::schedule_fingerprint(executed);
-
-    // Fingerprint the integrity events actually executed the same way: the
-    // planned schedule (plan order) filtered by the marker sets this run
-    // observed.  The sim twin filters the identical schedule by its own
-    // outcome, so equal fingerprints mean identical integrity histories.
-    recovery::IntegrityOutcome integrity_outcome;
-    integrity_outcome.injected = injected_markers;
-    integrity_outcome.detected = detected;
-    integrity_outcome.repaired = repaired;
-    integrity_outcome.torn_applied = torn_applied;
-    const std::vector<recovery::IntegrityEvent> planned_integrity =
-        recovery::integrity_schedule(options.faults->plan(), options.integrity);
-    result.integrity_fingerprint = recovery::integrity_fingerprint(
-        recovery::executed_integrity(planned_integrity, integrity_outcome));
-  }
+  // The executed journal: the planned events this run observed, in planned
+  // order.  The sim twin keeps its own observations of the same plan, so
+  // equal journals mean both stacks took the same control actions.
+  result.journal = fault::executed(planned, observed);
   return result;
 }
 

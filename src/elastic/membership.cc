@@ -1,11 +1,9 @@
 #include "elastic/membership.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <map>
 #include <mutex>
 #include <stdexcept>
-
-#include "fault/fault_plan.h"
 
 namespace shmcaffe::elastic {
 
@@ -13,18 +11,6 @@ const char* to_string(MembershipEventKind kind) {
   switch (kind) {
     case MembershipEventKind::kJoin: return "join";
     case MembershipEventKind::kDrain: return "drain";
-  }
-  return "unknown";
-}
-
-const char* to_string(MembershipAction action) {
-  switch (action) {
-    case MembershipAction::kWorkerJoin: return "worker_join";
-    case MembershipAction::kWorkerDrain: return "worker_drain";
-    case MembershipAction::kQuarantine: return "quarantine";
-    case MembershipAction::kReadmitContributor: return "readmit_contributor";
-    case MembershipAction::kEvict: return "evict";
-    case MembershipAction::kShardRebalance: return "shard_rebalance";
   }
   return "unknown";
 }
@@ -75,23 +61,27 @@ int MembershipPlan::capacity(int initial_workers) const {
   return capacity;
 }
 
-std::vector<MembershipChange> membership_schedule(const MembershipPlan* plan,
-                                                  const fault::FaultPlan* faults,
-                                                  const MembershipPolicy& policy,
-                                                  int initial_workers) {
-  std::vector<MembershipChange> transitions;
+std::vector<fault::ControlEvent> membership_schedule(const MembershipPlan* plan,
+                                                     const fault::FaultPlan* faults,
+                                                     const MembershipPolicy& policy,
+                                                     int initial_workers) {
+  using fault::ControlAction;
+  struct Transition {
+    std::int64_t at_iteration;
+    ControlAction action;
+    int target;
+  };
+  std::vector<Transition> transitions;
   if (plan != nullptr) {
     for (const MembershipEvent& event : plan->joins()) {
       // A join never reuses an initial rank's slot; out-of-range plans
       // derive nothing rather than corrupting the schedule.
       if (event.worker < initial_workers) continue;
-      transitions.push_back(
-          {MembershipAction::kWorkerJoin, event.worker, event.at_iteration});
+      transitions.push_back({event.at_iteration, ControlAction::kWorkerJoin, event.worker});
     }
     for (const MembershipEvent& event : plan->drains()) {
       if (event.worker < 0 || event.worker >= initial_workers) continue;
-      transitions.push_back(
-          {MembershipAction::kWorkerDrain, event.worker, event.at_iteration});
+      transitions.push_back({event.at_iteration, ControlAction::kWorkerDrain, event.worker});
     }
   }
 
@@ -128,111 +118,53 @@ std::vector<MembershipChange> membership_schedule(const MembershipPlan* plan,
         if (drain_at >= 0 && stall.iteration >= drain_at) break;
         ++violations;
         if (violations >= policy.evict_after_violations) {
-          transitions.push_back({MembershipAction::kEvict, worker, stall.iteration});
+          transitions.push_back({stall.iteration, ControlAction::kEvict, worker});
           break;
         }
-        transitions.push_back({MembershipAction::kQuarantine, worker, stall.iteration});
-        transitions.push_back(
-            {MembershipAction::kReadmitContributor, worker, stall.iteration});
+        transitions.push_back({stall.iteration, ControlAction::kQuarantine, worker});
+        transitions.push_back({stall.iteration, ControlAction::kReadmitContributor, worker});
       }
     }
   }
 
-  // (at_iteration, action, target): the enum is declared in tie-break order
-  // (a quarantine precedes its same-iteration readmit).
-  std::sort(transitions.begin(), transitions.end(),
-            [](const MembershipChange& a, const MembershipChange& b) {
-              if (a.at_iteration != b.at_iteration) return a.at_iteration < b.at_iteration;
-              if (a.action != b.action) return a.action < b.action;
-              return a.target < b.target;
-            });
+  // (at_iteration, action, target): ControlAction declares the membership
+  // actions in tie-break order (a quarantine precedes its same-iteration
+  // readmit).
+  std::sort(transitions.begin(), transitions.end(), [](const Transition& a, const Transition& b) {
+    if (a.at_iteration != b.at_iteration) return a.at_iteration < b.at_iteration;
+    if (a.action != b.action) return a.action < b.action;
+    return a.target < b.target;
+  });
 
-  std::vector<MembershipChange> schedule;
-  schedule.reserve(transitions.size() * 2);
-  for (const MembershipChange& change : transitions) {
-    schedule.push_back(change);
-    if (change.action == MembershipAction::kWorkerJoin ||
-        change.action == MembershipAction::kWorkerDrain ||
-        change.action == MembershipAction::kEvict) {
-      schedule.push_back(
-          {MembershipAction::kShardRebalance, change.target, change.at_iteration});
+  std::vector<fault::ControlEvent> schedule;
+  for (const Transition& transition : transitions) {
+    fault::record(schedule, transition.action, transition.target);
+    if (transition.action == ControlAction::kWorkerJoin ||
+        transition.action == ControlAction::kWorkerDrain ||
+        transition.action == ControlAction::kEvict) {
+      fault::record(schedule, ControlAction::kShardRebalance, transition.target);
     }
   }
   return schedule;
 }
 
-std::uint64_t membership_fingerprint(std::span<const MembershipChange> changes) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  const auto mix = [&hash](std::uint64_t word) {
-    hash ^= word;
-    hash *= 0x100000001b3ULL;
-  };
-  for (const MembershipChange& change : changes) {
-    mix(static_cast<std::uint64_t>(change.action));
-    mix(static_cast<std::uint64_t>(change.target));
-    mix(static_cast<std::uint64_t>(change.at_iteration));
+std::vector<fault::ControlEvent> plan_control_events(const fault::FaultPlan* faults,
+                                                     const recovery::RecoveryPolicy& recovery,
+                                                     const recovery::IntegrityPolicy& integrity,
+                                                     const MembershipPlan* membership,
+                                                     const MembershipPolicy& membership_policy,
+                                                     int initial_workers) {
+  std::vector<fault::ControlEvent> plan;
+  if (faults != nullptr) {
+    plan = recovery::recovery_schedule(*faults, recovery);
+    const std::vector<fault::ControlEvent> corruptions =
+        recovery::integrity_schedule(*faults, integrity);
+    plan.insert(plan.end(), corruptions.begin(), corruptions.end());
   }
-  return hash;
-}
-
-std::string describe(std::span<const MembershipChange> changes) {
-  std::string out;
-  char line[128];
-  for (const MembershipChange& change : changes) {
-    std::snprintf(line, sizeof(line), "%s target=%d iter=%lld\n",
-                  to_string(change.action), change.target,
-                  static_cast<long long>(change.at_iteration));
-    out += line;
-  }
-  return out;
-}
-
-void MembershipExecution::record(MembershipAction action, int target) {
-  switch (action) {
-    case MembershipAction::kWorkerJoin: ++joins[target]; break;
-    case MembershipAction::kWorkerDrain: ++drains[target]; break;
-    case MembershipAction::kQuarantine: ++quarantines[target]; break;
-    case MembershipAction::kReadmitContributor: ++readmits[target]; break;
-    case MembershipAction::kEvict: ++evicts[target]; break;
-    case MembershipAction::kShardRebalance: break;  // derived from its trigger
-  }
-}
-
-int MembershipExecution::count(MembershipAction action, int target) const {
-  const std::map<int, int>* counts = nullptr;
-  switch (action) {
-    case MembershipAction::kWorkerJoin: counts = &joins; break;
-    case MembershipAction::kWorkerDrain: counts = &drains; break;
-    case MembershipAction::kQuarantine: counts = &quarantines; break;
-    case MembershipAction::kReadmitContributor: counts = &readmits; break;
-    case MembershipAction::kEvict: counts = &evicts; break;
-    case MembershipAction::kShardRebalance: return 0;
-  }
-  const auto it = counts->find(target);
-  return it == counts->end() ? 0 : it->second;
-}
-
-std::vector<MembershipChange> filter_executed(std::span<const MembershipChange> planned,
-                                              const MembershipExecution& executed) {
-  MembershipExecution consumed;
-  std::vector<MembershipChange> kept;
-  bool last_transition_kept = false;
-  for (const MembershipChange& change : planned) {
-    if (change.action == MembershipAction::kShardRebalance) {
-      // A rebalance executed exactly when the membership change it trails
-      // in the planned list did.
-      if (last_transition_kept) kept.push_back(change);
-      continue;
-    }
-    const bool keep = consumed.count(change.action, change.target) <
-                      executed.count(change.action, change.target);
-    if (keep) {
-      consumed.record(change.action, change.target);
-      kept.push_back(change);
-    }
-    last_transition_kept = keep;
-  }
-  return kept;
+  const std::vector<fault::ControlEvent> changes =
+      membership_schedule(membership, faults, membership_policy, initial_workers);
+  plan.insert(plan.end(), changes.begin(), changes.end());
+  return plan;
 }
 
 std::vector<int> shard_assignments(std::span<const int> members_sorted, int shards) {
@@ -280,7 +212,6 @@ std::vector<int> MembershipService::members_locked() const SHMCAFFE_REQUIRES(mut
 
 void MembershipService::rebalance_locked(int trigger) SHMCAFFE_REQUIRES(mutex_) {
   SHMCAFFE_ASSERT_HELD(mutex_);
-  (void)trigger;
   const std::vector<int> members = members_locked();
   std::vector<int> next(static_cast<std::size_t>(capacity_), 0);
   if (!members.empty()) {
@@ -295,64 +226,51 @@ void MembershipService::rebalance_locked(int trigger) SHMCAFFE_REQUIRES(mutex_) 
     }
   }
   home_shard_ = std::move(next);
-  ++rebalances_;
+  fault::record(journal_, fault::ControlAction::kShardRebalance, trigger);
 }
 
-MembershipEpoch MembershipService::join(int worker, std::int64_t at_iteration) {
-  (void)at_iteration;
-  std::scoped_lock lock(mutex_);
-  if (worker < 0 || worker >= capacity_) return epoch_;
-  Status& status = status_[static_cast<std::size_t>(worker)];
-  if (status == Status::kActive) return epoch_;  // idempotent
-  status = Status::kActive;
+MembershipEpoch MembershipService::change_locked(int worker, Status next,
+                                                 fault::ControlAction action)
+    SHMCAFFE_REQUIRES(mutex_) {
+  SHMCAFFE_ASSERT_HELD(mutex_);
+  status_[static_cast<std::size_t>(worker)] = next;
   epoch_ = recovery::next_service_epoch(epoch_);
-  joined_.push_back(worker);
-  execution_.record(MembershipAction::kWorkerJoin, worker);
+  fault::record(journal_, action, worker);
   rebalance_locked(worker);
   return epoch_;
 }
 
-MembershipEpoch MembershipService::drain(int worker, std::int64_t at_iteration) {
-  (void)at_iteration;
+MembershipEpoch MembershipService::join(int worker) {
   std::scoped_lock lock(mutex_);
   if (worker < 0 || worker >= capacity_) return epoch_;
-  Status& status = status_[static_cast<std::size_t>(worker)];
-  if (status != Status::kActive) return epoch_;
-  status = Status::kDrained;
-  epoch_ = recovery::next_service_epoch(epoch_);
-  drained_.push_back(worker);
-  execution_.record(MembershipAction::kWorkerDrain, worker);
-  rebalance_locked(worker);
-  return epoch_;
+  if (status_[static_cast<std::size_t>(worker)] == Status::kActive) return epoch_;  // idempotent
+  return change_locked(worker, Status::kActive, fault::ControlAction::kWorkerJoin);
 }
 
-MembershipEpoch MembershipService::evict(int worker, std::int64_t at_iteration) {
-  (void)at_iteration;
+MembershipEpoch MembershipService::drain(int worker) {
   std::scoped_lock lock(mutex_);
   if (worker < 0 || worker >= capacity_) return epoch_;
-  Status& status = status_[static_cast<std::size_t>(worker)];
-  if (status != Status::kActive) return epoch_;
-  status = Status::kEvicted;
-  epoch_ = recovery::next_service_epoch(epoch_);
-  evicted_.push_back(worker);
-  execution_.record(MembershipAction::kEvict, worker);
-  rebalance_locked(worker);
-  return epoch_;
+  if (status_[static_cast<std::size_t>(worker)] != Status::kActive) return epoch_;
+  return change_locked(worker, Status::kDrained, fault::ControlAction::kWorkerDrain);
 }
 
-void MembershipService::quarantine(int worker, std::int64_t at_iteration) {
-  (void)at_iteration;
+MembershipEpoch MembershipService::evict(int worker) {
+  std::scoped_lock lock(mutex_);
+  if (worker < 0 || worker >= capacity_) return epoch_;
+  if (status_[static_cast<std::size_t>(worker)] != Status::kActive) return epoch_;
+  return change_locked(worker, Status::kEvicted, fault::ControlAction::kEvict);
+}
+
+void MembershipService::quarantine(int worker) {
   std::scoped_lock lock(mutex_);
   if (worker < 0 || worker >= capacity_) return;
-  ++quarantine_events_;
-  execution_.record(MembershipAction::kQuarantine, worker);
+  fault::record(journal_, fault::ControlAction::kQuarantine, worker);
 }
 
-void MembershipService::readmit_contributor(int worker, std::int64_t at_iteration) {
-  (void)at_iteration;
+void MembershipService::readmit_contributor(int worker) {
   std::scoped_lock lock(mutex_);
   if (worker < 0 || worker >= capacity_) return;
-  execution_.record(MembershipAction::kReadmitContributor, worker);
+  fault::record(journal_, fault::ControlAction::kReadmitContributor, worker);
 }
 
 MembershipEpoch MembershipService::epoch() const {
@@ -371,30 +289,35 @@ std::vector<int> MembershipService::members() const {
   return members_locked();
 }
 
-std::vector<int> MembershipService::joined() const {
-  std::scoped_lock lock(mutex_);
-  std::vector<int> out = joined_;
+std::vector<int> MembershipService::targets_locked(fault::ControlAction action) const
+    SHMCAFFE_REQUIRES(mutex_) {
+  SHMCAFFE_ASSERT_HELD(mutex_);
+  std::vector<int> out;
+  for (const fault::ControlEvent& event : journal_) {
+    if (event.action == action) out.push_back(event.target);
+  }
   std::sort(out.begin(), out.end());
   return out;
+}
+
+std::vector<int> MembershipService::joined() const {
+  std::scoped_lock lock(mutex_);
+  return targets_locked(fault::ControlAction::kWorkerJoin);
 }
 
 std::vector<int> MembershipService::drained() const {
   std::scoped_lock lock(mutex_);
-  std::vector<int> out = drained_;
-  std::sort(out.begin(), out.end());
-  return out;
+  return targets_locked(fault::ControlAction::kWorkerDrain);
 }
 
 std::vector<int> MembershipService::evicted() const {
   std::scoped_lock lock(mutex_);
-  std::vector<int> out = evicted_;
-  std::sort(out.begin(), out.end());
-  return out;
+  return targets_locked(fault::ControlAction::kEvict);
 }
 
 std::int64_t MembershipService::rebalances() const {
   std::scoped_lock lock(mutex_);
-  return rebalances_;
+  return static_cast<std::int64_t>(targets_locked(fault::ControlAction::kShardRebalance).size());
 }
 
 std::int64_t MembershipService::reassignments() const {
@@ -404,12 +327,12 @@ std::int64_t MembershipService::reassignments() const {
 
 std::int64_t MembershipService::quarantine_events() const {
   std::scoped_lock lock(mutex_);
-  return quarantine_events_;
+  return static_cast<std::int64_t>(targets_locked(fault::ControlAction::kQuarantine).size());
 }
 
-MembershipExecution MembershipService::execution() const {
+std::vector<fault::ControlEvent> MembershipService::journal() const {
   std::scoped_lock lock(mutex_);
-  return execution_;
+  return journal_;
 }
 
 }  // namespace shmcaffe::elastic

@@ -1,47 +1,43 @@
-// Elastic membership for a live training run (ROADMAP item 4).
+// Elastic membership for a live training run.
 //
-// The recovery layer (PR 3) can only *replace* a crashed worker under a
-// fixed topology.  This layer generalises that into full membership
-// elasticity: workers may *cold-join* a running SEASGD session (attach to
-// the SMB, adopt W_g, take a fresh progress-board slot), *drain* out of it
-// voluntarily (flush the pending increment, leave cleanly), or be *evicted*
-// after repeated straggler violations — all without restarting the run.
+// The recovery layer can only *replace* a crashed worker under a fixed
+// topology.  This layer generalises that into full membership elasticity:
+// workers may *cold-join* a running SEASGD session (attach to the SMB, adopt
+// W_g, take a fresh progress-board slot), *drain* out of it voluntarily
+// (flush the pending increment, leave cleanly), or be *evicted* after
+// repeated straggler violations — all without restarting the run.
 //
-// Three pieces, mirroring recovery/schedule.h's planned-vs-executed design:
+// Three pieces:
 //
 //   * MembershipPlan — the deterministic join/drain schedule a run follows
 //     (iteration-indexed, like a FaultPlan).  Both training stacks consume
 //     the same plan.
-//   * membership_schedule() — a pure function from (plan, fault plan,
-//     policy) to the ordered list of membership changes the run *will*
-//     execute: joins, drains, straggler quarantine/readmit/evict chains
-//     (derived from injected stalls long enough to trip the detector), and
-//     the shard rebalance that follows every membership change.  Both
-//     stacks filter this planned list down to the changes they *actually*
-//     executed and hash it (membership_fingerprint), so "functional == sim"
-//     is a single integer comparison — the style of PR 3's
-//     recovery_fingerprint.
+//   * membership_schedule() — the membership expander of the control-event
+//     journal (fault/journal.h): the joins, drains, straggler
+//     quarantine/readmit/evict chains (derived from injected stalls long
+//     enough to trip the detector) and shard rebalances the run *will*
+//     execute.  plan_control_events() composes it with the recovery and
+//     integrity expanders into the one plan both stacks check what they
+//     executed against.
 //   * MembershipService — the run-time registry both stacks drive: it owns
 //     the monotonic *membership epoch* (layered on recovery/epoch.h's
 //     ServiceEpoch fencing: every change of the member set bumps it, so
 //     shard routing cached under an older epoch is stale by construction),
 //     the deterministic worker->home-shard map that rebalances on every
-//     membership change, and the executed-change counts the fingerprint
-//     filter consumes.
+//     membership change, and the journal of the membership events it
+//     observed.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "common/ordered_mutex.h"
+#include "fault/fault_plan.h"
+#include "fault/journal.h"
 #include "recovery/epoch.h"
-
-namespace shmcaffe::fault {
-class FaultPlan;
-}  // namespace shmcaffe::fault
+#include "recovery/integrity.h"
+#include "recovery/schedule.h"
 
 namespace shmcaffe::elastic {
 
@@ -132,74 +128,32 @@ struct MembershipPolicy {
   double rebalance_seconds = 0.01;    ///< shard-map recompute + adoption
 };
 
-// --- planned / executed changes ---------------------------------------------
+// --- the planned control events ---------------------------------------------
 
-enum class MembershipAction : std::uint8_t {
-  kWorkerJoin,          ///< slot `target` cold-joined the run
-  kWorkerDrain,         ///< worker `target` drained voluntarily
-  kQuarantine,          ///< worker `target` demoted to non-contributing
-  kReadmitContributor,  ///< quarantined worker `target` caught up and readmitted
-  kEvict,               ///< worker `target` evicted after repeated violations
-  kShardRebalance,      ///< home-shard map recomputed after a membership change
-};
+/// Expands (plan, faults, policy) into the membership events the run will
+/// execute.  Joins and drains come from the plan; quarantine / readmit /
+/// evict chains are derived from the fault plan's worker stalls of at least
+/// policy.quarantine_stall_seconds (violation N evicts when N reaches
+/// policy.evict_after_violations; stalls after a worker's earliest crash,
+/// after its drain, or after its eviction derive nothing — the worker is
+/// gone).  Every join / drain / evict is followed by its kShardRebalance.
+/// Ordered by (trigger iteration, action, target): the board max-iterations
+/// for joins, the worker's own iteration for drains and stall-derived
+/// transitions.
+[[nodiscard]] std::vector<fault::ControlEvent> membership_schedule(
+    const MembershipPlan* plan, const fault::FaultPlan* faults, const MembershipPolicy& policy,
+    int initial_workers);
 
-[[nodiscard]] const char* to_string(MembershipAction action);
-
-/// One planned (or executed) membership change.  `at_iteration` is the
-/// planned trigger iteration (board max-iterations for joins, the worker's
-/// own iteration for drains and stall-derived quarantines); rebalances
-/// inherit it from the membership change that triggered them.
-struct MembershipChange {
-  MembershipAction action = MembershipAction::kWorkerJoin;
-  int target = -1;
-  std::int64_t at_iteration = -1;
-
-  friend bool operator==(const MembershipChange&, const MembershipChange&) = default;
-};
-
-/// Expands (plan, faults, policy) into the ordered membership changes the
-/// run will execute.  Joins and drains come from the plan; quarantine /
-/// readmit / evict chains are derived from the fault plan's worker stalls of
-/// at least policy.quarantine_stall_seconds (violation N evicts when N
-/// reaches policy.evict_after_violations; stalls after a worker's earliest
-/// crash, after its drain, or after its eviction derive nothing — the
-/// worker is gone).  Every join / drain / evict is followed by its
-/// kShardRebalance.  Deterministically ordered by (at_iteration, action,
-/// target); both stacks filter this list by what actually ran.
-[[nodiscard]] SHMCAFFE_DETERMINISTIC SHMCAFFE_NONBLOCKING std::vector<MembershipChange>
-membership_schedule(const MembershipPlan* plan, const fault::FaultPlan* faults,
-                    const MembershipPolicy& policy, int initial_workers);
-
-/// Order-sensitive FNV-1a digest over (action, target, at_iteration) —
-/// identical for a planned schedule and a faithfully executed one.
-[[nodiscard]] SHMCAFFE_DETERMINISTIC SHMCAFFE_NONBLOCKING std::uint64_t membership_fingerprint(
-    std::span<const MembershipChange> changes);
-
-/// Human-readable one-line-per-change rendering.
-[[nodiscard]] std::string describe(std::span<const MembershipChange> changes);
-
-// --- executed-change filtering ----------------------------------------------
-
-/// Per-(action, worker) counts of the membership changes a run actually
-/// executed; MembershipService maintains one, and the sim twin fills an
-/// identical one, so both stacks run the same filter.
-struct MembershipExecution {
-  std::map<int, int> joins;
-  std::map<int, int> drains;
-  std::map<int, int> quarantines;
-  std::map<int, int> readmits;
-  std::map<int, int> evicts;
-
-  void record(MembershipAction action, int target);
-  [[nodiscard]] int count(MembershipAction action, int target) const;
-};
-
-/// Keeps the planned changes that actually executed, in planned order: each
-/// planned (action, target) consumes one executed count; a kShardRebalance
-/// is kept exactly when the membership change immediately preceding it in
-/// the planned list was kept.
-[[nodiscard]] std::vector<MembershipChange> filter_executed(
-    std::span<const MembershipChange> planned, const MembershipExecution& executed);
+/// The planned control-event journal of a run: the recovery, integrity and
+/// membership expanders, composed in that fixed domain order.  A null
+/// fault plan plans no recovery or integrity events; a null membership plan
+/// plans only the straggler chains.  Both stacks keep the events of this
+/// plan they observed (fault::executed), so equal results mean identical
+/// control histories.
+[[nodiscard]] SHMCAFFE_DETERMINISTIC SHMCAFFE_NONBLOCKING std::vector<fault::ControlEvent>
+plan_control_events(const fault::FaultPlan* faults, const recovery::RecoveryPolicy& recovery,
+                    const recovery::IntegrityPolicy& integrity, const MembershipPlan* membership,
+                    const MembershipPolicy& membership_policy, int initial_workers);
 
 // --- shard assignment -------------------------------------------------------
 
@@ -215,9 +169,10 @@ struct MembershipExecution {
 
 /// Thread-safe membership registry both stacks drive as changes execute.
 /// Owns the membership epoch, the home-shard map (rebalanced on every
-/// membership change), the executed-change counts, and the counters the
-/// results report.  All transitions are idempotent per (worker, state):
-/// joining an active worker or draining a drained one is a no-op.
+/// membership change), and the journal of the membership events it
+/// executed, from which the result counters derive.  All transitions are
+/// idempotent per (worker, state): joining an active worker or draining a
+/// drained one is a no-op.
 class MembershipService {
  public:
   /// `initial_workers` ranks are active from the start; slots in
@@ -226,14 +181,14 @@ class MembershipService {
 
   /// Membership changes; each bumps the epoch and rebalances the
   /// home-shard map.  Returns the epoch after the change.
-  MembershipEpoch join(int worker, std::int64_t at_iteration);
-  MembershipEpoch drain(int worker, std::int64_t at_iteration);
-  MembershipEpoch evict(int worker, std::int64_t at_iteration);
+  MembershipEpoch join(int worker);
+  MembershipEpoch drain(int worker);
+  MembershipEpoch evict(int worker);
 
   /// Straggler transitions; quarantine does NOT change the member set (the
   /// worker is demoted, not removed), so the epoch and shard map hold.
-  void quarantine(int worker, std::int64_t at_iteration);
-  void readmit_contributor(int worker, std::int64_t at_iteration);
+  void quarantine(int worker);
+  void readmit_contributor(int worker);
 
   [[nodiscard]] MembershipEpoch epoch() const;
   /// The shard index worker `worker`'s SEASGD fan-out starts at (0 for
@@ -241,7 +196,7 @@ class MembershipService {
   [[nodiscard]] int home_shard(int worker) const;
   [[nodiscard]] std::vector<int> members() const;  ///< active ranks, ascending
 
-  // --- result counters ----------------------------------------------------
+  // --- result counters, derived from the journal ----------------------------
   [[nodiscard]] std::vector<int> joined() const;   ///< ascending
   [[nodiscard]] std::vector<int> drained() const;  ///< ascending
   [[nodiscard]] std::vector<int> evicted() const;  ///< ascending
@@ -250,15 +205,23 @@ class MembershipService {
   /// Worker->shard assignments that changed across all rebalances.
   [[nodiscard]] std::int64_t reassignments() const;
   [[nodiscard]] std::int64_t quarantine_events() const;
-  [[nodiscard]] MembershipExecution execution() const;
+  /// Every membership event executed so far, in execution order.
+  [[nodiscard]] std::vector<fault::ControlEvent> journal() const;
 
  private:
   enum class Status : std::uint8_t { kAbsent, kActive, kDrained, kEvicted };
 
-  /// Recomputes the home-shard map after a membership change and logs the
-  /// kShardRebalance; requires mutex_ held.
+  /// Moves `worker` to `next`, bumps the epoch, journals `action`, and
+  /// rebalances; returns the new epoch.  Requires mutex_ held.
+  MembershipEpoch change_locked(int worker, Status next, fault::ControlAction action)
+      SHMCAFFE_REQUIRES(mutex_);
+  /// Recomputes the home-shard map after a membership change and journals
+  /// the kShardRebalance; requires mutex_ held.
   void rebalance_locked(int trigger) SHMCAFFE_REQUIRES(mutex_);
   [[nodiscard]] std::vector<int> members_locked() const SHMCAFFE_REQUIRES(mutex_);
+  /// The targets of the journal's `action` events, ascending.
+  [[nodiscard]] std::vector<int> targets_locked(fault::ControlAction action) const
+      SHMCAFFE_REQUIRES(mutex_);
 
   /// Serialises every membership transition and query.  Held across pure
   /// in-memory state only (no SMB access), so it ranks between the
@@ -270,13 +233,8 @@ class MembershipService {
   std::vector<Status> status_ SHMCAFFE_GUARDED_BY(mutex_);
   std::vector<int> home_shard_ SHMCAFFE_GUARDED_BY(mutex_);
   MembershipEpoch epoch_ SHMCAFFE_GUARDED_BY(mutex_) = recovery::kInitialServiceEpoch;
-  std::vector<int> joined_ SHMCAFFE_GUARDED_BY(mutex_);
-  std::vector<int> drained_ SHMCAFFE_GUARDED_BY(mutex_);
-  std::vector<int> evicted_ SHMCAFFE_GUARDED_BY(mutex_);
-  std::int64_t rebalances_ SHMCAFFE_GUARDED_BY(mutex_) = 0;
   std::int64_t reassignments_ SHMCAFFE_GUARDED_BY(mutex_) = 0;
-  std::int64_t quarantine_events_ SHMCAFFE_GUARDED_BY(mutex_) = 0;
-  MembershipExecution execution_ SHMCAFFE_GUARDED_BY(mutex_);
+  std::vector<fault::ControlEvent> journal_ SHMCAFFE_GUARDED_BY(mutex_);
 };
 
 }  // namespace shmcaffe::elastic

@@ -1,28 +1,22 @@
-// The integrity schedule: one pure function from (FaultPlan, IntegrityPolicy)
-// to the ordered list of integrity events a run is expected to produce.
-//
-// It is the data-plane sibling of recovery_schedule (schedule.h): both
-// training stacks — the functional thread trainer and the discrete-event
-// simulator — derive their expected integrity behaviour from this single
-// function, then fingerprint what *actually executed* (which corruptions
-// fired, which were detected by checksum verification, which were repaired
-// by replica vote, which armed torn writes landed).  A faithfully executed
-// run reproduces the planned fingerprint bit-for-bit, and the two stacks
-// must agree with each other on the same plan.
+// The integrity policy and its expander: the integrity-domain part of the
+// control-event journal (fault/journal.h).  elastic::plan_control_events
+// composes this expander with the recovery and membership ones; both
+// training stacks then observe which corruptions fired, which checksum
+// verification detected, which replica vote repaired, and which armed torn
+// writes landed, and keep the planned events they observed.
 //
 // Every event is keyed by the fault's *marker* (fault/fault_plan.h): the
 // plan-drawn nonzero identity a corruption stamps on the chunks it poisons.
-// Detection and repair attribute themselves to markers, so the executed
-// filter is a set-membership test — no timing enters the fingerprint.
+// Its target is the physical server the fault hits — torn-write markers
+// are drawn per server, so two servers can share one.  No timing enters
+// the journal.
 #pragma once
 
-#include <cstdint>
-#include <span>
-#include <string>
+#include <cstddef>
 #include <vector>
 
-#include "common/ordered_mutex.h"
 #include "fault/fault_plan.h"
+#include "fault/journal.h"
 
 namespace shmcaffe::recovery {
 
@@ -51,54 +45,12 @@ struct IntegrityPolicy {
   [[nodiscard]] bool enabled() const { return checksum_chunks || verify_on_read; }
 };
 
-enum class IntegrityAction : std::uint8_t {
-  kCorruptionInjected,  ///< a kSegmentCorruption event fired on server `target`
-  kCorruptionDetected,  ///< checksum verification caught the marker
-  kCorruptionRepaired,  ///< replica vote rewrote the poisoned copy
-  kTornWriteApplied,    ///< an armed kTornWrite reached its ordinal and fired
-};
-
-[[nodiscard]] const char* to_string(IntegrityAction action);
-
-/// One planned (or executed) integrity event.
-struct IntegrityEvent {
-  IntegrityAction action = IntegrityAction::kCorruptionInjected;
-  int target = -1;           ///< logical SMB server index
-  std::uint64_t marker = 0;  ///< fault marker (torn writes: high bit set)
-
-  friend bool operator==(const IntegrityEvent&, const IntegrityEvent&) = default;
-};
-
-/// The executed outcome of a run: which markers actually fired / were
-/// detected / were repaired.  Both stacks fill one of these from their own
-/// observability surfaces and filter the planned schedule through it.
-struct IntegrityOutcome {
-  std::vector<std::uint64_t> injected;      ///< corruption markers that fired
-  std::vector<std::uint64_t> detected;      ///< markers caught by verification
-  std::vector<std::uint64_t> repaired;      ///< markers healed by replica vote
-  std::vector<std::uint64_t> torn_applied;  ///< torn-write markers that landed
-};
-
 /// Expands a fault plan into the integrity events `policy` mandates, in plan
-/// order: every corruption contributes an injection, plus a detection if
-/// verification is on, plus a repair if read-repair is also on; every torn
-/// write contributes an application plus the same detection/repair pair.
-[[nodiscard]] SHMCAFFE_DETERMINISTIC std::vector<IntegrityEvent> integrity_schedule(
-    const fault::FaultPlan& plan, const IntegrityPolicy& policy);
-
-/// Filters a planned schedule down to what actually executed: an event
-/// survives iff its marker is in the outcome set matching its action.
-/// Order (and therefore the fingerprint) is inherited from the plan, so the
-/// functional and simulated stacks agree by construction when their
-/// outcomes agree.
-[[nodiscard]] SHMCAFFE_DETERMINISTIC std::vector<IntegrityEvent> executed_integrity(
-    std::span<const IntegrityEvent> planned, const IntegrityOutcome& outcome);
-
-/// Order-sensitive FNV-1a digest over (action, target, marker).
-[[nodiscard]] SHMCAFFE_DETERMINISTIC std::uint64_t integrity_fingerprint(
-    std::span<const IntegrityEvent> events);
-
-/// Human-readable one-line-per-event rendering.
-[[nodiscard]] std::string describe(std::span<const IntegrityEvent> events);
+/// order: every corruption contributes a kCorruptionInjected, plus a
+/// detection if verification is on, plus a repair if read-repair is also
+/// on; every torn write contributes a kTornWriteApplied plus the same
+/// detection/repair pair, under marker kTornWriteMarkerBit | ordinal.
+[[nodiscard]] std::vector<fault::ControlEvent> integrity_schedule(const fault::FaultPlan& plan,
+                                                                 const IntegrityPolicy& policy);
 
 }  // namespace shmcaffe::recovery

@@ -1,97 +1,45 @@
 #include "recovery/schedule.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
+#include <utility>
 
 namespace shmcaffe::recovery {
 
-const char* to_string(RecoveryAction action) {
-  switch (action) {
-    case RecoveryAction::kSmbFailover: return "smb_failover";
-    case RecoveryAction::kWorkerReadmit: return "worker_readmit";
-  }
-  return "unknown";
-}
-
-std::vector<RecoveryEvent> recovery_schedule(const fault::FaultPlan& plan,
-                                             const RecoveryPolicy& policy) {
-  std::vector<RecoveryEvent> failovers;
+std::vector<fault::ControlEvent> recovery_schedule(const fault::FaultPlan& plan,
+                                                  const RecoveryPolicy& policy) {
+  std::vector<fault::FaultEvent> fail_stops;
   // Earliest crash per worker: a worker fail-stops once, so later crash
   // events for the same target are unreachable and must not schedule a
   // second re-admission.
   std::map<int, std::int64_t> first_crash;
   for (const fault::FaultEvent& event : plan.events()) {
-    switch (event.kind) {
-      case fault::FaultKind::kServerFailStop:
-        if (policy.smb_failover) {
-          RecoveryEvent recovery;
-          recovery.action = RecoveryAction::kSmbFailover;
-          recovery.target = event.target;
-          recovery.at_seconds = event.start_seconds + policy.failover_seconds;
-          failovers.push_back(recovery);
-        }
-        break;
-      case fault::FaultKind::kWorkerCrash:
-        if (policy.respawn_crashed) {
-          const auto it = first_crash.find(event.target);
-          if (it == first_crash.end() || event.iteration < it->second) {
-            first_crash[event.target] = event.iteration;
-          }
-        }
-        break;
-      default:
-        break;
+    if (event.kind == fault::FaultKind::kServerFailStop && policy.smb_failover) {
+      fail_stops.push_back(event);
+    } else if (event.kind == fault::FaultKind::kWorkerCrash && policy.respawn_crashed) {
+      const auto it = first_crash.find(event.target);
+      if (it == first_crash.end() || event.iteration < it->second) {
+        first_crash[event.target] = event.iteration;
+      }
     }
   }
-  std::sort(failovers.begin(), failovers.end(),
-            [](const RecoveryEvent& a, const RecoveryEvent& b) {
-              if (a.at_seconds != b.at_seconds) return a.at_seconds < b.at_seconds;
+  std::sort(fail_stops.begin(), fail_stops.end(),
+            [](const fault::FaultEvent& a, const fault::FaultEvent& b) {
+              if (a.start_seconds != b.start_seconds) return a.start_seconds < b.start_seconds;
               return a.target < b.target;
             });
-  std::vector<RecoveryEvent> readmits;
-  for (const auto& [worker, iteration] : first_crash) {
-    RecoveryEvent recovery;
-    recovery.action = RecoveryAction::kWorkerReadmit;
-    recovery.target = worker;
-    recovery.at_iteration = iteration;
-    recovery.at_seconds = policy.readmit_delay_seconds;
-    readmits.push_back(recovery);
+  std::vector<std::pair<std::int64_t, int>> crashes;  // (iteration, worker)
+  for (const auto& [worker, iteration] : first_crash) crashes.emplace_back(iteration, worker);
+  std::sort(crashes.begin(), crashes.end());
+
+  std::vector<fault::ControlEvent> schedule;
+  for (const fault::FaultEvent& event : fail_stops) {
+    fault::record(schedule, fault::ControlAction::kSmbFailover, event.target);
   }
-  std::sort(readmits.begin(), readmits.end(),
-            [](const RecoveryEvent& a, const RecoveryEvent& b) {
-              if (a.at_iteration != b.at_iteration) return a.at_iteration < b.at_iteration;
-              return a.target < b.target;
-            });
-  std::vector<RecoveryEvent> schedule = std::move(failovers);
-  schedule.insert(schedule.end(), readmits.begin(), readmits.end());
+  for (const auto& [iteration, worker] : crashes) {
+    fault::record(schedule, fault::ControlAction::kWorkerReadmit, worker);
+  }
   return schedule;
-}
-
-std::uint64_t schedule_fingerprint(std::span<const RecoveryEvent> events) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  const auto mix = [&hash](std::uint64_t word) {
-    hash ^= word;
-    hash *= 0x100000001b3ULL;
-  };
-  for (const RecoveryEvent& event : events) {
-    mix(static_cast<std::uint64_t>(event.action));
-    mix(static_cast<std::uint64_t>(event.target));
-    mix(static_cast<std::uint64_t>(event.at_iteration));
-  }
-  return hash;
-}
-
-std::string describe(std::span<const RecoveryEvent> events) {
-  std::string out;
-  char line[128];
-  for (const RecoveryEvent& event : events) {
-    std::snprintf(line, sizeof(line), "%s target=%d iter=%lld at=%.3fs\n",
-                  to_string(event.action), event.target,
-                  static_cast<long long>(event.at_iteration), event.at_seconds);
-    out += line;
-  }
-  return out;
 }
 
 }  // namespace shmcaffe::recovery

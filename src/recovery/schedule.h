@@ -1,21 +1,13 @@
-// The recovery schedule: one pure function from (FaultPlan, RecoveryPolicy)
-// to the ordered list of recovery actions a run will take.
-//
-// Both training stacks — the functional thread trainer and the discrete-
-// event simulator — derive their recovery behaviour from this single
-// function, so "the same plan produces the identical recovery schedule in
-// both stacks" holds by construction; each stack additionally fingerprints
-// the actions it *actually executed*, and tests assert the executed
-// fingerprints match the planned one.
+// The recovery policy and its expander: the recovery-domain part of the
+// control-event journal (fault/journal.h).  elastic::plan_control_events
+// composes this expander with the integrity and membership ones, and both
+// training stacks check what they executed against that one plan.
 #pragma once
 
-#include <cstdint>
-#include <span>
-#include <string>
 #include <vector>
 
-#include "common/ordered_mutex.h"
 #include "fault/fault_plan.h"
+#include "fault/journal.h"
 
 namespace shmcaffe::recovery {
 
@@ -34,38 +26,12 @@ struct RecoveryPolicy {
   double readmit_delay_seconds = 0.5;
 };
 
-enum class RecoveryAction : std::uint8_t {
-  kSmbFailover,    ///< promote a backup replica of SMB server `target`
-  kWorkerReadmit,  ///< re-admit worker `target` after its crash
-};
-
-[[nodiscard]] const char* to_string(RecoveryAction action);
-
-/// One planned (or executed) recovery action.
-struct RecoveryEvent {
-  RecoveryAction action = RecoveryAction::kSmbFailover;
-  int target = -1;              ///< server index (failover) / worker rank (readmit)
-  std::int64_t at_iteration = -1;  ///< crash iteration for readmits; -1 for failovers
-  /// Timing model only (failover detection time / readmit delay); excluded
-  /// from the fingerprint so functional wall time cannot perturb it.
-  double at_seconds = 0.0;
-
-  friend bool operator==(const RecoveryEvent&, const RecoveryEvent&) = default;
-};
-
-/// Expands a fault plan into the recovery actions `policy` mandates:
-/// a failover per fail-stopped server, a re-admission per crashed worker
-/// (earliest crash only — a worker dies once).  Deterministically ordered:
-/// failovers by (start time, target), then readmits by (iteration, target).
-[[nodiscard]] SHMCAFFE_DETERMINISTIC std::vector<RecoveryEvent> recovery_schedule(
-    const fault::FaultPlan& plan, const RecoveryPolicy& policy);
-
-/// Order-sensitive FNV-1a digest over (action, target, at_iteration) —
-/// identical for a planned schedule and a faithfully executed one.
-[[nodiscard]] SHMCAFFE_DETERMINISTIC std::uint64_t schedule_fingerprint(
-    std::span<const RecoveryEvent> events);
-
-/// Human-readable one-line-per-event rendering.
-[[nodiscard]] std::string describe(std::span<const RecoveryEvent> events);
+/// Expands a fault plan into the recovery actions `policy` mandates: a
+/// kSmbFailover per fail-stopped server, a kWorkerReadmit per crashed
+/// worker (earliest crash only — a worker dies once).  Failovers come
+/// first, by (fault start time, target), then readmits by (crash
+/// iteration, target).
+[[nodiscard]] std::vector<fault::ControlEvent> recovery_schedule(const fault::FaultPlan& plan,
+                                                                const RecoveryPolicy& policy);
 
 }  // namespace shmcaffe::recovery

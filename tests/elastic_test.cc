@@ -1,15 +1,13 @@
-// Tests for the elastic membership layer: the planned membership schedule
-// and its fingerprint, executed-change filtering, the straggler-detection
-// math, the MembershipService registry (epochs, shard rebalancing,
-// counters), the growable progress board (cold-join slots, rate EWMAs,
-// straggler sweeps), the simulated twin at scale (heterogeneous cohorts,
-// staleness accounting), the elastic baseline star, and the end-to-end
-// acceptance runs — workers join, drain, straggle-and-quarantine, and crash
-// in one run with bit-identical membership fingerprints from the functional
-// and simulated stacks.
+// Tests for the elastic membership layer: the membership expander of the
+// control-event journal, the straggler-detection math, the
+// MembershipService registry (epochs, shard rebalancing, its journal), the
+// growable progress board (cold-join slots, rate EWMAs, straggler sweeps),
+// the simulated twin at scale (heterogeneous cohorts, staleness
+// accounting), the elastic baseline star, and the end-to-end acceptance
+// runs — workers join, drain, straggle-and-quarantine, and crash in one run
+// with the same executed journal from the functional and simulated stacks.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -26,20 +24,22 @@
 #include "elastic/straggler.h"
 #include "fault/fault_plan.h"
 #include "fault/injector.h"
+#include "fault/journal.h"
 #include "recovery/epoch.h"
 #include "smb/server.h"
 
 namespace shmcaffe {
 namespace {
 
-using elastic::MembershipAction;
-using elastic::MembershipChange;
 using elastic::MembershipEvent;
 using elastic::MembershipEventKind;
 using elastic::MembershipPlan;
 using elastic::MembershipPolicy;
 using elastic::MembershipService;
 using elastic::StragglerVerdict;
+using fault::ControlAction;
+using fault::ControlDomain;
+using fault::ControlEvent;
 using fault::FaultEvent;
 using fault::FaultInjector;
 using fault::FaultKind;
@@ -95,32 +95,22 @@ TEST(MembershipSchedule, OrdersJoinsDrainsAndChainsDeterministically) {
     faults.add(stall);
   }
 
-  const std::vector<MembershipChange> changes =
-      elastic::membership_schedule(&plan, &faults, detection_policy(), 4);
-  const std::vector<MembershipChange> expected{
-      {MembershipAction::kQuarantine, 2, 3},
-      {MembershipAction::kReadmitContributor, 2, 3},
-      {MembershipAction::kWorkerJoin, 4, 6},
-      {MembershipAction::kShardRebalance, 4, 6},
-      {MembershipAction::kQuarantine, 2, 7},
-      {MembershipAction::kReadmitContributor, 2, 7},
-      {MembershipAction::kWorkerDrain, 1, 9},
-      {MembershipAction::kShardRebalance, 1, 9},
-      {MembershipAction::kEvict, 2, 11},  // third violation
-      {MembershipAction::kShardRebalance, 2, 11},
+  // By trigger iteration (3, 3, 6, 6, 7, ...), keyed by the ordinal of each
+  // (action, worker).
+  const std::vector<ControlEvent> expected{
+      {ControlAction::kQuarantine, 2, 1},
+      {ControlAction::kReadmitContributor, 2, 1},
+      {ControlAction::kWorkerJoin, 4, 1},
+      {ControlAction::kShardRebalance, 4, 1},
+      {ControlAction::kQuarantine, 2, 2},
+      {ControlAction::kReadmitContributor, 2, 2},
+      {ControlAction::kWorkerDrain, 1, 1},
+      {ControlAction::kShardRebalance, 1, 1},
+      {ControlAction::kEvict, 2, 1},  // third violation
+      {ControlAction::kShardRebalance, 2, 1},
   };
-  EXPECT_EQ(changes, expected);
-
-  // Same inputs, same schedule, same fingerprint — every time.
-  const auto again = elastic::membership_schedule(&plan, &faults, detection_policy(), 4);
-  EXPECT_EQ(elastic::membership_fingerprint(changes),
-            elastic::membership_fingerprint(again));
-  EXPECT_NE(elastic::membership_fingerprint(changes),
-            elastic::membership_fingerprint(std::vector<MembershipChange>{}));
-  const std::string rendered = elastic::describe(changes);
-  EXPECT_EQ(static_cast<std::size_t>(
-                std::count(rendered.begin(), rendered.end(), '\n')),
-            changes.size());
+  EXPECT_EQ(elastic::membership_schedule(&plan, &faults, detection_policy(), 4), expected);
+  EXPECT_EQ(elastic::membership_schedule(&plan, &faults, detection_policy(), 4), expected);
 }
 
 TEST(MembershipSchedule, ChainStopsAtCrashDrainAndShortStallsDeriveNothing) {
@@ -172,32 +162,32 @@ TEST(MembershipPlan, CapacityAndDrainLookup) {
 // --- executed-change filtering --------------------------------------------
 
 TEST(FilterExecuted, KeepsExecutedChangesAndTheirRebalances) {
-  const std::vector<MembershipChange> planned{
-      {MembershipAction::kQuarantine, 2, 3},
-      {MembershipAction::kReadmitContributor, 2, 3},
-      {MembershipAction::kWorkerJoin, 4, 6},
-      {MembershipAction::kShardRebalance, 4, 6},
-      {MembershipAction::kWorkerDrain, 1, 9},
-      {MembershipAction::kShardRebalance, 1, 9},
-  };
-  elastic::MembershipExecution executed;
-  executed.record(MembershipAction::kQuarantine, 2);
-  executed.record(MembershipAction::kReadmitContributor, 2);
-  executed.record(MembershipAction::kWorkerJoin, 4);
-  executed.record(MembershipAction::kShardRebalance, 4);
+  MembershipPlan plan;
+  plan.add({MembershipEventKind::kJoin, 4, 6});
+  plan.add({MembershipEventKind::kDrain, 1, 9});
+  FaultPlan faults;
+  FaultEvent stall;
+  stall.kind = FaultKind::kWorkerStall;
+  stall.target = 2;
+  stall.iteration = 3;
+  stall.duration_seconds = 0.5;
+  faults.add(stall);
+  const std::vector<ControlEvent> planned =
+      elastic::membership_schedule(&plan, &faults, detection_policy(), 4);
 
-  const std::vector<MembershipChange> kept =
-      elastic::filter_executed(planned, executed);
-  // The drain never ran, so neither it nor its rebalance survives.
-  const std::vector<MembershipChange> expected{
-      {MembershipAction::kQuarantine, 2, 3},
-      {MembershipAction::kReadmitContributor, 2, 3},
-      {MembershipAction::kWorkerJoin, 4, 6},
-      {MembershipAction::kShardRebalance, 4, 6},
+  // The registry journals what ran: the quarantine chain and the join (with
+  // its rebalance), but the drain never happened.
+  MembershipService service(4, 5, 2);
+  service.quarantine(2);
+  service.readmit_contributor(2);
+  service.join(4);
+  const std::vector<ControlEvent> expected{
+      {ControlAction::kQuarantine, 2, 1},
+      {ControlAction::kReadmitContributor, 2, 1},
+      {ControlAction::kWorkerJoin, 4, 1},
+      {ControlAction::kShardRebalance, 4, 1},
   };
-  EXPECT_EQ(kept, expected);
-  EXPECT_NE(elastic::membership_fingerprint(kept),
-            elastic::membership_fingerprint(planned));
+  EXPECT_EQ(fault::executed(planned, service.journal()), expected);
 }
 
 // --- straggler math --------------------------------------------------------
@@ -240,40 +230,42 @@ TEST(MembershipService, EpochBumpsOnMembershipChangesOnly) {
   EXPECT_EQ(initial, recovery::kInitialServiceEpoch);
   EXPECT_EQ(service.members(), (std::vector<int>{0, 1, 2}));
 
-  const elastic::MembershipEpoch after_join = service.join(3, 5);
+  const elastic::MembershipEpoch after_join = service.join(3);
   EXPECT_GT(after_join, initial);
   EXPECT_EQ(service.members(), (std::vector<int>{0, 1, 2, 3}));
   EXPECT_EQ(service.joined(), std::vector<int>{3});
 
   // Quarantine demotes without changing the member set: no epoch bump.
-  service.quarantine(1, 7);
+  service.quarantine(1);
   EXPECT_EQ(service.epoch(), after_join);
   EXPECT_EQ(service.quarantine_events(), 1);
-  service.readmit_contributor(1, 8);
+  service.readmit_contributor(1);
   EXPECT_EQ(service.epoch(), after_join);
 
-  const elastic::MembershipEpoch after_drain = service.drain(1, 9);
+  const elastic::MembershipEpoch after_drain = service.drain(1);
   EXPECT_GT(after_drain, after_join);
   EXPECT_EQ(service.members(), (std::vector<int>{0, 2, 3}));
-  const elastic::MembershipEpoch after_evict = service.evict(2, 11);
+  const elastic::MembershipEpoch after_evict = service.evict(2);
   EXPECT_GT(after_evict, after_drain);
   EXPECT_EQ(service.members(), (std::vector<int>{0, 3}));
   EXPECT_EQ(service.evicted(), std::vector<int>{2});
   EXPECT_EQ(service.rebalances(), 3);  // join + drain + evict
 
   // Transitions are idempotent: replaying one changes nothing.
-  EXPECT_EQ(service.join(3, 5), after_evict);
-  EXPECT_EQ(service.drain(1, 9), after_evict);
+  EXPECT_EQ(service.join(3), after_evict);
+  EXPECT_EQ(service.drain(1), after_evict);
   EXPECT_EQ(service.rebalances(), 3);
   EXPECT_EQ(service.joined(), std::vector<int>{3});
 
-  const elastic::MembershipExecution executed = service.execution();
-  EXPECT_EQ(executed.count(MembershipAction::kWorkerJoin, 3), 1);
-  EXPECT_EQ(executed.count(MembershipAction::kWorkerDrain, 1), 1);
-  EXPECT_EQ(executed.count(MembershipAction::kEvict, 2), 1);
-  EXPECT_EQ(executed.count(MembershipAction::kQuarantine, 1), 1);
-  // Rebalances are derived from their trigger, never counted directly.
-  EXPECT_EQ(executed.count(MembershipAction::kShardRebalance, 3), 0);
+  // The journal holds every executed change in order, each member-set
+  // change trailed by the rebalance it triggered.
+  const std::vector<ControlEvent> expected{
+      {ControlAction::kWorkerJoin, 3, 1},  {ControlAction::kShardRebalance, 3, 1},
+      {ControlAction::kQuarantine, 1, 1},  {ControlAction::kReadmitContributor, 1, 1},
+      {ControlAction::kWorkerDrain, 1, 1}, {ControlAction::kShardRebalance, 1, 1},
+      {ControlAction::kEvict, 2, 1},       {ControlAction::kShardRebalance, 2, 1},
+  };
+  EXPECT_EQ(service.journal(), expected);
 }
 
 TEST(MembershipService, HomeShardsSpreadAndRebalance) {
@@ -281,8 +273,8 @@ TEST(MembershipService, HomeShardsSpreadAndRebalance) {
   // Balanced from the start: two workers per shard ensemble.
   EXPECT_EQ(service.home_shard(0), 0);
   EXPECT_EQ(service.home_shard(3), 1);
-  service.drain(0, 10);
-  service.drain(1, 11);
+  service.drain(0);
+  service.drain(1);
   // The survivors spread across both shards again.
   EXPECT_EQ(service.home_shard(2), 0);
   EXPECT_EQ(service.home_shard(3), 1);
@@ -439,15 +431,12 @@ TEST(SimElastic, JoinsAndDrainsAreDeterministicAndFingerprinted) {
   EXPECT_GT(timing.completed_worker_iterations,
             static_cast<std::int64_t>(8) * options.iterations);
 
-  // Everything planned executed, so the fingerprint equals the plan's.
-  const MembershipPolicy policy;
-  EXPECT_EQ(timing.membership_fingerprint,
-            elastic::membership_fingerprint(
-                elastic::membership_schedule(&plan, nullptr, policy, 8)));
+  // Everything planned executed, so the journal is the whole plan.
+  EXPECT_EQ(timing.journal, elastic::plan_control_events(nullptr, {}, {}, &plan, {}, 8));
 
   const cluster::PlatformTiming again = core::simulate_shmcaffe(options);
   EXPECT_EQ(again.makespan, timing.makespan);
-  EXPECT_EQ(again.membership_fingerprint, timing.membership_fingerprint);
+  EXPECT_EQ(again.journal, timing.journal);
 }
 
 TEST(SimElastic, StallChainsQuarantineThenEvict) {
@@ -477,9 +466,8 @@ TEST(SimElastic, StallChainsQuarantineThenEvict) {
   EXPECT_EQ(timing.quarantine_events, 1);
   EXPECT_LT(timing.completed_worker_iterations,
             static_cast<std::int64_t>(4) * options.iterations);
-  EXPECT_EQ(timing.membership_fingerprint,
-            elastic::membership_fingerprint(elastic::membership_schedule(
-                nullptr, &faults, options.membership_policy, 4)));
+  EXPECT_EQ(timing.journal, elastic::plan_control_events(&faults, {}, {}, nullptr,
+                                                         options.membership_policy, 4));
 }
 
 TEST(SimElastic, HeterogeneityslowsTheCohortAndViolatesStaleness) {
@@ -550,15 +538,12 @@ TEST(SimPlatformsElastic, CaffeMpiHonoursThePlanRingsIgnoreIt) {
   EXPECT_EQ(star.joined_workers, std::vector<int>{4});
   EXPECT_EQ(star.drained_workers, std::vector<int>{1});
   EXPECT_EQ(star.rebalances, 2);
-  const MembershipPolicy policy;
-  EXPECT_EQ(star.membership_fingerprint,
-            elastic::membership_fingerprint(
-                elastic::membership_schedule(&plan, nullptr, policy, 4)));
+  EXPECT_EQ(star.journal, elastic::plan_control_events(nullptr, {}, {}, &plan, {}, 4));
 
   // The fixed rings cannot resize: the plan is ignored, counters stay zero.
   const cluster::PlatformTiming ring = baselines::simulate_mpicaffe(options);
   EXPECT_TRUE(ring.joined_workers.empty());
-  EXPECT_EQ(ring.membership_fingerprint, 0u);
+  EXPECT_TRUE(ring.journal.empty());
   const cluster::PlatformTiming nccl = baselines::simulate_caffe(options);
   EXPECT_TRUE(nccl.joined_workers.empty());
 }
@@ -582,6 +567,15 @@ TEST(SimPlatformsElastic, HeterogeneitySlowsEverySynchronousPlatform) {
 }
 
 // --- end-to-end: functional trainer ----------------------------------------
+
+/// The membership-domain events of `journal`, in order.
+std::vector<ControlEvent> membership_events(const std::vector<ControlEvent>& journal) {
+  std::vector<ControlEvent> out;
+  for (const ControlEvent& event : journal) {
+    if (fault::domain_of(event.action) == ControlDomain::kMembership) out.push_back(event);
+  }
+  return out;
+}
 
 core::DistTrainOptions elastic_train_options() {
   core::DistTrainOptions options;
@@ -622,16 +616,16 @@ TEST(ElasticEndToEnd, JoinAndDrainReportedFromBothStacks) {
   EXPECT_EQ(result.worker_outcomes[3], core::WorkerOutcome::kFinished);
   EXPECT_GT(result.final_accuracy, 0.4);
 
-  // The simulated twin consumes the identical plan and lands on the same
-  // membership fingerprint.
+  // The simulated twin consumes the identical plan and executes the same
+  // membership events.
   core::SimShmCaffeOptions sim;
   sim.workers = 3;
   sim.group_size = 1;
   sim.iterations = 96;
   sim.membership = &plan;
   const cluster::PlatformTiming timing = core::simulate_shmcaffe(sim);
-  EXPECT_EQ(timing.membership_fingerprint, result.membership_fingerprint);
-  EXPECT_NE(result.membership_fingerprint, 0u);
+  EXPECT_EQ(membership_events(timing.journal), membership_events(result.journal));
+  EXPECT_FALSE(membership_events(result.journal).empty());
   EXPECT_EQ(timing.joined_workers, result.joined_workers);
   EXPECT_EQ(timing.drained_workers, result.drained_workers);
   EXPECT_EQ(timing.rebalances, result.rebalances);
@@ -669,8 +663,7 @@ TEST(ElasticEndToEnd, JoinDuringFailover) {
   sim.membership = &plan;
   sim.faults = &injector;
   const cluster::PlatformTiming timing = core::simulate_shmcaffe(sim);
-  EXPECT_EQ(timing.membership_fingerprint, result.membership_fingerprint);
-  EXPECT_EQ(timing.recovery_fingerprint, result.recovery_fingerprint);
+  EXPECT_EQ(timing.journal, result.journal);
   EXPECT_EQ(timing.smb_failovers, result.smb_failovers);
 }
 
@@ -695,10 +688,7 @@ TEST(ElasticEndToEnd, DrainWhileCheckpointing) {
   EXPECT_EQ(result.drained_workers, std::vector<int>{1});
   EXPECT_EQ(result.worker_outcomes[0], core::WorkerOutcome::kFinished);
   EXPECT_EQ(result.worker_outcomes[1], core::WorkerOutcome::kDrained);
-  const MembershipPolicy policy;
-  EXPECT_EQ(result.membership_fingerprint,
-            elastic::membership_fingerprint(
-                elastic::membership_schedule(&plan, nullptr, policy, 2)));
+  EXPECT_EQ(result.journal, elastic::plan_control_events(nullptr, {}, {}, &plan, {}, 2));
 }
 
 /// Policy used by the straggler end-to-end runs: the stall comfortably
@@ -754,8 +744,8 @@ TEST(ElasticEndToEnd, QuarantineCatchUpReadmit) {
   sim.faults = &injector;
   const cluster::PlatformTiming timing = core::simulate_shmcaffe(sim);
   EXPECT_EQ(timing.quarantine_events, result.quarantine_events);
-  EXPECT_EQ(timing.membership_fingerprint, result.membership_fingerprint);
-  EXPECT_NE(result.membership_fingerprint, 0u);
+  EXPECT_EQ(membership_events(timing.journal), membership_events(result.journal));
+  EXPECT_FALSE(membership_events(result.journal).empty());
 }
 
 TEST(ElasticEndToEnd, AcceptanceJoinDrainQuarantineCrashInOneRun) {
@@ -763,7 +753,7 @@ TEST(ElasticEndToEnd, AcceptanceJoinDrainQuarantineCrashInOneRun) {
   // worker drains voluntarily, a worker straggles into quarantine and is
   // readmitted after catching up, and a worker crashes and is re-admitted
   // by the recovery layer — while the SMB primary fails over.  Both stacks
-  // must land on bit-identical membership fingerprints.
+  // must execute the same journal.
   MembershipPlan plan;
   plan.add({MembershipEventKind::kJoin, 4, 6});
   plan.add({MembershipEventKind::kDrain, 1, 200});
@@ -789,10 +779,12 @@ TEST(ElasticEndToEnd, AcceptanceJoinDrainQuarantineCrashInOneRun) {
 
   core::DistTrainOptions options = elastic_train_options();
   options.workers = 4;
-  // 360 iterations/worker.  The run cannot terminate before the crashed
-  // worker is fenced (it contributes its frozen count to the mean until
-  // then, and skew pacing parks the survivors), so every wall-clock event
-  // — the 0.8s stall, its readmission, the 2s fence — fits comfortably.
+  // 360 iterations/worker.  The planned re-admission needs the 2 s heartbeat
+  // fence to declare the crashed worker 3 dead first, but the run can end
+  // sooner: worker 3's silence also trips the straggler detector, a
+  // quarantined worker leaves the termination mean, and the survivors then
+  // reach the target in ~0.8 s.  Until the control plane runs on logical
+  // time (ROADMAP item 1) this run ends unfenced and un-re-admitted.
   options.epochs = 15;
   options.membership = &plan;
   options.membership_policy = e2e_straggler_policy();
@@ -807,8 +799,8 @@ TEST(ElasticEndToEnd, AcceptanceJoinDrainQuarantineCrashInOneRun) {
   // At least the planned stall demotion; worker 3's dying silence may trip
   // the detector too before the heartbeat fence declares it dead (the
   // detector's silence guard is far below the fencing timeout) — that
-  // unplanned quarantine is exactly what filter_executed discards, so the
-  // fingerprints below still match bit-for-bit.
+  // unplanned quarantine is exactly what fault::executed discards, so the
+  // journals below still match event for event.
   EXPECT_GE(result.quarantine_events, 1);
   EXPECT_EQ(result.recovered_workers, std::vector<int>{3});
   EXPECT_EQ(result.smb_failovers, 1);
@@ -827,9 +819,8 @@ TEST(ElasticEndToEnd, AcceptanceJoinDrainQuarantineCrashInOneRun) {
   sim.membership_policy = options.membership_policy;
   sim.faults = &injector;
   const cluster::PlatformTiming timing = core::simulate_shmcaffe(sim);
-  EXPECT_EQ(timing.membership_fingerprint, result.membership_fingerprint);
-  EXPECT_NE(result.membership_fingerprint, 0u);
-  EXPECT_EQ(timing.recovery_fingerprint, result.recovery_fingerprint);
+  EXPECT_EQ(timing.journal, result.journal);
+  EXPECT_FALSE(result.journal.empty());
   EXPECT_EQ(timing.joined_workers, result.joined_workers);
   EXPECT_EQ(timing.drained_workers, result.drained_workers);
   EXPECT_EQ(timing.quarantine_events, 1);  // the sim models the planned stall only

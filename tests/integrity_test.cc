@@ -1,10 +1,11 @@
 // Tests for the end-to-end SMB data-integrity layer: per-chunk checksums and
 // verify-on-read detection, torn-write application, replica read-repair and
-// scrubbing, the shared integrity schedule + fingerprint, SmbClient tagged
-// retransmission (idempotent replay), checkpoint-slot corruption fallback,
-// and the acceptance runs — a seeded corruption plan through a replicated
-// trainer detects, repairs and converges to the fault-free result, with the
-// functional and simulated stacks emitting identical integrity fingerprints.
+// scrubbing, the integrity expander of the control-event journal, SmbClient
+// tagged retransmission (idempotent replay), checkpoint-slot corruption
+// fallback, and the acceptance runs — a seeded corruption plan through a
+// replicated trainer detects, repairs and converges to the fault-free
+// result, with the functional and simulated stacks executing the same
+// integrity events.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,8 +20,10 @@
 #include "core/config.h"
 #include "core/sim_shmcaffe.h"
 #include "core/trainer.h"
+#include "elastic/membership.h"
 #include "fault/fault_plan.h"
 #include "fault/injector.h"
+#include "fault/journal.h"
 #include "recovery/checkpoint.h"
 #include "recovery/integrity.h"
 #include "recovery/replicated_smb.h"
@@ -30,13 +33,13 @@
 namespace shmcaffe {
 namespace {
 
+using fault::ControlAction;
+using fault::ControlDomain;
+using fault::ControlEvent;
 using fault::FaultEvent;
 using fault::FaultInjector;
 using fault::FaultKind;
 using fault::FaultPlan;
-using recovery::IntegrityAction;
-using recovery::IntegrityEvent;
-using recovery::IntegrityOutcome;
 using recovery::IntegrityPolicy;
 using recovery::ReplicatedSmb;
 
@@ -325,19 +328,7 @@ TEST(Scrub, WalksEverySegmentAndRepairsSilentCorruption) {
   EXPECT_EQ(e.replicated.scrub_passes(), 2u);
 }
 
-// --- integrity schedule + fingerprint -------------------------------------
-
-TEST(IntegritySchedule, ActionNamesAreExhaustiveAndDistinct) {
-  std::vector<std::string> names;
-  for (const IntegrityAction action :
-       {IntegrityAction::kCorruptionInjected, IntegrityAction::kCorruptionDetected,
-        IntegrityAction::kCorruptionRepaired, IntegrityAction::kTornWriteApplied}) {
-    names.emplace_back(recovery::to_string(action));
-    EXPECT_FALSE(names.back().empty());
-  }
-  std::sort(names.begin(), names.end());
-  EXPECT_EQ(std::adjacent_find(names.begin(), names.end()), names.end());
-}
+// --- integrity expander -----------------------------------------------------
 
 FaultPlan corruption_plan() {
   FaultPlan plan;
@@ -365,24 +356,27 @@ TEST(IntegritySchedule, PolicyGatesDetectionAndRepair) {
   verify.checksum_chunks = true;
   verify.verify_on_read = true;
   verify.read_repair = false;
-  const auto detected = recovery::integrity_schedule(corruption_plan(), verify);
-  ASSERT_EQ(detected.size(), 4u);
-  EXPECT_EQ(detected[0].action, IntegrityAction::kCorruptionInjected);
-  EXPECT_EQ(detected[1].action, IntegrityAction::kCorruptionDetected);
-  EXPECT_EQ(detected[2].action, IntegrityAction::kTornWriteApplied);
-  EXPECT_EQ(detected[3].action, IntegrityAction::kCorruptionDetected);
-  EXPECT_EQ(detected[3].marker, smb::SmbServer::kTornWriteMarkerBit | 4);
+  // Keyed by marker on the physical server each fault hits; a torn write's
+  // marker is its ordinal with the high bit set.
+  const std::uint64_t torn = smb::SmbServer::kTornWriteMarkerBit | 4;
+  const std::vector<ControlEvent> detected{
+      {ControlAction::kCorruptionInjected, 0, 0x5eed},
+      {ControlAction::kCorruptionDetected, 0, 0x5eed},
+      {ControlAction::kTornWriteApplied, 1, torn},
+      {ControlAction::kCorruptionDetected, 1, torn},
+  };
+  EXPECT_EQ(recovery::integrity_schedule(corruption_plan(), verify), detected);
 
   verify.read_repair = true;
-  const auto repaired = recovery::integrity_schedule(corruption_plan(), verify);
-  EXPECT_EQ(repaired.size(), 6u);
-  // Same plan, same policy — bit-identical schedule and fingerprint.
-  const auto again = recovery::integrity_schedule(corruption_plan(), verify);
-  EXPECT_EQ(repaired, again);
-  EXPECT_EQ(recovery::integrity_fingerprint(repaired),
-            recovery::integrity_fingerprint(again));
-  EXPECT_NE(recovery::integrity_fingerprint(repaired),
-            recovery::integrity_fingerprint(detected));
+  const std::vector<ControlEvent> repaired{
+      {ControlAction::kCorruptionInjected, 0, 0x5eed},
+      {ControlAction::kCorruptionDetected, 0, 0x5eed},
+      {ControlAction::kCorruptionRepaired, 0, 0x5eed},
+      {ControlAction::kTornWriteApplied, 1, torn},
+      {ControlAction::kCorruptionDetected, 1, torn},
+      {ControlAction::kCorruptionRepaired, 1, torn},
+  };
+  EXPECT_EQ(recovery::integrity_schedule(corruption_plan(), verify), repaired);
 }
 
 TEST(IntegritySchedule, ExecutedFilterKeepsOnlyObservedMarkers) {
@@ -390,30 +384,14 @@ TEST(IntegritySchedule, ExecutedFilterKeepsOnlyObservedMarkers) {
   policy.checksum_chunks = true;
   policy.verify_on_read = true;
   const auto planned = recovery::integrity_schedule(corruption_plan(), policy);
-  IntegrityOutcome outcome;
-  outcome.injected = {0x5eed};
-  outcome.detected = {0x5eed};
-  // The torn write never reached its ordinal and the repair never ran.
-  const auto executed = recovery::executed_integrity(planned, outcome);
-  ASSERT_EQ(executed.size(), 2u);
-  EXPECT_EQ(executed[0].action, IntegrityAction::kCorruptionInjected);
-  EXPECT_EQ(executed[1].action, IntegrityAction::kCorruptionDetected);
-
-  IntegrityOutcome nothing;
-  EXPECT_TRUE(recovery::executed_integrity(planned, nothing).empty());
-  const std::vector<IntegrityEvent> none;
-  EXPECT_EQ(recovery::integrity_fingerprint(recovery::executed_integrity(planned, nothing)),
-            recovery::integrity_fingerprint(none));
-}
-
-TEST(IntegritySchedule, DescribeMentionsEveryEvent) {
-  IntegrityPolicy policy;
-  policy.checksum_chunks = true;
-  policy.verify_on_read = true;
-  const auto planned = recovery::integrity_schedule(corruption_plan(), policy);
-  const std::string text = recovery::describe(planned);
-  EXPECT_EQ(static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n')),
-            planned.size());
+  // The corruption fired on server 0 and was detected there; the torn write
+  // never reached its ordinal and the repair never ran.
+  const std::vector<ControlEvent> observed{
+      {ControlAction::kCorruptionInjected, 0, 0x5eed},
+      {ControlAction::kCorruptionDetected, 0, 0x5eed},
+  };
+  EXPECT_EQ(fault::executed(planned, observed), observed);
+  EXPECT_TRUE(fault::executed(planned, {}).empty());
 }
 
 // --- checkpoint-slot corruption fallback (satellite) ----------------------
@@ -519,6 +497,13 @@ IntegrityPolicy full_integrity() {
   return policy;
 }
 
+/// The control events a run with `options` plans (elastic::plan_control_events).
+std::vector<ControlEvent> planned_journal(const core::DistTrainOptions& options) {
+  return elastic::plan_control_events(&options.faults->plan(), options.recovery,
+                                      options.integrity, options.membership,
+                                      options.membership_policy, options.workers);
+}
+
 /// The plans below fire corruption at wall-clock offsets of up to 0.2 s,
 /// and a burst that lands after a run's last SMB access is never detected.
 /// So the end-to-end runs train long enough to outlast the latest burst
@@ -579,11 +564,18 @@ TEST(IntegrityEndToEnd, CorruptionIsDetectedRepairedAndHarmless) {
   EXPECT_EQ(result.final_accuracy, baseline.final_accuracy);
   EXPECT_EQ(result.final_loss, baseline.final_loss);
 
-  // Everything planned executed: the fingerprint equals the full schedule's.
-  const auto planned =
-      recovery::integrity_schedule(injector.plan(), options.integrity);
-  EXPECT_EQ(result.integrity_fingerprint, recovery::integrity_fingerprint(planned));
-  EXPECT_NE(result.integrity_fingerprint, 0u);
+  // Everything planned executed: the journal is the whole plan.
+  EXPECT_EQ(result.journal, planned_journal(options));
+  EXPECT_FALSE(result.journal.empty());
+}
+
+/// The integrity-domain events of `journal`, in order.
+std::vector<ControlEvent> integrity_events(const std::vector<ControlEvent>& journal) {
+  std::vector<ControlEvent> out;
+  for (const ControlEvent& event : journal) {
+    if (fault::domain_of(event.action) == ControlDomain::kIntegrity) out.push_back(event);
+  }
+  return out;
 }
 
 TEST(IntegrityEndToEnd, FunctionalAndSimulatedFingerprintsAgree) {
@@ -604,8 +596,8 @@ TEST(IntegrityEndToEnd, FunctionalAndSimulatedFingerprintsAgree) {
   sim.faults = &injector;
   const cluster::PlatformTiming timing = core::simulate_shmcaffe(sim);
 
-  EXPECT_EQ(timing.integrity_fingerprint, result.integrity_fingerprint);
-  EXPECT_NE(timing.integrity_fingerprint, 0u);
+  EXPECT_EQ(integrity_events(timing.journal), integrity_events(result.journal));
+  EXPECT_FALSE(integrity_events(timing.journal).empty());
   EXPECT_EQ(timing.corruptions_detected, result.corruptions_detected);
   EXPECT_GT(timing.repair_time, 0);
   EXPECT_GT(timing.scrub_passes, 0);
@@ -616,13 +608,21 @@ TEST(IntegrityEndToEnd, FunctionalAndSimulatedFingerprintsAgree) {
   clean.faults = nullptr;
   const cluster::PlatformTiming unfaulted = core::simulate_shmcaffe(clean);
   EXPECT_GT(timing.makespan, unfaulted.makespan);
-  EXPECT_EQ(unfaulted.integrity_fingerprint, 0u);
+  EXPECT_TRUE(unfaulted.journal.empty());
 }
 
-TEST(IntegrityEndToEnd, WithoutRepairDetectionDegradesToRollback) {
-  // One corruption burst, single replica: detection still fires but there
-  // is no peer to vote against, so the trainer falls back to a rollback
-  // instead of a repair (measurable degradation of the recovery quality).
+/// One corruption burst against a single, unreplicated SMB server with
+/// verification on: detection fires but no peer can repair it.
+core::DistTrainOptions unrepairable_options(const FaultInjector& injector) {
+  core::DistTrainOptions options = end_to_end_options();
+  options.smb_replicas = 1;
+  options.integrity = full_integrity();
+  options.integrity.read_repair = false;
+  options.faults = &injector;
+  return options;
+}
+
+FaultPlan lone_corruption_plan() {
   FaultPlan plan;
   FaultEvent corrupt;
   corrupt.kind = FaultKind::kSegmentCorruption;
@@ -631,13 +631,14 @@ TEST(IntegrityEndToEnd, WithoutRepairDetectionDegradesToRollback) {
   corrupt.severity = 3;
   corrupt.sequence = 0x3333;
   plan.add(corrupt);
-  const FaultInjector injector(plan);
+  return plan;
+}
 
-  core::DistTrainOptions options = end_to_end_options();
-  options.smb_replicas = 1;
-  options.integrity = full_integrity();
-  options.integrity.read_repair = false;
-  options.faults = &injector;
+TEST(IntegrityEndToEnd, WithoutRepairDetectionDegradesToRollback) {
+  // With no peer to vote against, the trainer falls back to a rollback
+  // instead of a repair (measurable degradation of the recovery quality).
+  const FaultInjector injector(lone_corruption_plan());
+  const core::DistTrainOptions options = unrepairable_options(injector);
   const core::TrainResult result = core::train_shmcaffe(options);
 
   EXPECT_EQ(result.corruptions_detected, 1);
@@ -645,10 +646,23 @@ TEST(IntegrityEndToEnd, WithoutRepairDetectionDegradesToRollback) {
   EXPECT_GE(result.integrity_rollbacks, 1);
   EXPECT_EQ(result.worker_outcomes[0], core::WorkerOutcome::kFinished);
 
-  // The executed schedule (inject + detect, no repair) fingerprints exactly
-  // as planned under this policy.
-  const auto planned = recovery::integrity_schedule(plan, options.integrity);
-  EXPECT_EQ(result.integrity_fingerprint, recovery::integrity_fingerprint(planned));
+  // The executed journal (inject + detect, no repair) is the whole plan
+  // under this policy.
+  EXPECT_EQ(result.journal, planned_journal(options));
+}
+
+TEST(IntegrityEndToEnd, UnreadableGlobalWeightsSkipEpochEvaluations) {
+  // The same corruption, but the worker exchanges only at iteration 0, so
+  // no rollback ever rewrites the corrupt W_g.  Every epoch-boundary
+  // evaluation then finds W_g unreadable; the run must skip them and
+  // return instead of aborting with its threads still running.
+  const FaultInjector injector(lone_corruption_plan());
+  core::DistTrainOptions options = unrepairable_options(injector);
+  options.update_interval = 1 << 20;  // longer than the run
+  const core::TrainResult result = core::train_shmcaffe(options);
+
+  EXPECT_EQ(result.worker_outcomes[0], core::WorkerOutcome::kFinished);
+  EXPECT_EQ(result.corruptions_detected, 1);
 }
 
 TEST(IntegrityEndToEnd, GeneratedPlanRunsDeterministically) {
@@ -671,7 +685,7 @@ TEST(IntegrityEndToEnd, GeneratedPlanRunsDeterministically) {
   options.faults = &injector;
   const core::TrainResult a = core::train_shmcaffe(options);
   const core::TrainResult b = core::train_shmcaffe(options);
-  EXPECT_EQ(a.integrity_fingerprint, b.integrity_fingerprint);
+  EXPECT_EQ(a.journal, b.journal);
   EXPECT_EQ(a.corruptions_detected, b.corruptions_detected);
   EXPECT_EQ(a.final_accuracy, b.final_accuracy);
 }

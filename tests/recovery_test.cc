@@ -1,13 +1,12 @@
 // Tests for the recovery layer: the replicated SMB ensemble (mirroring,
 // failover, epoch fencing, idempotent tagged replay), crash-consistent
-// double-buffered checkpoints, the shared recovery schedule, progress-board
-// re-admission, and the end-to-end acceptance runs — training survives a
-// primary SMB fail-stop plus a worker crash with an identical recovery
-// fingerprint in the functional and simulated stacks, and a checkpoint
-// resume reproduces the uninterrupted run's result exactly.
+// double-buffered checkpoints, the recovery expander of the control-event
+// journal, progress-board re-admission, and the end-to-end acceptance runs —
+// training survives a primary SMB fail-stop plus a worker crash with the
+// same executed journal in the functional and simulated stacks, and a
+// checkpoint resume reproduces the uninterrupted run's result exactly.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -20,8 +19,10 @@
 #include "core/progress_board.h"
 #include "core/sim_shmcaffe.h"
 #include "core/trainer.h"
+#include "elastic/membership.h"
 #include "fault/fault_plan.h"
 #include "fault/injector.h"
+#include "fault/journal.h"
 #include "recovery/checkpoint.h"
 #include "recovery/replicated_smb.h"
 #include "recovery/schedule.h"
@@ -30,6 +31,8 @@
 namespace shmcaffe {
 namespace {
 
+using fault::ControlAction;
+using fault::ControlEvent;
 using fault::FaultEvent;
 using fault::FaultInjector;
 using fault::FaultKind;
@@ -335,27 +338,16 @@ FaultPlan recovery_plan() {
 TEST(RecoverySchedule, OrdersFailoversThenReadmitsDeterministically) {
   RecoveryPolicy policy;
   policy.respawn_crashed = true;
-  const std::vector<recovery::RecoveryEvent> events =
-      recovery_schedule(recovery_plan(), policy);
-  ASSERT_EQ(events.size(), 4u);
-  EXPECT_EQ(events[0].action, recovery::RecoveryAction::kSmbFailover);
-  EXPECT_EQ(events[0].target, 3);  // earliest fail-stop first
-  EXPECT_EQ(events[1].action, recovery::RecoveryAction::kSmbFailover);
-  EXPECT_EQ(events[1].target, 0);
-  EXPECT_EQ(events[2].action, recovery::RecoveryAction::kWorkerReadmit);
-  EXPECT_EQ(events[2].target, 2);
-  EXPECT_EQ(events[2].at_iteration, 3);
-  EXPECT_EQ(events[3].action, recovery::RecoveryAction::kWorkerReadmit);
-  EXPECT_EQ(events[3].target, 1);
-  EXPECT_EQ(events[3].at_iteration, 9);
-
-  // Same inputs, same schedule, same fingerprint — every time.
-  const std::vector<recovery::RecoveryEvent> again =
-      recovery_schedule(recovery_plan(), policy);
-  EXPECT_EQ(events, again);
-  EXPECT_EQ(recovery::schedule_fingerprint(events),
-            recovery::schedule_fingerprint(again));
-  EXPECT_NE(recovery::schedule_fingerprint(events), 0u);
+  // Failovers by fault start time, then readmits by crash iteration; worker
+  // 2's second crash is unreachable and readmits nobody.
+  const std::vector<ControlEvent> expected{
+      {ControlAction::kSmbFailover, 3, 1},
+      {ControlAction::kSmbFailover, 0, 1},
+      {ControlAction::kWorkerReadmit, 2, 1},
+      {ControlAction::kWorkerReadmit, 1, 1},
+  };
+  EXPECT_EQ(recovery_schedule(recovery_plan(), policy), expected);
+  EXPECT_EQ(recovery_schedule(recovery_plan(), policy), expected);
 }
 
 TEST(RecoverySchedule, PolicyGatesActions) {
@@ -363,8 +355,8 @@ TEST(RecoverySchedule, PolicyGatesActions) {
   failover_only.respawn_crashed = false;
   const auto failovers = recovery_schedule(recovery_plan(), failover_only);
   ASSERT_EQ(failovers.size(), 2u);
-  for (const recovery::RecoveryEvent& event : failovers) {
-    EXPECT_EQ(event.action, recovery::RecoveryAction::kSmbFailover);
+  for (const ControlEvent& event : failovers) {
+    EXPECT_EQ(event.action, ControlAction::kSmbFailover);
   }
 
   RecoveryPolicy nothing;
@@ -372,19 +364,11 @@ TEST(RecoverySchedule, PolicyGatesActions) {
   nothing.respawn_crashed = false;
   EXPECT_TRUE(recovery_schedule(recovery_plan(), nothing).empty());
 
-  RecoveryPolicy everything;
-  everything.respawn_crashed = true;
-  EXPECT_NE(recovery::schedule_fingerprint(recovery_schedule(recovery_plan(), everything)),
-            recovery::schedule_fingerprint(failovers));
-}
-
-TEST(RecoverySchedule, DescribeMentionsEveryEvent) {
-  RecoveryPolicy policy;
-  policy.respawn_crashed = true;
-  const auto events = recovery_schedule(recovery_plan(), policy);
-  const std::string text = recovery::describe(events);
-  EXPECT_EQ(static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n')),
-            events.size());
+  RecoveryPolicy readmit_only = nothing;
+  readmit_only.respawn_crashed = true;
+  for (const ControlEvent& event : recovery_schedule(recovery_plan(), readmit_only)) {
+    EXPECT_EQ(event.action, ControlAction::kWorkerReadmit);
+  }
 }
 
 // --- progress-board re-admission -----------------------------------------
@@ -476,13 +460,14 @@ TEST(RecoveryEndToEnd, TrainingSurvivesPrimaryFailStopAndWorkerCrash) {
   EXPECT_GT(result.final_accuracy, 0.5);
   EXPECT_NEAR(result.final_accuracy, baseline.final_accuracy, 0.25);
 
-  // The executed recovery actions are exactly the planned schedule.
+  // The executed journal is exactly the planned one.
   RecoveryPolicy policy = options.recovery;
-  const auto planned = recovery_schedule(plan, policy);
-  EXPECT_EQ(result.recovery_fingerprint, recovery::schedule_fingerprint(planned));
-  EXPECT_NE(result.recovery_fingerprint, 0u);
+  const std::vector<ControlEvent> planned =
+      elastic::plan_control_events(&plan, policy, {}, nullptr, {}, options.workers);
+  EXPECT_EQ(result.journal, planned);
+  EXPECT_FALSE(result.journal.empty());
 
-  // The sim twin derives the identical recovery schedule from the same plan.
+  // The sim twin executes the identical journal from the same plan.
   core::SimShmCaffeOptions sim;
   sim.workers = 4;
   sim.group_size = 1;
@@ -492,7 +477,7 @@ TEST(RecoveryEndToEnd, TrainingSurvivesPrimaryFailStopAndWorkerCrash) {
   sim.recovery = policy;
   sim.faults = &injector;
   const cluster::PlatformTiming timing = core::simulate_shmcaffe(sim);
-  EXPECT_EQ(timing.recovery_fingerprint, result.recovery_fingerprint);
+  EXPECT_EQ(timing.journal, result.journal);
   EXPECT_EQ(timing.recovered_workers, result.recovered_workers);
   EXPECT_EQ(timing.smb_failovers, result.smb_failovers);
 }
@@ -532,7 +517,7 @@ TEST(RecoveryEndToEnd, SimModelsFailoverPauseAndReadmitDelay) {
   EXPECT_EQ(recovered.smb_failovers, 1);
   const cluster::PlatformTiming again = core::simulate_shmcaffe(faulted);
   EXPECT_EQ(again.makespan, recovered.makespan);
-  EXPECT_EQ(again.recovery_fingerprint, recovered.recovery_fingerprint);
+  EXPECT_EQ(again.journal, recovered.journal);
 }
 
 // --- end-to-end: checkpoint / resume -------------------------------------

@@ -76,8 +76,9 @@ run_stage() {
 # could not prove held) and the summary `tainted` count (statements the
 # determinism pass reaches from a SHMCAFFE_DETERMINISTIC root) must not grow.
 # The summary `deterministic_roots` count must not SHRINK: the roots are the
-# cross-stack reproducibility contract (recovery/membership/integrity
-# fingerprints), and silently dropping an annotation un-gates its callees.
+# cross-stack reproducibility contract (the control-event planner and the
+# journal fingerprint), and silently dropping an annotation un-gates its
+# callees.
 # On success the new report becomes the baseline; a regression keeps the old
 # baseline unless --force is given.
 lint_coverage_gate() {

@@ -146,7 +146,7 @@ const std::vector<LayerEntry>& layering_table() {
       {"sim", {"common"}},
       {"fault", {"common"}},
       {"dl", {"common"}},
-      {"cluster", {"common"}},
+      {"cluster", {"common", "fault"}},
       {"net", {"common", "sim"}},
       {"data", {"common", "dl"}},
       {"rdma", {"common", "net", "sim"}},
