@@ -48,7 +48,7 @@ struct ElasticSimState {
 };
 
 /// Fires every planned join whose trigger iteration the cohort has reached —
-/// the sim analogue of the functional join monitors watching the board.
+/// the sim analogue of the functional supervisor's join trigger.
 void maybe_spawn_joins(ElasticSimState& elastic) {
   while (elastic.next_join < elastic.pending_joins.size() &&
          elastic.pending_joins[elastic.next_join].at_iteration <= elastic.max_completed) {
@@ -297,7 +297,7 @@ sim::Task<void> group_worker(sim::Simulation& sim, const SimShmCaffeOptions& opt
   co_await updater;
 }
 
-/// A cold join: the functional stack's join-monitor + run_worker(kColdJoin)
+/// A cold join: the functional supervisor's join + run_worker(kColdJoin)
 /// path.  Provisioning latency, then delta-segment creation, registration
 /// (which rebalances the shard map), W_g adoption, and a full worker life.
 sim::Task<void> join_worker(sim::Simulation& sim, const SimShmCaffeOptions& options,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
@@ -26,13 +27,15 @@
 #include "minimpi/minimpi.h"
 #include "recovery/checkpoint.h"
 #include "recovery/replicated_smb.h"
-#include "smb/client.h"
 #include "smb/server.h"
 
 namespace shmcaffe::core {
 namespace {
 
 constexpr smb::ShmKey kProgressKeyOffset = 1'000'000;
+/// How long a parked worker (skew pacing, a held stop) sleeps between
+/// heartbeats.
+constexpr auto kParkPoll = std::chrono::microseconds(50);
 
 /// The Fig. 6 update-thread state: one per group root.
 struct ExchangeState {
@@ -79,7 +82,28 @@ struct WorkerShared {
   /// when smb_replicas == 1 — scrubbing needs a peer to vote against).
   std::vector<recovery::ReplicatedSmb*> ensembles;
   std::atomic<std::int64_t> integrity_rollbacks{0};
+  // --- supervisor wake-ups -------------------------------------------------
+  /// Reports, life exits and worker 0's first W_g write wake the supervisor
+  /// (train_shmcaffe's calling thread) through signal_cv.
+  std::mutex signal_mutex;
+  std::condition_variable signal_cv;
+  std::uint64_t signals = 0;  // under signal_mutex: bumped by every wake-up
+  bool global_ready = false;  // under signal_mutex: W_g holds its initial weights
+  std::vector<int> exited;    // under signal_mutex: ended lives not yet reaped
+  /// The run starts with its stop held (server faults are planned).
+  bool hold_at_start = false;
 };
+
+/// Applies `update` to the supervisor's wake-up state and wakes it.
+template <typename Update>
+void signal_supervisor(WorkerShared& shared, Update&& update) {
+  {
+    std::scoped_lock lock(shared.signal_mutex);
+    update();
+    ++shared.signals;
+  }
+  shared.signal_cv.notify_one();
+}
 
 /// Adds the elapsed seconds since `from` to `sink` and resets `from`.
 class SegmentTimer {
@@ -90,7 +114,6 @@ class SegmentTimer {
     sink += std::chrono::duration<double>(now - mark_).count();
     mark_ = now;
   }
-  void reset() { mark_ = Clock::now(); }
 
  private:
   Clock::time_point mark_ = Clock::now();
@@ -99,19 +122,20 @@ class SegmentTimer {
 /// Which life of a worker slot this call runs.
 enum class WorkerLife {
   kInitial,   ///< an original rank, from the start of the run
-  kRejoin,    ///< a replacement life for a crashed/fenced rank (recovery)
+  kRejoin,    ///< a replacement life for a crashed rank (recovery)
   kColdJoin,  ///< an elastic cold join into a reserved capacity slot
 };
 
 /// kRejoin runs a replacement life for a crashed worker slot: it attaches
-/// to the existing segments by SHM key (the Fig. 2 slave path), adopts the
-/// current W_g, and re-registers on the progress board under a fresh
-/// incarnation number so anything the previous life left behind is fenced.
-/// kColdJoin is the elastic variant: the slot never lived before, so it is
-/// admitted onto the board (fresh incarnation, never a dead rank's slot)
-/// and the membership service has already rebalanced the shard map for it.
-/// Both late lives skip the MPI collectives — their peers ran them long ago.
-void run_worker(WorkerShared& shared, int worker, WorkerLife life = WorkerLife::kInitial) {
+/// to the existing segments by SHM key (the Fig. 2 slave path) and adopts
+/// the current W_g.  The supervisor has already re-admitted the slot on the
+/// progress board under a fresh `incarnation`, so anything the previous
+/// life left behind is fenced.  kColdJoin is the elastic variant: the slot
+/// never lived before; the supervisor admitted it onto the board (fresh
+/// incarnation, never a dead rank's slot) and the membership service has
+/// rebalanced the shard map for it.  Both late lives skip the MPI
+/// collectives — their peers ran them long ago.
+void run_worker(WorkerShared& shared, int worker, WorkerLife life, std::int64_t incarnation) {
   // Every life of a worker is a compute lane for as long as its thread runs;
   // the update thread and the evaluator are not (common/parallel.h).
   const common::parallel::Lane lane;
@@ -153,20 +177,23 @@ void run_worker(WorkerShared& shared, int worker, WorkerLife life = WorkerLife::
   smb::ShmKey shm_key = 0;
   ShardedBuffer global;
   std::unique_ptr<ProgressBoard> board;
-  std::int64_t incarnation = ProgressBoard::kFirstIncarnation;
   smb::SmbService& board_server = *shared.services.front();
   if (rejoin || cold_join) {
     shm_key = shared.base_key;
     global = ShardedBuffer::attach(shared.services, shm_key, param_count);
     board = std::make_unique<ProgressBoard>(board_server, shm_key + kProgressKeyOffset,
                                             options.workers, /*create=*/false);
-    incarnation = cold_join ? board->admit(worker) : board->readmit(worker);
   } else if (worker == 0) {
     shm_key = shared.base_key;
     global = ShardedBuffer::create(shared.services, shm_key, param_count);
     board = std::make_unique<ProgressBoard>(board_server, shm_key + kProgressKeyOffset,
                                             options.workers, /*create=*/true,
                                             shared.capacity);
+    // Arm the supervisor's controls before any peer can report.
+    board->hold_stop(shared.hold_at_start);
+    if (options.membership_policy.straggler_detection) {
+      board->watch_stragglers(options.membership_policy);
+    }
     common::arena::Buffer init{"trainer.init"};
     init.assign(param_count, 0.0F);
     if (resume != nullptr) {
@@ -178,6 +205,7 @@ void run_worker(WorkerShared& shared, int worker, WorkerLife life = WorkerLife::
       dl::copy_params_to(net, init.span());
     }
     global.write(init.span());
+    signal_supervisor(shared, [&shared] { shared.global_ready = true; });
   }
   if (!rejoin && !cold_join) {
     mpi.broadcast_value(0, shm_key);
@@ -416,34 +444,25 @@ void run_worker(WorkerShared& shared, int worker, WorkerLife life = WorkerLife::
   const fault::FaultInjector* faults = rejoin ? nullptr : options.faults;
   const int group_root_worker = worker - local_rank;
 
-  // Straggler detection: route the transitions the shared-board sweep
-  // applied into the membership registry so its journal sees them.  Any
-  // worker may run the sweep; the board serialises concurrent sweepers.
   std::vector<float> grads(group_size > 1 ? param_count : 0);
-  std::vector<float> vote(1);
   std::int64_t iteration = start_iteration;
   bool stop = false;
   bool crashed = false;
   bool drained = false;
   bool evicted = false;
-  auto elastic_sweep = [&] {
-    if (membership == nullptr || !options.membership_policy.straggler_detection) return;
-    for (const elastic::StragglerTransition& transition :
-         board->sweep_stragglers(options.membership_policy)) {
-      switch (transition.verdict) {
-        case elastic::StragglerVerdict::kQuarantine:
-          membership->quarantine(transition.worker);
-          break;
-        case elastic::StragglerVerdict::kReadmit:
-          membership->readmit_contributor(transition.worker);
-          break;
-        case elastic::StragglerVerdict::kEvict:
-          membership->evict(transition.worker);
-          break;
-        case elastic::StragglerVerdict::kNone:
-          break;
-      }
+  // §III-E: aligned termination via the shared progress board.  The group
+  // root votes and synchronous members follow its vote, so the group never
+  // diverges; members report for themselves.
+  std::vector<float> vote(1);
+  auto cast_vote = [&] {
+    if (is_root) {
+      vote[0] = static_cast<float>(board->vote(options.termination, worker, iteration,
+                                               shared.target_iterations, incarnation));
+    } else {
+      board->report(worker, iteration, incarnation);
     }
+    if (group_size > 1) comm.broadcast(0, vote);
+    return static_cast<ProgressBoard::Vote>(static_cast<std::int64_t>(vote[0]));
   };
   // The planned iteration at which this worker leaves voluntarily (-1:
   // never).  A drain applies to the slot's current life; a replacement life
@@ -454,8 +473,8 @@ void run_worker(WorkerShared& shared, int worker, WorkerLife life = WorkerLife::
     while (!stop) {
       if (faults != nullptr) {
         if (faults->crashes_at(group_root_worker, iteration)) {
-          // Fail-stop: exit without reporting, marking, or releasing —
-          // survivors must detect the death from the missed heartbeats.
+          // Fail-stop: exit without reporting, marking, or releasing; the
+          // supervisor fences the slot when it reaps this life.
           crashed = true;
           break;
         }
@@ -492,7 +511,7 @@ void run_worker(WorkerShared& shared, int worker, WorkerLife life = WorkerLife::
         }
       }
       // Quarantined: keep training toward readmission, but contribute
-      // nothing — no SEASGD exchange until the sweep readmits this worker.
+      // nothing — no SEASGD exchange until the supervisor readmits it.
       const bool quarantined = my_state == ProgressBoard::WorkerState::kQuarantined;
 
       // Homogeneous-GPU pacing: do not run further ahead of the slowest
@@ -502,11 +521,7 @@ void run_worker(WorkerShared& shared, int worker, WorkerLife life = WorkerLife::
                iteration - board->min_iterations() >
                    static_cast<std::int64_t>(options.max_iteration_skew)) {
           board->heartbeat(worker, incarnation);
-          if (options.heartbeat_timeout_seconds > 0.0) {
-            board->sweep_dead(options.heartbeat_timeout_seconds);
-          }
-          elastic_sweep();
-          std::this_thread::sleep_for(std::chrono::microseconds(50));
+          std::this_thread::sleep_for(kParkPoll);
         }
       }
 
@@ -571,26 +586,16 @@ void run_worker(WorkerShared& shared, int worker, WorkerLife life = WorkerLife::
         }
       }
 
-      // §III-E: aligned termination via the shared progress board.  The group
-      // root takes the decision; synchronous members follow it so the group
-      // never diverges.
-      elastic_sweep();
-      if (is_root) {
-        vote[0] = board->should_stop(options.termination, worker, iteration,
-                                     shared.target_iterations,
-                                     options.heartbeat_timeout_seconds, incarnation)
-                      ? 1.0F
-                      : 0.0F;
-      } else {
-        board->report(worker, iteration, incarnation);
+      // The report wakes the supervisor.  A held stop (the criterion is met
+      // but a planned transition is outstanding) parks the group,
+      // heartbeating, until the root votes otherwise.
+      ProgressBoard::Vote decision = cast_vote();
+      signal_supervisor(shared, [] {});
+      while (decision == ProgressBoard::Vote::kHold) {
+        std::this_thread::sleep_for(kParkPoll);
+        decision = cast_vote();
       }
-      if (group_size > 1) comm.broadcast(0, vote);
-      stop = vote[0] != 0.0F;
-      // A quarantined worker does not evaluate the cohort criterion
-      // (should_stop always says "continue" for it); once it reaches its
-      // own target it leaves quietly so an all-quarantined cohort cannot
-      // spin forever.
-      if (!stop && quarantined && iteration >= shared.target_iterations) stop = true;
+      stop = decision == ProgressBoard::Vote::kStop;
     }
   } catch (const smb::SmbUnavailable&) {
     // The SMB backing this worker is permanently gone (no replica left to
@@ -790,251 +795,128 @@ TrainResult train_shmcaffe(const DistTrainOptions& options) {
   shared.lr_step_iterations =
       std::max<int>(1, static_cast<int>(per_worker_per_epoch) * 4);  // 4-epoch LR steps
 
-  const auto wall_start = std::chrono::steady_clock::now();
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point wall_start = Clock::now();
 
-  // Fault scheduler: fires SMB-server freeze windows and fail-stops at
-  // their wall-clock offsets from the training start.  Interruptible so a
-  // short run does not wait out a plan scheduled past its end.
-  std::mutex fault_mutex;
-  std::condition_variable fault_cv;
-  bool fault_stop = false;
-  std::thread fault_thread;
-  // The control events this run observes (fault/journal.h).  The fault
-  // thread appends the corruptions that actually fired (chunks poisoned);
-  // everything else is appended after it is joined.
-  std::vector<fault::ControlEvent> observed;
+  // The plan's server faults, in firing order.  Torn writes key on a write
+  // ordinal, not a time: arm them on their server up front, before any
+  // worker writes.
+  std::vector<fault::FaultEvent> server_faults;
   if (options.faults != nullptr) {
-    std::vector<fault::FaultEvent> server_events;
     for (int n = 0; n < physical_count; ++n) {
-      for (const fault::FaultEvent& event : options.faults->server_freezes(n)) {
-        server_events.push_back(event);
+      for (const std::vector<fault::FaultEvent>& events :
+           {options.faults->server_freezes(n), options.faults->server_fail_stops(n),
+            options.faults->segment_corruptions(n)}) {
+        server_faults.insert(server_faults.end(), events.begin(), events.end());
       }
-      for (const fault::FaultEvent& event : options.faults->server_fail_stops(n)) {
-        server_events.push_back(event);
-      }
-      for (const fault::FaultEvent& event : options.faults->segment_corruptions(n)) {
-        server_events.push_back(event);
-      }
-      // Torn writes key on a write ordinal, not a wall-clock time: arm them
-      // on their server up front, before any worker writes.
       for (const fault::FaultEvent& event : options.faults->torn_writes(n)) {
         servers[static_cast<std::size_t>(n)]->arm_torn_write(event.sequence, event.severity);
       }
     }
-    std::sort(server_events.begin(), server_events.end(),
-              [](const fault::FaultEvent& a, const fault::FaultEvent& b) {
-                return a.start_seconds < b.start_seconds;
-              });
-    if (!server_events.empty()) {
-      fault_thread = std::thread([&servers, &fault_mutex, &fault_cv, &fault_stop, &observed,
-                                  base_key = shared.base_key,
-                                  wall_start, server_events = std::move(server_events)] {
-        std::unique_lock lock(fault_mutex);
-        for (const fault::FaultEvent& event : server_events) {
-          const auto at = wall_start + std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                           std::chrono::duration<double>(event.start_seconds));
-          if (fault_cv.wait_until(lock, at, [&] { return fault_stop; })) return;
-          smb::SmbServer& target = *servers[static_cast<std::size_t>(event.target)];
-          if (event.kind == fault::FaultKind::kServerFailStop) {
-            target.fail_stop();
-          } else if (event.kind == fault::FaultKind::kSegmentCorruption) {
-            // The W_g segment may not exist yet (the master creates it a
-            // few ms into the run): retry until the flips land or the run
-            // ends, so a scheduled corruption reliably fires.
-            for (;;) {
-              std::size_t poisoned = 0;
-              try {
-                poisoned = target.corrupt_floats(
-                    base_key, event.sequence,
-                    std::max(1, static_cast<int>(event.severity)));
-              } catch (const smb::SmbUnavailable&) {
-                break;  // the server fail-stopped first: never fires
-              }
-              if (poisoned > 0) {
-                observed.push_back({fault::ControlAction::kCorruptionInjected, event.target,
-                                    event.sequence});
-                break;
-              }
-              if (fault_cv.wait_for(lock, std::chrono::milliseconds(1),
-                                    [&] { return fault_stop; })) {
-                break;
-              }
-            }
-          } else {
-            target.freeze_for(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::duration<double>(event.duration_seconds)));
-          }
-        }
-      });
-    }
+    std::stable_sort(server_faults.begin(), server_faults.end(),
+                     [](const fault::FaultEvent& a, const fault::FaultEvent& b) {
+                       return a.start_seconds < b.start_seconds;
+                     });
   }
-
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(options.workers));
-  for (int w = 0; w < options.workers; ++w) {
-    threads.emplace_back([&shared, w] { run_worker(shared, w); });
-  }
+  shared.hold_at_start = !server_faults.empty();
 
   // The run's planned control events (recovery, integrity, membership);
   // the executed journal is the part of this plan the run observes.
   const std::vector<fault::ControlEvent> planned = elastic::plan_control_events(
       options.faults != nullptr ? &options.faults->plan() : nullptr, options.recovery,
       options.integrity, options.membership, options.membership_policy, options.workers);
-
-  // Re-admission monitors: one per planned kWorkerReadmit.  Each monitor
-  // exclusively owns its worker's join; once the first life exits crashed
-  // and the survivors have fenced the slot, the monitor runs the
-  // replacement life inline (re-attach, adopt W_g, readmit under a new
-  // incarnation).  It gives up if the run finishes first.
-  std::vector<char> owned_by_monitor(static_cast<std::size_t>(options.workers), 0);
-  std::vector<char> recovered(static_cast<std::size_t>(options.workers), 0);
-  std::vector<std::thread> monitors;
+  std::vector<char> respawn(static_cast<std::size_t>(options.workers), 0);
   for (const fault::ControlEvent& event : planned) {
-    if (event.action != fault::ControlAction::kWorkerReadmit) continue;
-    const int w = event.target;
-    if (w < 0 || w >= options.workers || owned_by_monitor[static_cast<std::size_t>(w)]) {
-      continue;
+    if (event.action == fault::ControlAction::kWorkerReadmit && event.target >= 0 &&
+        event.target < options.workers) {
+      respawn[static_cast<std::size_t>(event.target)] = 1;
     }
-    owned_by_monitor[static_cast<std::size_t>(w)] = 1;
-    monitors.emplace_back([&shared, &threads, &recovered, &options, w] {
-      threads[static_cast<std::size_t>(w)].join();
-      if (shared.outcomes[static_cast<std::size_t>(w)] != WorkerOutcome::kCrashed) {
-        return;  // the run stopped before the planned crash fired
-      }
-      using Clock = std::chrono::steady_clock;
-      const auto deadline =
-          Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                             std::chrono::duration<double>(
-                                 std::max(1.0, options.heartbeat_timeout_seconds * 5.0)));
-      bool fenced = false;
+  }
+  const std::vector<elastic::MembershipEvent> joins =
+      options.membership != nullptr ? options.membership->joins()
+                                    : std::vector<elastic::MembershipEvent>{};
+  // The control events this run observes (fault/journal.h): corruptions as
+  // they fire, everything else once the run is over.
+  std::vector<fault::ControlEvent> observed;
+
+  // --- the run supervisor ---------------------------------------------------
+  // This thread is the run's only control-plane actor.  It starts and reaps
+  // every worker life, fires the plan's server faults, sweeps heartbeats and
+  // stragglers, triggers planned joins and re-admissions, and evaluates W_g
+  // at epoch boundaries.  In between it blocks on shared.signal_cv: reports
+  // and life exits wake it, and otherwise it sleeps until its next deadline
+  // (the next server fault, or the earliest heartbeat or quarantine expiry).
+  std::vector<std::thread> lives(static_cast<std::size_t>(capacity));
+  int running = 0;
+  auto start_life = [&](int w, WorkerLife life, std::int64_t incarnation) {
+    lives[static_cast<std::size_t>(w)] = std::thread([&shared, w, life, incarnation] {
       try {
-        ProgressBoard board(*shared.services.front(),
-                            shared.base_key + kProgressKeyOffset, options.workers,
-                            /*create=*/false);
-        while (Clock::now() < deadline) {
-          if (board.stop_raised()) break;
-          if (board.is_dead(w)) {
-            fenced = true;
-            break;
-          }
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-        board.release();
+        run_worker(shared, w, life, incarnation);
       } catch (const smb::SmbError&) {
-        return;  // the board is gone (run over / SMB lost): no respawn
+        // An initial life's peers wait for it in the MPI collectives.
+        if (life == WorkerLife::kInitial) throw;
+        // A late life's attach found every replica of some shard gone.
+        shared.outcomes[static_cast<std::size_t>(w)] = WorkerOutcome::kCrashed;
       }
-      if (!fenced) return;
-      try {
-        run_worker(shared, w, WorkerLife::kRejoin);
-        recovered[static_cast<std::size_t>(w)] = 1;
-      } catch (const smb::SmbError&) {
-        // Re-attach raced the run's shutdown; the slot stays un-recovered.
-      }
+      signal_supervisor(shared, [&shared, w] { shared.exited.push_back(w); });
     });
+    ++running;
+  };
+  for (int w = 0; w < options.workers; ++w) {
+    start_life(w, WorkerLife::kInitial, ProgressBoard::kFirstIncarnation);
   }
 
-  // Join monitors: one per planned cold join.  Each watches the progress
-  // board until the cohort's max iteration count reaches the planned join
-  // point, registers the join with the membership service (epoch bump +
-  // shard rebalance), and runs the joining worker's life inline.  It gives
-  // up if the run finishes first (the slot stays kNeverJoined).
-  std::vector<char> joined_flag(static_cast<std::size_t>(capacity), 0);
-  std::atomic<bool> workers_exited{false};
-  std::vector<std::thread> join_monitors;
-  if (options.membership != nullptr) {
-    for (const elastic::MembershipEvent& event : options.membership->joins()) {
-      const int w = event.worker;
-      if (w < options.workers || w >= capacity) continue;
-      join_monitors.emplace_back([&shared, &options, &joined_flag, &workers_exited, event,
-                                  w] {
-        bool go = false;
-        try {
-          smb::RetryPolicy retry;
-          common::Rng backoff_rng(options.seed ^ 0x90149ULL ^
-                                  static_cast<std::uint64_t>(w));
-          int attempt = 0;
-          std::optional<ProgressBoard> board;
-          while (!workers_exited.load(std::memory_order_acquire)) {
-            try {
-              board.emplace(*shared.services.front(),
-                            shared.base_key + kProgressKeyOffset, 0, /*create=*/false);
-              break;
-            } catch (const smb::SmbNotFound&) {
-              std::this_thread::sleep_for(smb::backoff_delay(retry, ++attempt, backoff_rng));
-            }
-          }
-          if (!board.has_value()) return;
-          while (!workers_exited.load(std::memory_order_acquire)) {
-            if (board->stop_raised()) break;
-            if (board->max_iterations() >= event.at_iteration) {
-              go = true;
-              break;
-            }
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-          }
-          board->release();
-        } catch (const smb::SmbError&) {
-          return;  // the board is gone (run over / SMB lost): no join
-        }
-        if (!go) return;
-        shared.membership->join(w);
-        try {
-          run_worker(shared, w, WorkerLife::kColdJoin);
-          joined_flag[static_cast<std::size_t>(w)] = 1;
-        } catch (const smb::SmbError&) {
-          // The join raced the run's shutdown; the slot never trained.
-        }
-      });
-    }
-  }
-
-  std::atomic<bool> joined{false};
-  std::thread joiner([&threads, &monitors, &join_monitors, &owned_by_monitor,
-                      &workers_exited, &joined] {
-    for (std::size_t w = 0; w < threads.size(); ++w) {
-      if (!owned_by_monitor[w]) threads[w].join();
-    }
-    for (std::thread& monitor : monitors) monitor.join();
-    // The initial cohort is gone: tell waiting join monitors to stand down
-    // (one whose join already fired keeps running its worker to completion).
-    workers_exited.store(true, std::memory_order_release);
-    for (std::thread& monitor : join_monitors) monitor.join();
-    joined.store(true, std::memory_order_release);
-  });
-
-  // Orchestrator: snapshot and evaluate the global weights at
-  // epoch-equivalent boundaries (total iterations across all workers).
-  // The attach races worker 0's segment creation, so it retries with
-  // backoff; it gives up once the workers are gone (a fault plan may have
-  // crashed every worker before the segments appeared).
   TrainResult result;
+  std::optional<ProgressBoard> board;  // attached with W_g once it is initialised
   ShardedBuffer global;
-  try {
-    smb::RetryPolicy policy;
-    common::Rng backoff_rng(options.seed ^ 0x0bcull);
-    int attempt = 0;
-    while (!joined.load(std::memory_order_acquire)) {
-      try {
-        global = ShardedBuffer::attach(shared.services, shared.base_key,
-                                       eval_net.param_count());
-        break;
-      } catch (const smb::SmbNotFound&) {
-        std::this_thread::sleep_for(smb::backoff_delay(policy, ++attempt, backoff_rng));
-      }
-    }
-    if (!global.valid()) {
-      try {
-        global = ShardedBuffer::attach(shared.services, shared.base_key,
-                                       eval_net.param_count());
-      } catch (const smb::SmbNotFound&) {
-        // every worker crashed before creating the segments; no curve
-      }
-    }
-  } catch (const smb::SmbUnavailable&) {
-    // the SMB (all replicas) fail-stopped before the attach landed; no curve
-  }
-  std::vector<float> snapshot(global.valid() ? global.size() : 0);
+  std::vector<float> snapshot;
+  std::vector<char> recovered(static_cast<std::size_t>(options.workers), 0);
+  std::size_t next_fault = 0;
+  std::size_t next_join = 0;
+  bool held = shared.hold_at_start;
 
+  // A crashed life is dead at once; a slot the plan re-admits gets its
+  // replacement life right away, under a fresh incarnation.
+  auto on_crash = [&](int w) {
+    board->mark_dead(w);
+    if (w >= options.workers || !respawn[static_cast<std::size_t>(w)] || board->stop_raised()) {
+      return;
+    }
+    respawn[static_cast<std::size_t>(w)] = 0;  // one replacement per planned re-admission
+    recovered[static_cast<std::size_t>(w)] = 1;
+    start_life(w, WorkerLife::kRejoin, board->readmit(w));
+  };
+
+  // Fires every server fault due by now.  W_g corruptions wait for W_g's
+  // initial write: a flip before it would be re-checksummed away unseen.
+  auto fire_due_faults = [&](bool global_initialised) {
+    const double now = std::chrono::duration<double>(Clock::now() - wall_start).count();
+    for (; next_fault < server_faults.size(); ++next_fault) {
+      const fault::FaultEvent& event = server_faults[next_fault];
+      if (event.start_seconds > now) return;
+      smb::SmbServer& target = *servers[static_cast<std::size_t>(event.target)];
+      if (event.kind == fault::FaultKind::kServerFailStop) {
+        target.fail_stop();
+      } else if (event.kind == fault::FaultKind::kSegmentCorruption) {
+        if (!global_initialised) return;
+        try {
+          if (target.corrupt_floats(shared.base_key, event.sequence,
+                                    std::max(1, static_cast<int>(event.severity))) > 0) {
+            observed.push_back(
+                {fault::ControlAction::kCorruptionInjected, event.target, event.sequence});
+          }
+        } catch (const smb::SmbUnavailable&) {
+          // the server fail-stopped first: the flips never land
+        }
+      } else {
+        target.freeze_for(std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::duration<double>(event.duration_seconds)));
+      }
+    }
+  };
+
+  // Evaluates W_g at every epoch-equivalent boundary (total iterations
+  // across all workers) the run has crossed.
   const std::int64_t total_target =
       shared.target_iterations * static_cast<std::int64_t>(options.workers);
   const std::int64_t per_epoch_total =
@@ -1062,26 +944,109 @@ TrainResult train_shmcaffe(const DistTrainOptions& options) {
       ++next_epoch;
     }
   };
-  while (!joined.load(std::memory_order_acquire)) {
+
+  std::uint64_t seen = 0;
+  std::vector<int> exited;
+  bool global_initialised = false;
+  bool attached = false;
+  for (;;) {
+    for (const int w : exited) {
+      lives[static_cast<std::size_t>(w)].join();
+      --running;
+    }
+    // Fire before the hold is recomputed below: held workers re-vote without
+    // waking the supervisor, so the pass that fires the last planned fault
+    // must also release the hold.
+    fire_due_faults(global_initialised);
+    std::optional<Clock::time_point> deadline;
+    try {
+      if (global_initialised && !attached) {
+        attached = true;
+        board.emplace(*shared.services.front(), shared.base_key + kProgressKeyOffset,
+                      options.workers, /*create=*/false);
+        global = ShardedBuffer::attach(shared.services, shared.base_key, eval_net.param_count());
+        snapshot.resize(global.size());
+      }
+      if (board.has_value()) {
+        for (const int w : exited) {
+          if (shared.outcomes[static_cast<std::size_t>(w)] == WorkerOutcome::kCrashed) {
+            on_crash(w);
+          }
+        }
+        if (options.heartbeat_timeout_seconds > 0.0) {
+          board->sweep_dead(options.heartbeat_timeout_seconds);
+        }
+        for (const auto& [w, verdict] : board->sweep_stragglers()) {
+          if (verdict == elastic::StragglerVerdict::kQuarantine) {
+            shared.membership->quarantine(w);
+          } else if (verdict == elastic::StragglerVerdict::kReadmit) {
+            shared.membership->readmit_contributor(w);
+          } else if (verdict == elastic::StragglerVerdict::kEvict) {
+            shared.membership->evict(w);
+          }
+        }
+        // Planned cold joins fire once the cohort's progress reaches them.
+        if (!board->stop_raised()) {
+          const std::int64_t progress = board->max_iterations();
+          for (; next_join < joins.size() && joins[next_join].at_iteration <= progress;
+               ++next_join) {
+            const int w = joins[next_join].worker;
+            const std::int64_t incarnation = board->admit(w);
+            shared.membership->join(w);
+            start_life(w, WorkerLife::kColdJoin, incarnation);
+          }
+        }
+        // Hold the stop while a planned transition is outstanding: a server
+        // fault not yet fired, or a quarantined worker not yet readmitted.
+        bool hold = next_fault < server_faults.size();
+        for (int w = 0; !hold && w < capacity; ++w) {
+          hold = board->state_of(w) == ProgressBoard::WorkerState::kQuarantined;
+        }
+        if (hold != held) {
+          board->hold_stop(hold);
+          held = hold;
+        }
+        const double expiry = board->seconds_to_next_expiry(options.heartbeat_timeout_seconds);
+        if (std::isfinite(expiry)) {
+          deadline = Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                                        std::chrono::duration<double>(std::max(0.0, expiry)));
+        }
+      }
+    } catch (const smb::SmbError&) {
+      // Every replica of a shard is gone (the workers' own SMB access fails
+      // them the same way), or the segments were released before the
+      // attach: no control plane is left to run.
+      board.reset();
+    }
+    exited.clear();
+    if (running == 0) break;
     catch_up_evals();
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+
+    if (next_fault < server_faults.size() &&
+        (global_initialised ||
+         server_faults[next_fault].kind != fault::FaultKind::kSegmentCorruption)) {
+      const Clock::time_point at =
+          wall_start + std::chrono::duration_cast<Clock::duration>(
+                           std::chrono::duration<double>(server_faults[next_fault].start_seconds));
+      if (!deadline.has_value() || at < *deadline) deadline = at;
+    }
+    {
+      std::unique_lock lock(shared.signal_mutex);
+      const auto woken = [&] { return shared.signals != seen; };
+      if (deadline.has_value()) {
+        shared.signal_cv.wait_until(lock, *deadline, woken);
+      } else {
+        shared.signal_cv.wait(lock, woken);
+      }
+      seen = shared.signals;
+      exited.swap(shared.exited);
+      global_initialised = shared.global_ready;
+    }
   }
-  joiner.join();
   catch_up_evals();
 
-  // Stop the fault scheduler before scrubbing: every corruption that will
-  // fire has now fired, so the final scrub below sees all of them.
-  if (fault_thread.joinable()) {
-    {
-      std::scoped_lock lock(fault_mutex);
-      fault_stop = true;
-    }
-    fault_cv.notify_all();
-    fault_thread.join();
-  }
-
   // End-of-training scrub: catch (and repair) corruption injected after the
-  // last exchange, while the orchestrator still holds the segments and
+  // last exchange, while the supervisor still holds the segments and
   // before the final weights are evaluated.
   if (options.integrity.enabled() && options.integrity.scrub_on_checkpoint) {
     for (const auto& ensemble : ensembles) {
@@ -1109,9 +1074,15 @@ TrainResult train_shmcaffe(const DistTrainOptions& options) {
       // SMB permanently gone: no final evaluation, nothing to release
     }
   }
+  if (board.has_value()) {
+    try {
+      board->release();
+    } catch (const smb::SmbError&) {
+      // the board's server fail-stopped: nothing to release
+    }
+  }
 
-  result.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
+  result.wall_seconds = std::chrono::duration<double>(Clock::now() - wall_start).count();
   result.iterations_per_worker = shared.final_iterations;
   result.worker_stats = std::move(shared.worker_stats);
   result.worker_outcomes = shared.outcomes;

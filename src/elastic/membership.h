@@ -97,29 +97,23 @@ class MembershipPlan {
 // --- the policy -------------------------------------------------------------
 
 /// Straggler-quarantine bounds and elastic-transition latencies.  The
-/// detector projects a silent worker's staleness as (silence seconds) x
-/// (mean live iteration rate): raw iteration staleness cannot exceed the
-/// trainer's max_iteration_skew while the survivors pace against the
-/// straggler, so the board extrapolates from heartbeat age instead.
+/// detector judges heartbeat silence in seconds (elastic/straggler.h says
+/// why neither raw staleness nor a projection of it works under the
+/// trainer's max_iteration_skew pacing).
 struct MembershipPolicy {
   /// Master switch for the straggler detector (quarantine + eviction).
   /// Off by default: fault-injection suites rely on stalls being survived
   /// or fenced by the heartbeat sweep alone.
   bool straggler_detection = false;
-  /// Projected staleness (iterations) beyond which an alive worker is
-  /// quarantined: demoted to non-contributing until it catches up.
+  /// Staleness accounting (simulated stack): fresh progress further than
+  /// this many iterations behind the cohort maximum counts as one
+  /// staleness violation.
   double staleness_bound_iterations = 100.0;
-  /// Projected staleness below which a quarantined worker is readmitted as
-  /// a contributor.
-  double readmit_staleness_iterations = 10.0;
-  /// Minimum heartbeat silence before the projection is trusted at all —
-  /// an absolute guard against quarantining a worker over scheduler noise.
-  double min_silence_seconds = 0.1;
-  /// Planning bound: an injected stall at least this long is expected to
-  /// trip the detector (membership_schedule derives planned quarantines
-  /// from the fault plan with it).
+  /// The detector's threshold: a worker silent (no report, no heartbeat)
+  /// for at least this long is quarantined, and an injected stall at least
+  /// this long is a planned quarantine (membership_schedule).
   double quarantine_stall_seconds = 0.35;
-  /// The Nth staleness violation evicts instead of quarantining.
+  /// The Nth silence evicts instead of quarantining.
   int evict_after_violations = 3;
 
   // --- timing model (sim only; the functional stack pays real cost) ------

@@ -1,55 +1,44 @@
-// Straggler detection math (pure, header-only).
+// Straggler detection rule (pure, header-only).
 //
 // SEASGD tolerates asynchrony only while staleness stays bounded (the
-// source paper's core claim; FireCaffe shows stragglers dominating the
-// synchronous alternative).  The trainer's max_iteration_skew pacing makes
-// *raw* iteration staleness useless as a detector signal: once a worker
-// goes silent, every survivor parks at `skew` iterations ahead of it and
-// the gap never widens.  The detector therefore projects staleness from
-// heartbeat silence instead:
+// source paper's core claim; FireCaffe shows that a cohort waiting on
+// stragglers loses to one that sets them aside).  The detector judges
+// *silence*: the seconds a worker has gone without a report or heartbeat,
+// measured in the plan's own units against the same
+// MembershipPolicy::quarantine_stall_seconds threshold membership_schedule
+// plans from and the simulator applies to every injected stall.  Silence
+// is the one signal that survives the trainer's max_iteration_skew pacing:
 //
-//   projected = (seconds since the worker's last heartbeat)
-//             x (mean iteration rate of the live contributors)
+//   * raw iteration staleness never grows — once a worker goes silent,
+//     every survivor parks `skew` iterations ahead of it;
+//   * a staleness projection (silence x the cohort's iteration rate) or a
+//     clock advanced by iteration reports both stop moving at exactly that
+//     moment, because parked survivors stop reporting.
 //
-// i.e. "how many iterations the cohort will have run past this worker by
-// now".  Per-worker iteration rates are EWMA-smoothed on the progress
-// board (ProgressBoard::report folds each report into the worker's rate
-// slot).  Verdicts:
+// Verdicts, per silence of at least the threshold:
 //
-//   * alive + projected > staleness_bound (and silence past the absolute
-//     noise guard) -> one violation: quarantine, or evict on the Nth;
-//   * quarantined + projected back under the readmit bound (the worker
-//     reported recently, so its silence collapsed) -> readmit.
+//   * an alive worker is quarantined (demoted to non-contributing), or
+//     evicted on its policy.evict_after_violations-th such silence;
+//   * a quarantined worker is readmitted as a contributor once it has
+//     reported again.
 //
-// ProgressBoard::sweep_stragglers drives these over the shared board; the
-// functions themselves are pure so the policy arithmetic is unit-testable
-// without a board.
+// ProgressBoard::sweep_stragglers applies these over the shared board.
+// The rule itself is pure so its arithmetic is unit-testable without one.
 #pragma once
+
+#include <cstdint>
+#include <vector>
 
 #include "elastic/membership.h"
 
 namespace shmcaffe::elastic {
 
-/// One EWMA step; a zero `prev` means "no estimate yet" and adopts the
-/// sample outright.
-[[nodiscard]] inline double ewma(double prev, double sample, double alpha) {
-  if (prev <= 0.0) return sample;
-  return alpha * sample + (1.0 - alpha) * prev;
-}
-
-/// Iterations the cohort runs past a worker silent for `silence_seconds`.
-[[nodiscard]] inline double projected_staleness(double silence_seconds,
-                                                double mean_live_rate) {
-  if (silence_seconds <= 0.0 || mean_live_rate <= 0.0) return 0.0;
-  return silence_seconds * mean_live_rate;
-}
-
 /// What a straggler sweep decided about one worker.
 enum class StragglerVerdict : std::uint8_t {
   kNone,
   kQuarantine,  ///< demote to non-contributing
-  kReadmit,     ///< caught up: restore as contributor
-  kEvict,       ///< repeated violations: remove from the membership
+  kReadmit,     ///< reported again: restore as contributor
+  kEvict,       ///< repeated silences: remove from the membership
 };
 
 struct StragglerTransition {
@@ -59,31 +48,34 @@ struct StragglerTransition {
   friend bool operator==(const StragglerTransition&, const StragglerTransition&) = default;
 };
 
-/// Verdict for an *alive* worker: `prior_violations` staleness violations
-/// already on record (the pending one is counted on top).
-[[nodiscard]] inline StragglerVerdict judge_alive(double silence_seconds,
-                                                  double mean_live_rate,
-                                                  int prior_violations,
-                                                  const MembershipPolicy& policy) {
-  if (silence_seconds <= policy.min_silence_seconds) return StragglerVerdict::kNone;
-  if (projected_staleness(silence_seconds, mean_live_rate) <=
-      policy.staleness_bound_iterations) {
-    return StragglerVerdict::kNone;
+/// The transitions one sweep applies to a worker, in order.  `quarantined`
+/// is its state going in; `ended_silences` counts silences of at least the
+/// threshold that a report (or heartbeat) has already ended since the last
+/// sweep; `silent` says whether it is in such a silence right now;
+/// `prior_violations` counts the silences judged in earlier sweeps.  A
+/// quarantined worker with nothing ended is still in the silence that
+/// demoted it.  Each further silence is one violation: quarantine — then
+/// readmit at once if that silence has already ended — or evict on the
+/// policy's Nth.
+[[nodiscard]] inline std::vector<StragglerVerdict> judge_silences(
+    bool quarantined, std::int64_t ended_silences, bool silent, std::int64_t prior_violations,
+    const MembershipPolicy& policy) {
+  std::vector<StragglerVerdict> verdicts;
+  if (quarantined) {
+    if (ended_silences == 0) return verdicts;
+    verdicts.push_back(StragglerVerdict::kReadmit);
+    --ended_silences;  // the silence it was quarantined for
   }
-  return prior_violations + 1 >= policy.evict_after_violations
-             ? StragglerVerdict::kEvict
-             : StragglerVerdict::kQuarantine;
-}
-
-/// Verdict for a *quarantined* worker: readmit once its projected staleness
-/// collapses under the readmit bound (a fresh heartbeat does exactly that).
-[[nodiscard]] inline StragglerVerdict judge_quarantined(double silence_seconds,
-                                                        double mean_live_rate,
-                                                        const MembershipPolicy& policy) {
-  return projected_staleness(silence_seconds, mean_live_rate) <=
-                 policy.readmit_staleness_iterations
-             ? StragglerVerdict::kReadmit
-             : StragglerVerdict::kNone;
+  std::int64_t violations = prior_violations;
+  for (std::int64_t left = ended_silences + (silent ? 1 : 0); left > 0; --left) {
+    if (++violations >= policy.evict_after_violations) {
+      verdicts.push_back(StragglerVerdict::kEvict);
+      break;
+    }
+    verdicts.push_back(StragglerVerdict::kQuarantine);
+    if (left > 1 || !silent) verdicts.push_back(StragglerVerdict::kReadmit);
+  }
+  return verdicts;
 }
 
 }  // namespace shmcaffe::elastic

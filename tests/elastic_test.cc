@@ -1,7 +1,7 @@
 // Tests for the elastic membership layer: the membership expander of the
 // control-event journal, the straggler-detection math, the
 // MembershipService registry (epochs, shard rebalancing, its journal), the
-// growable progress board (cold-join slots, rate EWMAs, straggler sweeps),
+// growable progress board (cold-join slots, straggler sweeps),
 // the simulated twin at scale (heterogeneous cohorts, staleness
 // accounting), the elastic baseline star, and the end-to-end acceptance
 // runs — workers join, drain, straggle-and-quarantine, and crash in one run
@@ -190,36 +190,33 @@ TEST(FilterExecuted, KeepsExecutedChangesAndTheirRebalances) {
   EXPECT_EQ(fault::executed(planned, service.journal()), expected);
 }
 
-// --- straggler math --------------------------------------------------------
-
-TEST(StragglerMath, EwmaAdoptsFirstSampleThenSmooths) {
-  EXPECT_DOUBLE_EQ(elastic::ewma(0.0, 100.0, 0.25), 100.0);
-  EXPECT_DOUBLE_EQ(elastic::ewma(100.0, 200.0, 0.25), 125.0);
-  EXPECT_DOUBLE_EQ(elastic::projected_staleness(0.5, 200.0), 100.0);
-  EXPECT_DOUBLE_EQ(elastic::projected_staleness(-1.0, 200.0), 0.0);
-  EXPECT_DOUBLE_EQ(elastic::projected_staleness(0.5, 0.0), 0.0);
-}
+// --- straggler rule --------------------------------------------------------
 
 TEST(StragglerMath, VerdictsFollowThePolicyBounds) {
   MembershipPolicy policy;
   policy.straggler_detection = true;
-  policy.staleness_bound_iterations = 50.0;
-  policy.readmit_staleness_iterations = 10.0;
-  policy.min_silence_seconds = 0.1;
   policy.evict_after_violations = 3;
+  using V = StragglerVerdict;
+  const auto judge = [&policy](bool quarantined, std::int64_t ended, bool silent,
+                               std::int64_t prior) {
+    return elastic::judge_silences(quarantined, ended, silent, prior, policy);
+  };
 
-  // Below the absolute silence guard: never a violation, whatever the rate.
-  EXPECT_EQ(elastic::judge_alive(0.05, 1e6, 0, policy), StragglerVerdict::kNone);
-  // Silent but projected under the bound: fine.
-  EXPECT_EQ(elastic::judge_alive(0.2, 100.0, 0, policy), StragglerVerdict::kNone);
-  // Over the bound: quarantine, then evict on the Nth violation.
-  EXPECT_EQ(elastic::judge_alive(0.2, 1000.0, 0, policy), StragglerVerdict::kQuarantine);
-  EXPECT_EQ(elastic::judge_alive(0.2, 1000.0, 1, policy), StragglerVerdict::kQuarantine);
-  EXPECT_EQ(elastic::judge_alive(0.2, 1000.0, 2, policy), StragglerVerdict::kEvict);
-  // Quarantined: readmit only once the projection collapses.
-  EXPECT_EQ(elastic::judge_quarantined(1.0, 1000.0, policy), StragglerVerdict::kNone);
-  EXPECT_EQ(elastic::judge_quarantined(0.005, 1000.0, policy),
-            StragglerVerdict::kReadmit);
+  // No silence past the threshold: nothing to do.
+  EXPECT_TRUE(judge(false, 0, false, 0).empty());
+  // Silent right now: quarantined, and kept there while the silence lasts.
+  EXPECT_EQ(judge(false, 0, true, 0), std::vector<V>{V::kQuarantine});
+  EXPECT_TRUE(judge(true, 0, true, 1).empty());
+  // It reported again: readmitted.
+  EXPECT_EQ(judge(true, 1, false, 1), std::vector<V>{V::kReadmit});
+  // A silence that ended before any sweep saw it: quarantine and readmit.
+  EXPECT_EQ(judge(false, 1, false, 0), (std::vector<V>{V::kQuarantine, V::kReadmit}));
+  // Reported, then silent again: readmitted, then quarantined afresh.
+  EXPECT_EQ(judge(true, 1, true, 1), (std::vector<V>{V::kReadmit, V::kQuarantine}));
+  // The Nth silence evicts, and nothing follows an eviction.
+  EXPECT_EQ(judge(false, 0, true, 2), std::vector<V>{V::kEvict});
+  EXPECT_EQ(judge(false, 3, true, 0), (std::vector<V>{V::kQuarantine, V::kReadmit,
+                                                      V::kQuarantine, V::kReadmit, V::kEvict}));
 }
 
 // --- MembershipService -----------------------------------------------------
@@ -319,93 +316,73 @@ TEST(ProgressBoardElastic, ColdJoinSlotsAndAttachDerivedCapacity) {
   board.release();
 }
 
-TEST(ProgressBoardElastic, RateEwmaTracksReports) {
-  smb::SmbServer server;
-  core::ProgressBoard board(server, 42, 2, /*create=*/true);
-  EXPECT_DOUBLE_EQ(board.rate_of(0), 0.0);
-  for (std::int64_t i = 1; i <= 30; ++i) {
-    board.report(0, i, core::ProgressBoard::kFirstIncarnation);
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+/// Keeps `worker` reporting every few milliseconds for `duration`, so its
+/// silences stay far below the thresholds the board tests arm.
+void keep_reporting(core::ProgressBoard& board, int worker, std::chrono::milliseconds duration) {
+  const auto until = std::chrono::steady_clock::now() + duration;
+  for (std::int64_t i = 1; std::chrono::steady_clock::now() < until; ++i) {
+    board.report(worker, i, core::ProgressBoard::kFirstIncarnation);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  EXPECT_GT(board.rate_of(0), 0.0);
-  EXPECT_GT(board.mean_live_rate(), 0.0);
-  // Worker 1 reported once: no interval yet, so no rate estimate.
-  board.report(1, 1, core::ProgressBoard::kFirstIncarnation);
-  EXPECT_DOUBLE_EQ(board.rate_of(1), 0.0);
-  board.release();
+}
+
+MembershipPolicy board_straggler_policy(int evict_after_violations) {
+  MembershipPolicy policy;
+  policy.straggler_detection = true;
+  policy.quarantine_stall_seconds = 0.1;
+  policy.evict_after_violations = evict_after_violations;
+  return policy;
 }
 
 TEST(ProgressBoardElastic, SweepQuarantinesSilentWorkerThenReadmits) {
+  using Transitions = std::vector<elastic::StragglerTransition>;
+  using State = core::ProgressBoard::WorkerState;
   smb::SmbServer server;
   core::ProgressBoard board(server, 43, 2, /*create=*/true);
-  MembershipPolicy policy;
-  policy.straggler_detection = true;
-  policy.staleness_bound_iterations = 5.0;
-  policy.readmit_staleness_iterations = 3.0;
-  policy.min_silence_seconds = 0.05;
-  policy.evict_after_violations = 3;
 
-  // Worker 0 reports steadily (establishing the live rate); worker 1
-  // reports once, then goes silent.
+  // Worker 1 reports once, then stays silent past the threshold while
+  // worker 0 keeps reporting.  Unarmed, the detector judges nobody.
   board.report(1, 1, core::ProgressBoard::kFirstIncarnation);
-  const auto pump = [&board](int reports) {
-    static std::int64_t iteration = 1;
-    for (int i = 0; i < reports; ++i) {
-      board.report(0, ++iteration, core::ProgressBoard::kFirstIncarnation);
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  };
-  pump(50);
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  pump(50);  // keep the rate estimate warm across worker 1's silence
+  keep_reporting(board, 0, std::chrono::milliseconds(150));
+  EXPECT_TRUE(board.sweep_stragglers().empty());
+  board.watch_stragglers(board_straggler_policy(3));
+  EXPECT_EQ(board.sweep_stragglers(), (Transitions{{1, StragglerVerdict::kQuarantine}}));
+  EXPECT_EQ(board.state_of(1), State::kQuarantined);
+  // Still silent: a repeated sweep does not double-demote.
+  EXPECT_TRUE(board.sweep_stragglers().empty());
 
-  // Silence ~0.2s at a rate of hundreds of iterations/s projects far past
-  // the bound of 5.
-  const std::vector<elastic::StragglerTransition> demoted =
-      board.sweep_stragglers(policy);
-  ASSERT_EQ(demoted.size(), 1u);
-  EXPECT_EQ(demoted[0].worker, 1);
-  EXPECT_EQ(demoted[0].verdict, StragglerVerdict::kQuarantine);
-  EXPECT_EQ(board.state_of(1), core::ProgressBoard::WorkerState::kQuarantined);
-
-  // A repeated sweep does not double-demote.
-  EXPECT_TRUE(board.sweep_stragglers(policy).empty());
-
-  // The worker catches up (a fresh report collapses its silence): readmit.
+  // Its next report readmits it.
   board.report(1, 2, core::ProgressBoard::kFirstIncarnation);
-  const std::vector<elastic::StragglerTransition> readmitted =
-      board.sweep_stragglers(policy);
-  ASSERT_EQ(readmitted.size(), 1u);
-  EXPECT_EQ(readmitted[0].worker, 1);
-  EXPECT_EQ(readmitted[0].verdict, StragglerVerdict::kReadmit);
-  EXPECT_EQ(board.state_of(1), core::ProgressBoard::WorkerState::kAlive);
+  EXPECT_EQ(board.sweep_stragglers(), (Transitions{{1, StragglerVerdict::kReadmit}}));
+  EXPECT_EQ(board.state_of(1), State::kAlive);
+
+  // A silence that ends before any sweep saw it is judged all the same:
+  // the report that ended it counted it.
+  keep_reporting(board, 0, std::chrono::milliseconds(150));
+  board.report(1, 3, core::ProgressBoard::kFirstIncarnation);
+  EXPECT_EQ(board.sweep_stragglers(), (Transitions{{1, StragglerVerdict::kQuarantine},
+                                                   {1, StragglerVerdict::kReadmit}}));
+  EXPECT_EQ(board.state_of(1), State::kAlive);
   board.release();
 }
 
 TEST(ProgressBoardElastic, RepeatedViolationsEvict) {
   smb::SmbServer server;
   core::ProgressBoard board(server, 44, 2, /*create=*/true);
-  MembershipPolicy policy;
-  policy.straggler_detection = true;
-  policy.staleness_bound_iterations = 5.0;
-  policy.min_silence_seconds = 0.05;
-  policy.evict_after_violations = 1;  // first violation evicts outright
+  board.watch_stragglers(board_straggler_policy(2));
 
-  board.report(1, 1, core::ProgressBoard::kFirstIncarnation);
-  for (std::int64_t i = 1; i <= 50; ++i) {
-    board.report(0, i, core::ProgressBoard::kFirstIncarnation);
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  for (std::int64_t i = 51; i <= 100; ++i) {
-    board.report(0, i, core::ProgressBoard::kFirstIncarnation);
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  const std::vector<elastic::StragglerTransition> transitions =
-      board.sweep_stragglers(policy);
+  // First silence: quarantined, then readmitted once it reports.
+  board.report(1, 5, core::ProgressBoard::kFirstIncarnation);
+  keep_reporting(board, 0, std::chrono::milliseconds(150));
+  board.report(1, 6, core::ProgressBoard::kFirstIncarnation);
+  EXPECT_EQ(board.sweep_stragglers().size(), 2u);
+  // Second silence: evicted, and its progress stops counting.
+  keep_reporting(board, 0, std::chrono::milliseconds(150));
+  const std::vector<elastic::StragglerTransition> transitions = board.sweep_stragglers();
   ASSERT_EQ(transitions.size(), 1u);
   EXPECT_EQ(transitions[0].verdict, StragglerVerdict::kEvict);
   EXPECT_EQ(board.state_of(1), core::ProgressBoard::WorkerState::kEvicted);
+  EXPECT_EQ(board.iterations_of(1), 0);
   board.release();
 }
 
@@ -691,17 +668,12 @@ TEST(ElasticEndToEnd, DrainWhileCheckpointing) {
   EXPECT_EQ(result.journal, elastic::plan_control_events(nullptr, {}, {}, &plan, {}, 2));
 }
 
-/// Policy used by the straggler end-to-end runs: the stall comfortably
-/// clears both the absolute silence guard and the projected-staleness bound
-/// at mlp iteration rates (hundreds per second), while the heartbeat
-/// timeout stays far above the stall so the sweep quarantines instead of
-/// fencing.
+/// Policy used by the straggler end-to-end runs: a stall of at least
+/// 0.6 s is a planned quarantine, while the heartbeat timeout stays far
+/// above the stall so the sweep quarantines instead of fencing.
 MembershipPolicy e2e_straggler_policy() {
   MembershipPolicy policy;
   policy.straggler_detection = true;
-  policy.staleness_bound_iterations = 30.0;
-  policy.readmit_staleness_iterations = 10.0;
-  policy.min_silence_seconds = 0.2;
   policy.quarantine_stall_seconds = 0.6;
   policy.evict_after_violations = 3;
   return policy;
@@ -779,13 +751,7 @@ TEST(ElasticEndToEnd, AcceptanceJoinDrainQuarantineCrashInOneRun) {
 
   core::DistTrainOptions options = elastic_train_options();
   options.workers = 4;
-  // 360 iterations/worker.  The planned re-admission needs the 2 s heartbeat
-  // fence to declare the crashed worker 3 dead first, but the run can end
-  // sooner: worker 3's silence also trips the straggler detector, a
-  // quarantined worker leaves the termination mean, and the survivors then
-  // reach the target in ~0.8 s.  Until the control plane runs on logical
-  // time (ROADMAP item 1) this run ends unfenced and un-re-admitted.
-  options.epochs = 15;
+  options.epochs = 15;  // 360 iterations/worker
   options.membership = &plan;
   options.membership_policy = e2e_straggler_policy();
   options.smb_replicas = 2;
@@ -796,12 +762,9 @@ TEST(ElasticEndToEnd, AcceptanceJoinDrainQuarantineCrashInOneRun) {
 
   EXPECT_EQ(result.joined_workers, std::vector<int>{4});
   EXPECT_EQ(result.drained_workers, std::vector<int>{1});
-  // At least the planned stall demotion; worker 3's dying silence may trip
-  // the detector too before the heartbeat fence declares it dead (the
-  // detector's silence guard is far below the fencing timeout) — that
-  // unplanned quarantine is exactly what fault::executed discards, so the
-  // journals below still match event for event.
-  EXPECT_GE(result.quarantine_events, 1);
+  // Exactly the planned stall demotion: the crashed worker 3 is dead the
+  // moment its life exits, so its silence never reaches the detector.
+  EXPECT_EQ(result.quarantine_events, 1);
   EXPECT_EQ(result.recovered_workers, std::vector<int>{3});
   EXPECT_EQ(result.smb_failovers, 1);
   ASSERT_EQ(result.worker_outcomes.size(), 5u);

@@ -619,6 +619,36 @@ TEST(TrainerDegradation2, CrashOfMasterFallsBackToActingMaster) {
   }
 }
 
+TEST(TrainerDegradation2, StallPastHeartbeatTimeoutIsFenced) {
+  // A worker stalls (not crashes) for longer than the heartbeat timeout.
+  // Its peers park in skew pacing behind it and stop reporting, so only the
+  // supervisor's deadline wake-up can declare it dead; when it wakes it
+  // finds itself fenced and exits.
+  FaultPlan plan;
+  FaultEvent stall;
+  stall.kind = FaultKind::kWorkerStall;
+  stall.target = 1;
+  stall.iteration = 3;
+  stall.duration_seconds = 0.8;
+  plan.add(stall);
+  const FaultInjector injector(plan);
+
+  core::DistTrainOptions options =
+      degraded_train_options(core::TerminationCriterion::kAverageIterations);
+  options.heartbeat_timeout_seconds = 0.25;
+  options.faults = &injector;
+  const core::TrainResult result = core::train_shmcaffe(options);
+
+  ASSERT_EQ(result.worker_outcomes.size(), 4u);
+  EXPECT_EQ(result.worker_outcomes[1], core::WorkerOutcome::kFenced);
+  EXPECT_EQ(result.dead_workers, std::vector<int>{1});
+  for (int w : {0, 2, 3}) {
+    EXPECT_EQ(result.worker_outcomes[static_cast<std::size_t>(w)],
+              core::WorkerOutcome::kFinished)
+        << "worker " << w;
+  }
+}
+
 TEST(TrainerDegradation2, FaultFreePlanLeavesResultClean) {
   const FaultInjector injector{FaultPlan{}};
   core::DistTrainOptions options =

@@ -665,6 +665,60 @@ TEST(IntegrityEndToEnd, UnreadableGlobalWeightsSkipEpochEvaluations) {
   EXPECT_EQ(result.corruptions_detected, 1);
 }
 
+TEST(IntegrityEndToEnd, CorruptionAtStartFiresAfterTheInitialWrite) {
+  // A burst planned for the very start of the run must not land before
+  // worker 0's initial write of W_g: that write would re-checksum the
+  // flipped chunk and hide it.  The supervisor holds it until W_g is
+  // initialised, so every run detects it.
+  FaultPlan plan;
+  FaultEvent corrupt;
+  corrupt.kind = FaultKind::kSegmentCorruption;
+  corrupt.target = 0;  // shard 0, replica 0
+  corrupt.start_seconds = 0.0;
+  corrupt.severity = 3;
+  corrupt.sequence = 0x4444;
+  plan.add(corrupt);
+  const FaultInjector injector(plan);
+
+  core::DistTrainOptions options = end_to_end_options();
+  options.smb_replicas = 3;
+  options.integrity = full_integrity();
+  options.faults = &injector;
+  const core::TrainResult result = core::train_shmcaffe(options);
+
+  EXPECT_EQ(result.corruptions_detected, 1);
+  EXPECT_EQ(result.integrity_rollbacks, 0);
+  EXPECT_EQ(result.journal, planned_journal(options));
+}
+
+TEST(IntegrityEndToEnd, RunOutlastsItsLastPlannedCorruption) {
+  // The 3-epoch run would end long before the burst planned at 0.4 s.  The
+  // supervisor holds its stop until the burst has fired, and the final
+  // scrub then detects and repairs it.  With no heartbeat timeout, nothing
+  // but the fault's own deadline can wake the supervisor to release the
+  // hold.
+  FaultPlan plan;
+  FaultEvent corrupt;
+  corrupt.kind = FaultKind::kSegmentCorruption;
+  corrupt.target = 0;  // shard 0, replica 0
+  corrupt.start_seconds = 0.4;
+  corrupt.severity = 3;
+  corrupt.sequence = 0x5555;
+  plan.add(corrupt);
+  const FaultInjector injector(plan);
+
+  core::DistTrainOptions options = small_train_options();
+  options.smb_replicas = 3;
+  options.integrity = full_integrity();
+  options.heartbeat_timeout_seconds = 0.0;
+  options.faults = &injector;
+  const core::TrainResult result = core::train_shmcaffe(options);
+
+  EXPECT_GE(result.wall_seconds, 0.4);
+  EXPECT_EQ(result.corruptions_detected, 1);
+  EXPECT_EQ(result.journal, planned_journal(options));
+}
+
 TEST(IntegrityEndToEnd, GeneratedPlanRunsDeterministically) {
   fault::FaultPlanSpec spec;
   spec.seed = 0xc0ffee;

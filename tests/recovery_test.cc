@@ -437,10 +437,6 @@ TEST(RecoveryEndToEnd, TrainingSurvivesPrimaryFailStopAndWorkerCrash) {
   core::DistTrainOptions options = recovery_train_options();
   options.smb_replicas = 2;
   options.recovery.respawn_crashed = true;
-  // Fence the crashed worker quickly: with the default timeout the mean-
-  // iterations criterion can fire (survivors over-running the target) before
-  // the sweep ever declares the crash, and no re-admission would happen.
-  options.heartbeat_timeout_seconds = 0.15;
   options.faults = &injector;
   const core::TrainResult result = core::train_shmcaffe(options);
 

@@ -33,6 +33,14 @@
 #                             # the AVX2 tree AND a -DSHMCAFFE_SIMD=OFF scalar
 #                             # tree: the SIMD tier must be bitwise identical
 #                             # to the scalar cores, build to build
+#   tools/check.sh stress [N] # the functional end-to-end suites
+#                             # (ElasticEndToEnd, RecoveryEndToEnd,
+#                             # IntegrityEndToEnd, TrainerDegradation*)
+#                             # repeated N times (default 10) in three modes:
+#                             # full width, pinned to one core (taskset -c 0),
+#                             # and next to `nproc` busy-loop processes; prints
+#                             # a pass count per test and mode, and fails on
+#                             # any failure
 #   tools/check.sh bench      # Release build + bench_micro_kernels snapshot
 #                             # into BENCH_kernels.json; refuses to overwrite
 #                             # the baseline on a >20% throughput regression,
@@ -48,10 +56,12 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 JOBS=${JOBS:-$(nproc)}
 FORCE=0
+REPEATS=10
 ARGS=()
 for arg in "$@"; do
   case "$arg" in
     --force) FORCE=1 ;;
+    [0-9]*) REPEATS=$arg ;;
     *) ARGS+=("$arg") ;;
   esac
 done
@@ -65,6 +75,40 @@ run_stage() {
   cmake --build "$build_dir" -j "$JOBS"
   echo "==> [$name] ctest $ctest_args"
   (cd "$build_dir" && ctest --output-on-failure -j "$JOBS" $ctest_args)
+}
+
+# Fails the gate if a per-class count (`sed` script $2 prints "class count"
+# lines) grew in the new report $1 versus LINT_coverage.json.
+fence_classes() {
+  local new_json=$1 extract=$2 field=$3 what=$4
+  if ! awk -v field="$field" 'NR==FNR { old[$1] = $2; next }
+            ($1 in old) && $2 > old[$1] {
+              printf "coverage regression: %s %s %d -> %d\n", $1, field, old[$1], $2
+              bad = 1
+            }
+            END { exit bad }' \
+        <(sed -n "$extract" LINT_coverage.json) <(sed -n "$extract" "$new_json"); then
+    echo "==> [lint] $what grew vs LINT_coverage.json;" \
+         "baseline kept (rerun with --force after review)" >&2
+    rm -f "$new_json"
+    exit 1
+  fi
+}
+
+# Fails the gate if the summary counter $2 of the new report $1 moved the
+# forbidden way ($3: grow or shrink) versus LINT_coverage.json.
+fence_counter() {
+  local new_json=$1 key=$2 forbidden=$3 what=$4
+  local extract="s/.*\"$key\": \\([0-9]*\\).*/\\1/p" old new
+  old=$(sed -n "$extract" LINT_coverage.json | head -1)
+  new=$(sed -n "$extract" "$new_json" | head -1)
+  [[ -n "$old" && -n "$new" ]] || return 0
+  if [[ $forbidden == grow && $new -gt $old ]] || [[ $forbidden == shrink && $new -lt $old ]]; then
+    echo "==> [lint] $what $([[ $forbidden == grow ]] && echo grew || echo shrank)" \
+         "vs LINT_coverage.json ($old -> $new); baseline kept (rerun with --force after review)" >&2
+    rm -f "$new_json"
+    exit 1
+  fi
 }
 
 # Lock-coverage snapshot: `shmcaffe-lint --coverage` against the committed
@@ -95,7 +139,6 @@ lint_coverage_gate() {
   "./$build_dir/tools/lint/shmcaffe-lint" . --coverage > "$new_json"
   local extract='s/.*"class": "\([^"]*\)".*"unguarded": \([0-9]*\), "unannotated": \([0-9]*\).*/\1 \2 \3/p'
   local extract_access='s/.*"class": "\([^"]*\)".*"unguarded_access": \([0-9]*\).*/\1 \2/p'
-  local extract_tainted='s/.*"tainted": \([0-9]*\).*/\1/p'
   if grep -q '"unannotated": [1-9]' "$new_json"; then
     echo "==> [lint] classes with unannotated fields (guarded-by rule should have caught this):" >&2
     sed -n "$extract" "$new_json" | awk '$3 > 0' >&2
@@ -103,116 +146,79 @@ lint_coverage_gate() {
     exit 1
   fi
   if [[ -f LINT_coverage.json && "$FORCE" != 1 ]]; then
-    if ! awk 'NR==FNR { old[$1] = $2; next }
-              ($1 in old) && $2 > old[$1] {
-                printf "coverage regression: %s unguarded %d -> %d\n", $1, old[$1], $2
-                bad = 1
-              }
-              END { exit bad }' \
-          <(sed -n "$extract" LINT_coverage.json) \
-          <(sed -n "$extract" "$new_json"); then
-      echo "==> [lint] unguarded field count grew vs LINT_coverage.json;" \
-           "baseline kept (rerun with --force after review)" >&2
-      rm -f "$new_json"
-      exit 1
-    fi
-    if ! awk 'NR==FNR { old[$1] = $2; next }
-              ($1 in old) && $2 > old[$1] {
-                printf "coverage regression: %s unguarded_access %d -> %d\n", $1, old[$1], $2
-                bad = 1
-              }
-              END { exit bad }' \
-          <(sed -n "$extract_access" LINT_coverage.json) \
-          <(sed -n "$extract_access" "$new_json"); then
-      echo "==> [lint] unguarded guarded-field accesses grew vs LINT_coverage.json;" \
-           "baseline kept (rerun with --force after review)" >&2
-      rm -f "$new_json"
-      exit 1
-    fi
-    local old_tainted new_tainted
-    old_tainted=$(sed -n "$extract_tainted" LINT_coverage.json | head -1)
-    new_tainted=$(sed -n "$extract_tainted" "$new_json" | head -1)
-    if [[ -n "$old_tainted" && -n "$new_tainted" && "$new_tainted" -gt "$old_tainted" ]]; then
-      echo "==> [lint] determinism-tainted statement count grew vs LINT_coverage.json" \
-           "($old_tainted -> $new_tainted); baseline kept (rerun with --force after review)" >&2
-      rm -f "$new_json"
-      exit 1
-    fi
-    local extract_roots='s/.*"deterministic_roots": \([0-9]*\).*/\1/p'
-    local old_roots new_roots
-    old_roots=$(sed -n "$extract_roots" LINT_coverage.json | head -1)
-    new_roots=$(sed -n "$extract_roots" "$new_json" | head -1)
-    if [[ -n "$old_roots" && -n "$new_roots" && "$new_roots" -lt "$old_roots" ]]; then
-      echo "==> [lint] SHMCAFFE_DETERMINISTIC root count shrank vs LINT_coverage.json" \
-           "($old_roots -> $new_roots); baseline kept (rerun with --force after review)" >&2
-      rm -f "$new_json"
-      exit 1
-    fi
-    # The hot-path allocation counters mirror the determinism pair: the
-    # `hot_allocs` count (suppressed allocation sites reachable from
-    # SHMCAFFE_HOT_KERNEL roots, net of justified lint:allow escapes) must
-    # not grow, and the `hot_kernel_roots` count must not shrink — dropping
-    # a root annotation silently un-gates every callee's allocations.
-    local extract_hot_allocs='s/.*"hot_allocs": \([0-9]*\).*/\1/p'
-    local old_hot new_hot
-    old_hot=$(sed -n "$extract_hot_allocs" LINT_coverage.json | head -1)
-    new_hot=$(sed -n "$extract_hot_allocs" "$new_json" | head -1)
-    if [[ -n "$old_hot" && -n "$new_hot" && "$new_hot" -gt "$old_hot" ]]; then
-      echo "==> [lint] hot-kernel allocation count grew vs LINT_coverage.json" \
-           "($old_hot -> $new_hot); baseline kept (rerun with --force after review)" >&2
-      rm -f "$new_json"
-      exit 1
-    fi
-    local extract_hot_roots='s/.*"hot_kernel_roots": \([0-9]*\).*/\1/p'
-    local old_hroots new_hroots
-    old_hroots=$(sed -n "$extract_hot_roots" LINT_coverage.json | head -1)
-    new_hroots=$(sed -n "$extract_hot_roots" "$new_json" | head -1)
-    if [[ -n "$old_hroots" && -n "$new_hroots" && "$new_hroots" -lt "$old_hroots" ]]; then
-      echo "==> [lint] SHMCAFFE_HOT_KERNEL root count shrank vs LINT_coverage.json" \
-           "($old_hroots -> $new_hroots); baseline kept (rerun with --force after review)" >&2
-      rm -f "$new_json"
-      exit 1
-    fi
-    # The blocking-contract counters follow the same grow/shrink discipline:
-    # `blocking_roots` (annotated SHMCAFFE_BLOCKS groups) and
-    # `nonblocking_contracts` (SHMCAFFE_NONBLOCKING groups, each lint-verified
-    # to never reach a blocking root) must not shrink — dropping either kind
-    # of annotation silently weakens the no-blocking-under-lock pass — and
-    # `pin_escapes` (fields + functions annotated SHMCAFFE_PIN_ESCAPE) must
-    # not grow: every new escaped pinned view is a reviewed lifetime hazard.
-    local extract_blocking='s/.*"blocking_roots": \([0-9]*\).*/\1/p'
-    local old_blk new_blk
-    old_blk=$(sed -n "$extract_blocking" LINT_coverage.json | head -1)
-    new_blk=$(sed -n "$extract_blocking" "$new_json" | head -1)
-    if [[ -n "$old_blk" && -n "$new_blk" && "$new_blk" -lt "$old_blk" ]]; then
-      echo "==> [lint] SHMCAFFE_BLOCKS root count shrank vs LINT_coverage.json" \
-           "($old_blk -> $new_blk); baseline kept (rerun with --force after review)" >&2
-      rm -f "$new_json"
-      exit 1
-    fi
-    local extract_contracts='s/.*"nonblocking_contracts": \([0-9]*\).*/\1/p'
-    local old_nbc new_nbc
-    old_nbc=$(sed -n "$extract_contracts" LINT_coverage.json | head -1)
-    new_nbc=$(sed -n "$extract_contracts" "$new_json" | head -1)
-    if [[ -n "$old_nbc" && -n "$new_nbc" && "$new_nbc" -lt "$old_nbc" ]]; then
-      echo "==> [lint] SHMCAFFE_NONBLOCKING contract count shrank vs LINT_coverage.json" \
-           "($old_nbc -> $new_nbc); baseline kept (rerun with --force after review)" >&2
-      rm -f "$new_json"
-      exit 1
-    fi
-    local extract_escapes='s/.*"pin_escapes": \([0-9]*\).*/\1/p'
-    local old_esc new_esc
-    old_esc=$(sed -n "$extract_escapes" LINT_coverage.json | head -1)
-    new_esc=$(sed -n "$extract_escapes" "$new_json" | head -1)
-    if [[ -n "$old_esc" && -n "$new_esc" && "$new_esc" -gt "$old_esc" ]]; then
-      echo "==> [lint] SHMCAFFE_PIN_ESCAPE count grew vs LINT_coverage.json" \
-           "($old_esc -> $new_esc); baseline kept (rerun with --force after review)" >&2
-      rm -f "$new_json"
-      exit 1
-    fi
+    fence_classes "$new_json" "$extract" unguarded "unguarded field count"
+    fence_classes "$new_json" "$extract_access" unguarded_access \
+        "unguarded guarded-field accesses"
+    # Suppressed allocation sites reachable from SHMCAFFE_HOT_KERNEL roots
+    # (net of justified lint:allow escapes) and audited SHMCAFFE_PIN_ESCAPE
+    # sites must not grow; the annotated root and contract groups must not
+    # shrink — dropping one silently un-gates every callee.
+    fence_counter "$new_json" tainted grow "determinism-tainted statement count"
+    fence_counter "$new_json" deterministic_roots shrink "SHMCAFFE_DETERMINISTIC root count"
+    fence_counter "$new_json" hot_allocs grow "hot-kernel allocation count"
+    fence_counter "$new_json" hot_kernel_roots shrink "SHMCAFFE_HOT_KERNEL root count"
+    fence_counter "$new_json" blocking_roots shrink "SHMCAFFE_BLOCKS root count"
+    fence_counter "$new_json" nonblocking_contracts shrink \
+        "SHMCAFFE_NONBLOCKING contract count"
+    fence_counter "$new_json" pin_escapes grow "SHMCAFFE_PIN_ESCAPE count"
   fi
   mv "$new_json" LINT_coverage.json
   echo "==> [lint] snapshot written to LINT_coverage.json"
+}
+
+# Schedule-independence gate: every functional end-to-end test must pass
+# whatever the core count or load, on every repeat.  Each suite runs
+# in-process N times (--gtest_repeat) per mode; a pass is an "[ OK ]" line,
+# so a crashed binary shows up as missing passes.
+STRESS_SUITES=("elastic_test:ElasticEndToEnd.*" "recovery_test:RecoveryEndToEnd.*"
+               "integrity_test:IntegrityEndToEnd.*" "fault_test:*TrainerDegradation*")
+HOGS=()
+stop_hogs() {
+  if (( ${#HOGS[@]} > 0 )); then kill "${HOGS[@]}" 2>/dev/null || true; fi
+  HOGS=()
+}
+trap stop_hogs EXIT
+
+stress_stage() {
+  local repeats=$1
+  echo "==> [stress] configure + build (build)"
+  cmake -B build -S . >/dev/null
+  cmake --build build -j "$JOBS" --target elastic_test recovery_test integrity_test fault_test
+  local failed=0 mode suite log
+  for mode in full pinned loaded; do
+    local prefix=()
+    case "$mode" in
+      pinned) prefix=(taskset -c 0) ;;
+      loaded)
+        for _ in $(seq "$(nproc)"); do
+          (while :; do :; done) &
+          HOGS+=($!)
+        done
+        ;;
+    esac
+    echo "==> [stress] $mode: $repeats repeats"
+    log=$(mktemp)
+    for suite in "${STRESS_SUITES[@]}"; do
+      "${prefix[@]}" "./build/tests/${suite%%:*}" --gtest_filter="${suite#*:}" \
+          --gtest_repeat="$repeats" >>"$log" 2>&1 || failed=1
+    done
+    stop_hogs
+    awk -v repeats="$repeats" '
+      / ms\)$/ && /^\[       OK \]/ { name = $4; pass[name]++; seen[name] = 1 }
+      / ms\)$/ && /^\[  FAILED  \]/ { name = $4; sub(/,$/, "", name); seen[name] = 1 }
+      END {
+        for (name in seen) {
+          printf "    %d/%d  %s\n", pass[name], repeats, name
+          if (pass[name] < repeats) bad = 1
+        }
+        exit bad
+      }' "$log" | sort -k2 || failed=1
+    rm -f "$log"
+  done
+  if (( failed )); then
+    echo "==> [stress] failures above" >&2
+    exit 1
+  fi
 }
 
 MATRIX_START=$(date +%s)
@@ -385,8 +391,11 @@ for stage in "${STAGES[@]}"; do
       mv "$new_json" BENCH_kernels.json
       echo "==> [bench] snapshot written to BENCH_kernels.json"
       ;;
+    stress)
+      stress_stage "$REPEATS"
+      ;;
     *)
-      echo "unknown stage '$stage' (expected plain|tsan|asan|lint|recovery|elastic|integrity|simd|bench)" >&2
+      echo "unknown stage '$stage' (expected plain|tsan|asan|lint|recovery|elastic|integrity|simd|stress|bench)" >&2
       exit 2
       ;;
   esac
