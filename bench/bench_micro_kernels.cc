@@ -321,9 +321,10 @@ void bench_smb_accumulate(int threads) {
        "gelems", 3.0 * kSpanBytes, checksum(out.data(), out.size()));
 }
 
-// The SIMD kernel core against a plain scalar loop over the same span, both
-// single-threaded: the per-element win of the 8-wide tier in isolation (the
-// seasgd_exchange rows above measure it end-to-end through the work pool).
+// The simd.h exchange core against an inline scalar loop over the same span,
+// both single-threaded.  The core is itself a plain loop (its intrinsics
+// measured no faster), so the pair shows what the compiler makes of each;
+// the seasgd_exchange rows above measure it end-to-end through the pool.
 void bench_exchange_core() {
   common::Rng rng(17);
   std::vector<float> local(kSpan);

@@ -8,13 +8,19 @@
 // tools/check.sh builds this configuration and re-runs the
 // kernel-equivalence tests against it).
 //
+// Only axpy carries intrinsics: it is the one core whose intrinsics
+// measured faster than the plain loop (conv forward, BENCH_kernels.json).
+// The add, sub and SEASGD exchange cores are plain loops on every tier —
+// hand-written intrinsics bought nothing there, and the compiler is free to
+// vectorise the loops itself under the same bitwise contract.
+//
 // Bitwise-identity contract (the reason these kernels are safe to adopt
 // under the determinism story of common/parallel.h):
 //
-//   * Only *lane-independent elementwise* operations are vectorised —
-//     axpy, add/sub, the SEASGD exchange algebra.  Each output element is
-//     a fixed expression of same-index inputs, so lane width cannot change
-//     results: an 8-wide lane computes exactly the scalar expression.
+//   * Every core is a *lane-independent elementwise* operation — axpy,
+//     add/sub, the SEASGD exchange algebra.  Each output element is a fixed
+//     expression of same-index inputs, so lane width cannot change results:
+//     an 8-wide lane computes exactly the scalar expression.
 //   * Multiplies and adds stay *separate* instructions (no FMA
 //     intrinsics, and the build never passes -mfma): a fused
 //     multiply-add skips the intermediate rounding and would make the
@@ -104,74 +110,19 @@ inline void axpy(std::size_t n, float a, const float* x, float* y) {
 
 /// dst[i] += src[i].  The SMB server-side accumulate core (eq. 7).
 inline void add_inplace(std::size_t n, float* dst, const float* src) {
-#if defined(SHMCAFFE_SIMD_AVX2)
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m256 a0 = _mm256_add_ps(_mm256_loadu_ps(dst + i), _mm256_loadu_ps(src + i));
-    const __m256 a1 =
-        _mm256_add_ps(_mm256_loadu_ps(dst + i + 8), _mm256_loadu_ps(src + i + 8));
-    _mm256_storeu_ps(dst + i, a0);
-    _mm256_storeu_ps(dst + i + 8, a1);
-  }
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(dst + i,
-                     _mm256_add_ps(_mm256_loadu_ps(dst + i), _mm256_loadu_ps(src + i)));
-  }
-  for (; i < n; ++i) dst[i] += src[i];
-#elif defined(SHMCAFFE_SIMD_SSE2)
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm_storeu_ps(dst + i, _mm_add_ps(_mm_loadu_ps(dst + i), _mm_loadu_ps(src + i)));
-  }
-  for (; i < n; ++i) dst[i] += src[i];
-#else
   for (std::size_t i = 0; i < n; ++i) dst[i] += src[i];
-#endif
 }
 
 /// dst[i] -= src[i].  Eq. (6) half of the exchange.
 inline void sub_inplace(std::size_t n, float* dst, const float* src) {
-#if defined(SHMCAFFE_SIMD_AVX2)
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(dst + i,
-                     _mm256_sub_ps(_mm256_loadu_ps(dst + i), _mm256_loadu_ps(src + i)));
-  }
-  for (; i < n; ++i) dst[i] -= src[i];
-#elif defined(SHMCAFFE_SIMD_SSE2)
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm_storeu_ps(dst + i, _mm_sub_ps(_mm_loadu_ps(dst + i), _mm_loadu_ps(src + i)));
-  }
-  for (; i < n; ++i) dst[i] -= src[i];
-#else
   for (std::size_t i = 0; i < n; ++i) dst[i] -= src[i];
-#endif
 }
 
 /// delta[i] = alpha * (local[i] - global[i]) — eq. (5), the SEASGD weight
 /// increment.  mul after sub, never fused.
 inline void weight_increment_core(std::size_t n, const float* local, const float* global,
                                   float alpha, float* delta) {
-#if defined(SHMCAFFE_SIMD_AVX2)
-  const __m256 av = _mm256_set1_ps(alpha);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 diff = _mm256_sub_ps(_mm256_loadu_ps(local + i), _mm256_loadu_ps(global + i));
-    _mm256_storeu_ps(delta + i, _mm256_mul_ps(av, diff));
-  }
-  for (; i < n; ++i) delta[i] = alpha * (local[i] - global[i]);
-#elif defined(SHMCAFFE_SIMD_SSE2)
-  const __m128 av = _mm_set1_ps(alpha);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128 diff = _mm_sub_ps(_mm_loadu_ps(local + i), _mm_loadu_ps(global + i));
-    _mm_storeu_ps(delta + i, _mm_mul_ps(av, diff));
-  }
-  for (; i < n; ++i) delta[i] = alpha * (local[i] - global[i]);
-#else
   for (std::size_t i = 0; i < n; ++i) delta[i] = alpha * (local[i] - global[i]);
-#endif
 }
 
 /// Fused eqs. (5)+(6): delta[i] = alpha*(local[i]-global[i]);
@@ -180,43 +131,11 @@ inline void weight_increment_core(std::size_t n, const float* local, const float
 /// form where `global` is a span directly into SMB segment storage.
 inline void elastic_exchange_core(std::size_t n, float* local, const float* global,
                                   float alpha, float* delta) {
-#if defined(SHMCAFFE_SIMD_AVX2)
-  const __m256 av = _mm256_set1_ps(alpha);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 lv = _mm256_loadu_ps(local + i);
-    const __m256 diff = _mm256_sub_ps(lv, _mm256_loadu_ps(global + i));
-    const __m256 d = _mm256_mul_ps(av, diff);
-    _mm256_storeu_ps(delta + i, d);
-    _mm256_storeu_ps(local + i, _mm256_sub_ps(lv, d));
-  }
-  for (; i < n; ++i) {
-    const float d = alpha * (local[i] - global[i]);
-    delta[i] = d;
-    local[i] -= d;
-  }
-#elif defined(SHMCAFFE_SIMD_SSE2)
-  const __m128 av = _mm_set1_ps(alpha);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128 lv = _mm_loadu_ps(local + i);
-    const __m128 diff = _mm_sub_ps(lv, _mm_loadu_ps(global + i));
-    const __m128 d = _mm_mul_ps(av, diff);
-    _mm_storeu_ps(delta + i, d);
-    _mm_storeu_ps(local + i, _mm_sub_ps(lv, d));
-  }
-  for (; i < n; ++i) {
-    const float d = alpha * (local[i] - global[i]);
-    delta[i] = d;
-    local[i] -= d;
-  }
-#else
   for (std::size_t i = 0; i < n; ++i) {
     const float d = alpha * (local[i] - global[i]);
     delta[i] = d;
     local[i] -= d;
   }
-#endif
 }
 
 /// FNV-1a over `bytes` of `data`, folding 8 bytes per multiply with a

@@ -251,13 +251,8 @@ smb::PinnedFloats ReplicatedSmb::read_pinned(Handle handle, std::size_t count,
 void ReplicatedSmb::mirror_mutation_locked(std::initializer_list<LogicalSegment*> segments,
                                            const MutationFn& op)
     SHMCAFFE_REQUIRES(mirror_mutex_) {
-  mirror_mutation_tagged_locked(segments, op, OpTag{kMirrorWriter, ++mirror_seq_});
-}
-
-void ReplicatedSmb::mirror_mutation_tagged_locked(
-    std::initializer_list<LogicalSegment*> segments, const MutationFn& op, OpTag tag)
-    SHMCAFFE_REQUIRES(mirror_mutex_) {
   SHMCAFFE_ASSERT_HELD(mirror_mutex_);
+  const OpTag tag{kMirrorWriter, ++mirror_seq_};
   std::vector<bool> applied(replicas_.size(), false);
   for (;;) {
     require_live_locked();
@@ -324,17 +319,6 @@ void ReplicatedSmb::accumulate(Handle src, Handle dst) {
   });
 }
 
-void ReplicatedSmb::copy_segment(Handle src, Handle dst) {
-  std::scoped_lock lock(mirror_mutex_);
-  LogicalSegment& source = segment_locked(src);
-  LogicalSegment& dest = segment_locked(dst);
-  // Same mirror-total-order argument as write().
-  // lint:allow-next-line(no-blocking-under-lock)
-  mirror_mutation_locked({&source, &dest}, [&](std::size_t i, OpTag tag) {
-    replicas_[i]->copy_segment_tagged(source.physical[i], dest.physical[i], tag);
-  });
-}
-
 std::int64_t ReplicatedSmb::load(Handle handle, std::size_t index) const {
   std::scoped_lock lock(mirror_mutex_);
   LogicalSegment& segment = segment_locked(handle);
@@ -390,48 +374,6 @@ std::int64_t ReplicatedSmb::fetch_add(Handle handle, std::size_t index, std::int
     // Retry only if *no* replica applied the op — fetch_add is not
     // idempotent, so a partial application must not be replayed.
     if (result.has_value()) return *result;
-  }
-}
-
-std::int64_t ReplicatedSmb::min_value(Handle handle) const {
-  std::scoped_lock lock(mirror_mutex_);
-  LogicalSegment& segment = segment_locked(handle);
-  for (;;) {
-    require_live_locked();
-    ensure_resolved_locked(segment);
-    try {
-      return replicas_[active_]->min_value(segment.physical[active_]);
-    } catch (const SmbUnavailable&) {
-      mark_failed_locked(active_);
-    }
-  }
-}
-
-std::int64_t ReplicatedSmb::max_value(Handle handle) const {
-  std::scoped_lock lock(mirror_mutex_);
-  LogicalSegment& segment = segment_locked(handle);
-  for (;;) {
-    require_live_locked();
-    ensure_resolved_locked(segment);
-    try {
-      return replicas_[active_]->max_value(segment.physical[active_]);
-    } catch (const SmbUnavailable&) {
-      mark_failed_locked(active_);
-    }
-  }
-}
-
-std::int64_t ReplicatedSmb::sum(Handle handle) const {
-  std::scoped_lock lock(mirror_mutex_);
-  LogicalSegment& segment = segment_locked(handle);
-  for (;;) {
-    require_live_locked();
-    ensure_resolved_locked(segment);
-    try {
-      return replicas_[active_]->sum(segment.physical[active_]);
-    } catch (const SmbUnavailable&) {
-      mark_failed_locked(active_);
-    }
   }
 }
 
@@ -506,34 +448,6 @@ std::vector<int> ReplicatedSmb::failover_log() const {
   return failover_log_;
 }
 
-void ReplicatedSmb::write_tagged(Handle handle, std::span<const float> src, std::size_t offset,
-                                 OpTag tag) {
-  std::scoped_lock lock(mirror_mutex_);
-  LogicalSegment& segment = segment_locked(handle);
-  if (!tag.tagged()) tag = OpTag{kMirrorWriter, ++mirror_seq_};
-  // Same mirror-total-order argument as write().
-  // lint:allow-next-line(no-blocking-under-lock)
-  mirror_mutation_tagged_locked(
-      {&segment},
-      [&](std::size_t i, OpTag t) { replicas_[i]->write_tagged(segment.physical[i], src, offset, t); },
-      tag);
-}
-
-void ReplicatedSmb::accumulate_tagged(Handle src, Handle dst, OpTag tag) {
-  std::scoped_lock lock(mirror_mutex_);
-  LogicalSegment& source = segment_locked(src);
-  LogicalSegment& dest = segment_locked(dst);
-  if (!tag.tagged()) tag = OpTag{kMirrorWriter, ++mirror_seq_};
-  // Same mirror-total-order argument as write().
-  // lint:allow-next-line(no-blocking-under-lock)
-  mirror_mutation_tagged_locked(
-      {&source, &dest},
-      [&](std::size_t i, OpTag t) {
-        replicas_[i]->accumulate_tagged(source.physical[i], dest.physical[i], t);
-      },
-      tag);
-}
-
 bool ReplicatedSmb::vote_and_repair_locked(LogicalSegment& segment, const OpTag* inflight,
                                            const std::vector<bool>* applied) const
     SHMCAFFE_REQUIRES(mirror_mutex_) {
@@ -563,7 +477,7 @@ bool ReplicatedSmb::vote_and_repair_locked(LogicalSegment& segment, const OpTag*
 
   // If the in-flight mutation already landed on some replica, only copies
   // that applied it may vote: a winner drawn from the others would silently
-  // roll the op back while the caller's retry gets replay-dropped.  No clean
+  // roll the op back while the fan-out's retry gets replay-dropped.  No clean
   // applied copy -> the op survives only on corrupt copies -> unrepairable.
   const bool applied_any = inflight != nullptr && applied != nullptr &&
                            [&] {
@@ -606,7 +520,7 @@ bool ReplicatedSmb::vote_and_repair_locked(LogicalSegment& segment, const OpTag*
   // Rewrite every live copy that diverges from the winner.  Replicas that
   // already recorded the in-flight tag would drop a tagged rewrite, so they
   // are healed with an untagged write; replicas that have not applied the op
-  // are rewritten under the in-flight tag itself, so the caller's replay is
+  // are rewritten under the in-flight tag itself, so the fan-out's replay is
   // dropped there instead of double-applying on top of the healed content.
   std::vector<float> content(segment.count);
   for (std::size_t i = 0; i < n; ++i) {

@@ -6,9 +6,10 @@
 // over N functional SmbServers, so the Fig. 6 two-thread protocol keeps
 // running across a primary fail-stop.
 //
-//   * Mirrored mutations.  Every float-path mutation (write / accumulate /
-//     copy) fans out to all live replicas under one exclusive mirror mutex,
-//     stamped with an OpTag (ensemble id + strictly increasing sequence).
+//   * Mirrored mutations.  Every float-path mutation (write / accumulate)
+//     fans out to all live replicas under one exclusive mirror mutex,
+//     stamped with an OpTag (ensemble id + strictly increasing sequence)
+//     through SmbServer::write_tagged / accumulate_tagged.
 //     The single total order keeps replica contents bit-identical; the tag
 //     makes the replay of the last in-flight op after a failover idempotent
 //     (a replica that already applied it drops the replay — see
@@ -87,20 +88,10 @@ class ReplicatedSmb final : public smb::SmbService {
       smb::Handle handle, std::size_t count, std::size_t offset = 0) const override;
   void write(smb::Handle handle, std::span<const float> src, std::size_t offset = 0) override;
   void accumulate(smb::Handle src, smb::Handle dst) override;
-  void copy_segment(smb::Handle src, smb::Handle dst) override;
-  /// Caller-tagged mutations (idempotent client retry): the caller's tag —
-  /// not a fresh mirror tag — is fanned out to every replica, so a resend
-  /// of the same tag is dropped ensemble-wide.
-  void write_tagged(smb::Handle handle, std::span<const float> src, std::size_t offset,
-                    smb::OpTag tag) override;
-  void accumulate_tagged(smb::Handle src, smb::Handle dst, smb::OpTag tag) override;
 
   [[nodiscard]] std::int64_t load(smb::Handle handle, std::size_t index) const override;
   void store(smb::Handle handle, std::size_t index, std::int64_t value) override;
   std::int64_t fetch_add(smb::Handle handle, std::size_t index, std::int64_t delta) override;
-  [[nodiscard]] std::int64_t min_value(smb::Handle handle) const override;
-  [[nodiscard]] std::int64_t max_value(smb::Handle handle) const override;
-  [[nodiscard]] std::int64_t sum(smb::Handle handle) const override;
 
   [[nodiscard]] std::uint64_t version(smb::Handle handle) const override;
   SHMCAFFE_BLOCKS std::optional<std::uint64_t> wait_version_at_least(
@@ -172,17 +163,13 @@ class ReplicatedSmb final : public smb::SmbService {
   /// on every live replica (attach + release) and stamps the new epoch.
   void ensure_resolved_locked(LogicalSegment& segment) const
       SHMCAFFE_REQUIRES(mirror_mutex_);
-  /// Fans a tagged float-path mutation out to all live replicas; on a
-  /// fail-stop mid-fan-out, fails over and replays the op under the same
-  /// tag (survivors that already applied it drop the replay).
+  /// Stamps a float-path mutation with the next mirror tag and fans it out
+  /// to all live replicas.  On a fail-stop mid-fan-out, fails over and
+  /// replays the op under the same tag (survivors that already applied it
+  /// drop the replay).  A checksum mismatch on one replica triggers a
+  /// vote-and-repair of the touched segments, then the same replay.
   void mirror_mutation_locked(std::initializer_list<LogicalSegment*> segments,
                               const MutationFn& op) SHMCAFFE_REQUIRES(mirror_mutex_);
-  /// Same, under a caller-supplied tag.  A checksum mismatch on one replica
-  /// triggers a vote-and-repair of the touched segments, then a retry of
-  /// the whole fan-out under the same tag.
-  void mirror_mutation_tagged_locked(std::initializer_list<LogicalSegment*> segments,
-                                     const MutationFn& op, smb::OpTag tag)
-      SHMCAFFE_REQUIRES(mirror_mutex_);
   /// Repairs `segment` by content vote among the verify-clean replicas and
   /// rewrites every divergent copy with the winner.  When called from a
   /// mutation fan-out, `inflight`/`applied` say which replicas already

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
-#include <limits>
 #include <set>
 #include <thread>
 
@@ -232,7 +231,7 @@ PinnedFloats SmbServer::read_pinned(Handle handle, std::size_t count,
       throw SmbError("read out of segment bounds");
     }
     // Verification happens ONCE, at pin time: the epoch is immutable while
-    // pinned (writers clone or wait), so re-verifying per consumer of the
+    // pinned (writers clone it), so re-verifying per consumer of the
     // view would re-hash bytes that cannot have changed.
     if (options_.integrity.verify_on_read) {
       verify_chunks_locked(*segment, offset, count);
@@ -247,45 +246,30 @@ PinnedFloats SmbServer::read_pinned(Handle handle, std::size_t count,
     stats_.bytes_pinned += static_cast<std::int64_t>(count * sizeof(float));
   }
   const std::span<const float> view{epoch->data.data() + offset, count};
-  return PinnedFloats(
-      view, [segment, epoch = std::move(epoch)] {
-        {
-          // The decrement happens under the data mutex so a kBlockWriters
-          // waiter between predicate check and sleep cannot miss the wakeup.
-          std::scoped_lock lock(segment->data_mutex);
-          epoch->pins.fetch_sub(1, std::memory_order_relaxed);
-          segment->pins_released.fetch_add(1, std::memory_order_relaxed);
-        }
-        segment->version_cv.notify_all();
-      });
+  return PinnedFloats(view, [segment, epoch = std::move(epoch)] {
+    // The decrement happens under the data mutex, so the reader's last use
+    // of the view happens-before a writer that then mutates in place.
+    std::scoped_lock lock(segment->data_mutex);
+    epoch->pins.fetch_sub(1, std::memory_order_relaxed);
+    segment->pins_released.fetch_add(1, std::memory_order_relaxed);
+  });
 }
 
-void SmbServer::prepare_write_locked(Segment& segment,
-                                     std::unique_lock<common::OrderedMutex>& lock)
-    SHMCAFFE_REQUIRES(segment.data_mutex) {
+void SmbServer::prepare_write_locked(Segment& segment) SHMCAFFE_REQUIRES(segment.data_mutex) {
   SHMCAFFE_ASSERT_HELD(segment.data_mutex);
   if (segment.storage->pins.load(std::memory_order_relaxed) == 0) return;
-  if (options_.pin_write_policy == PinWritePolicy::kCopyOnWrite) {
-    // COW clone control block: only taken while readers hold pins, and the
-    // float payload itself is arena-backed.
-    // lint:allow-next-line(no-hot-alloc) see above
-    auto fresh = std::make_shared<SegmentStorage>();
-    const std::size_t count = segment.storage->data.size();
-    fresh->data.ensure(count);
-    std::memcpy(fresh->data.data(), segment.storage->data.data(), count * sizeof(float));
-    // The retired epoch stays alive — and immutable — through the
-    // shared_ptr held by each outstanding pinned view.
-    segment.storage = std::move(fresh);
-    std::unique_lock table(table_mutex_);
-    stats_.cow_clones += 1;
-  } else {
-    segment.version_cv.wait(lock, [&] {
-      return failed() || segment.storage->pins.load(std::memory_order_relaxed) == 0;
-    });
-    if (failed()) {
-      throw SmbUnavailable("SMB server fail-stopped while a writer waited on pinned readers");
-    }
-  }
+  // COW clone control block: only taken while readers hold pins, and the
+  // float payload itself is arena-backed.
+  // lint:allow-next-line(no-hot-alloc) see above
+  auto fresh = std::make_shared<SegmentStorage>();
+  const std::size_t count = segment.storage->data.size();
+  fresh->data.ensure(count);
+  std::memcpy(fresh->data.data(), segment.storage->data.data(), count * sizeof(float));
+  // The retired epoch stays alive — and immutable — through the
+  // shared_ptr held by each outstanding pinned view.
+  segment.storage = std::move(fresh);
+  std::unique_lock table(table_mutex_);
+  stats_.cow_clones += 1;
 }
 
 bool SmbServer::replayed_locked(Segment& segment, OpTag tag)
@@ -322,7 +306,7 @@ void SmbServer::write_tagged(Handle handle, std::span<const float> src, std::siz
   }
   bool torn = false;
   {
-    std::unique_lock lock(segment->data_mutex);
+    std::scoped_lock lock(segment->data_mutex);
     if (offset + src.size() > segment->storage->data.size()) {
       throw SmbError("write out of segment bounds");
     }
@@ -331,10 +315,10 @@ void SmbServer::write_tagged(Handle handle, std::span<const float> src, std::siz
       stats_.replays_dropped += 1;
       return;
     }
-    // Pin policy first: after this the live storage has no outstanding
-    // readers (kBlockWriters) or is a private clone (kCopyOnWrite), so the
-    // mutation below can never move floats under a pinned view.
-    prepare_write_locked(*segment, lock);
+    // Copy-on-write first: after this the live storage has no outstanding
+    // pinned readers, so the mutation below can never move floats under a
+    // pinned view.
+    prepare_write_locked(*segment);
     float* const floats = segment->storage->data.data();
     if (torn_fraction < 0.0 || src.empty()) {
       std::copy_n(src.begin(), src.size(), floats + offset);
@@ -405,7 +389,7 @@ void SmbServer::accumulate_tagged(Handle src, Handle dst, OpTag tag) {
                 scratch.size() * sizeof(float));
   }
   {
-    std::unique_lock lock(d->data_mutex);
+    std::scoped_lock lock(d->data_mutex);
     if (scratch.size() != d->storage->data.size()) {
       throw SmbError("accumulate requires equal segment sizes");
     }
@@ -421,7 +405,7 @@ void SmbServer::accumulate_tagged(Handle src, Handle dst, OpTag tag) {
       stats_.replays_dropped += 1;
       return;
     }
-    prepare_write_locked(*d, lock);
+    prepare_write_locked(*d);
     float* out = d->storage->data.data();
     const float* in = scratch.data();
     // The accumulate is served *inside* the destination's write lock by
@@ -442,47 +426,6 @@ void SmbServer::accumulate_tagged(Handle src, Handle dst, OpTag tag) {
   d->version_cv.notify_all();
   std::unique_lock table(table_mutex_);
   stats_.accumulates += 1;
-}
-
-void SmbServer::copy_segment(Handle src, Handle dst) {
-  copy_segment_tagged(src, dst, OpTag{});
-}
-
-void SmbServer::copy_segment_tagged(Handle src, Handle dst, OpTag tag) {
-  block_while_frozen();
-  if (src == dst) return;
-  const std::shared_ptr<Segment> s = find(src, Kind::kFloats);
-  const std::shared_ptr<Segment> d = find(dst, Kind::kFloats);
-  // Snapshot-then-apply like accumulate: taking the destination lock alone
-  // lets prepare_write_locked wait out pinned readers (kBlockWriters)
-  // without holding the source lock across the wait.
-  static thread_local common::arena::Buffer scratch{"smb.copy.scratch"};
-  {
-    std::scoped_lock lock(s->data_mutex);
-    if (options_.integrity.verify_on_read) {
-      verify_chunks_locked(*s, 0, s->storage->data.size());
-    }
-    scratch.ensure(s->storage->data.size());
-    std::memcpy(scratch.data(), s->storage->data.data(),
-                scratch.size() * sizeof(float));
-  }
-  {
-    std::unique_lock lock(d->data_mutex);
-    if (scratch.size() != d->storage->data.size()) {
-      throw SmbError("copy requires equal segment sizes");
-    }
-    if (replayed_locked(*d, tag)) {
-      std::unique_lock table(table_mutex_);
-      stats_.replays_dropped += 1;
-      return;
-    }
-    prepare_write_locked(*d, lock);
-    std::memcpy(d->storage->data.data(), scratch.data(),
-                scratch.size() * sizeof(float));
-    refresh_chunks_locked(*d, 0, d->storage->data.size());
-    d->version += 1;
-  }
-  d->version_cv.notify_all();
 }
 
 std::uint64_t SmbServer::chunk_checksum(const float* data, std::size_t count) {
@@ -596,7 +539,7 @@ std::size_t SmbServer::corrupt_floats(ShmKey key, std::uint64_t marker, int bit_
   }
   if (segment->kind != Kind::kFloats) return 0;
   common::Rng rng(marker);
-  // Deliberately bypasses the pin policy: silent corruption does not
+  // Deliberately skips the copy-on-write: silent corruption does not
   // announce itself, so a pinned view may observe the flipped bits — that
   // is the fault being modelled (verification happened at pin time).
   std::scoped_lock lock(segment->data_mutex);
@@ -647,47 +590,10 @@ std::int64_t SmbServer::fetch_add(Handle handle, std::size_t index, std::int64_t
   return segment->counters[index].fetch_add(delta, std::memory_order_seq_cst);
 }
 
-std::int64_t SmbServer::min_value(Handle handle) const {
-  const std::shared_ptr<Segment> segment = find(handle, Kind::kCounters);
-  std::int64_t result = std::numeric_limits<std::int64_t>::max();
-  for (const auto& counter : segment->counters) {
-    result = std::min(result, counter.load(std::memory_order_seq_cst));
-  }
-  return result;
-}
-
-std::int64_t SmbServer::max_value(Handle handle) const {
-  const std::shared_ptr<Segment> segment = find(handle, Kind::kCounters);
-  std::int64_t result = std::numeric_limits<std::int64_t>::min();
-  for (const auto& counter : segment->counters) {
-    result = std::max(result, counter.load(std::memory_order_seq_cst));
-  }
-  return result;
-}
-
-std::int64_t SmbServer::sum(Handle handle) const {
-  const std::shared_ptr<Segment> segment = find(handle, Kind::kCounters);
-  std::int64_t result = 0;
-  for (const auto& counter : segment->counters) {
-    result += counter.load(std::memory_order_seq_cst);
-  }
-  return result;
-}
-
 std::uint64_t SmbServer::version(Handle handle) const {
   const std::shared_ptr<Segment> segment = find(handle, Kind::kFloats);
   std::scoped_lock lock(segment->data_mutex);
   return segment->version;
-}
-
-std::uint64_t SmbServer::wait_version_at_least(Handle handle, std::uint64_t min_version) const {
-  // Thin forwarder: an "infinite" wait is a sequence of bounded waits, so
-  // all blocking funnels through the single deadline implementation.
-  for (;;) {
-    const std::optional<std::uint64_t> seen =
-        wait_version_at_least(handle, min_version, std::chrono::seconds(1));
-    if (seen.has_value()) return *seen;
-  }
 }
 
 std::optional<std::uint64_t> SmbServer::wait_version_at_least(

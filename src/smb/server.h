@@ -13,8 +13,11 @@
 // threads — it is what the functional distributed-training experiments talk
 // to.  A timing twin over the simulated RDMA stack lives in sim_smb.h.
 // SmbServer implements the abstract SmbService surface (service.h), so
-// everything above it (clients, the sharded buffer, the progress board)
-// works identically against a replicated ensemble.
+// everything above it (the trainer, the sharded buffer, the progress board)
+// works identically against a replicated ensemble.  On top of that surface
+// it offers what the ensemble (src/recovery/replicated_smb.h) needs for
+// idempotent replay and read-repair — OpTag-guarded mutations, raw reads,
+// whole-segment verification — and the fault-injection hooks below.
 //
 // Two segment kinds exist:
 //   * float segments    — DNN parameter buffers (read/write/accumulate)
@@ -45,12 +48,23 @@
 
 namespace shmcaffe::smb {
 
+/// Identity of one mirrored mutation, used for idempotent replay.  A
+/// mirroring agent stamps each float-path mutation with its own id and a
+/// strictly increasing sequence number; a server that already applied the
+/// tag drops the replay instead of double-applying it (the "last in-flight
+/// op" replayed after a failover must be exactly-once per replica).
+struct OpTag {
+  std::uint64_t writer = 0;  ///< mirroring-agent id (0 = untagged)
+  std::uint64_t sequence = 0;  ///< strictly increasing per writer; 0 = untagged
+  [[nodiscard]] bool tagged() const { return writer != 0 && sequence != 0; }
+};
+
 /// Data-integrity policy for float segments.  Off by default: checksum
 /// maintenance taxes every write/accumulate, so the fault-free hot path
 /// stays byte-for-byte what it was before the integrity layer existed.
 struct SmbIntegrityOptions {
   /// Maintain per-chunk FNV-1a checksums, updated incrementally by every
-  /// write / accumulate / copy to a float segment.
+  /// write / accumulate to a float segment.
   bool checksum_chunks = false;
   /// Verify the checksums of the touched range before serving a read and
   /// before accumulating into (or snapshotting from) a segment, throwing
@@ -69,10 +83,6 @@ struct SmbServerOptions {
   /// 256 GB; tests use small values to exercise exhaustion).
   std::int64_t capacity_bytes = 8LL << 30;
   SmbIntegrityOptions integrity;
-  /// What a writer does while pinned zero-copy read views are outstanding
-  /// (see SmbService::read_pinned).  Copy-on-write by default: writers
-  /// never stall on readers, matching the paper's asynchronous exchange.
-  PinWritePolicy pin_write_policy = PinWritePolicy::kCopyOnWrite;
 };
 
 /// Cumulative operation statistics (for reports and tests).
@@ -93,8 +103,7 @@ struct SmbServerStats {
   std::uint64_t torn_writes_applied = 0;
   /// Zero-copy pinned reads served (read_pinned).
   std::uint64_t pinned_reads = 0;
-  /// Storage epochs cloned because a writer hit an outstanding pin under
-  /// PinWritePolicy::kCopyOnWrite.
+  /// Storage epochs cloned because a writer hit an outstanding pin.
   std::uint64_t cow_clones = 0;
   /// Bytes served by copy reads only.  Pinned reads move no bytes, so they
   /// are accounted under bytes_pinned instead of inflating this.
@@ -139,10 +148,10 @@ class SmbServer final : public SmbService {
   /// Zero-copy read: pins the segment's current storage epoch and returns a
   /// span directly into it (no bytes move; counted under bytes_pinned, not
   /// bytes_read).  Checksums of the range are verified once, at pin time.
-  /// While the view is live, writers follow options().pin_write_policy —
-  /// clone the storage (copy-on-write) or block until the unpin.  The
-  /// corrupt_floats fault hook deliberately bypasses the policy: silent
-  /// corruption does not announce itself to readers.
+  /// While the view is live, a writer clones the storage (copy-on-write)
+  /// and never waits for the unpin, matching the paper's asynchronous
+  /// exchange.  The corrupt_floats fault hook deliberately skips the clone:
+  /// silent corruption does not announce itself to readers.
   [[nodiscard]] SHMCAFFE_PIN_ESCAPE PinnedFloats read_pinned(
       Handle handle, std::size_t count, std::size_t offset = 0) const override;
 
@@ -156,19 +165,15 @@ class SmbServer final : public SmbService {
   /// pool width (see common/parallel.h).
   void accumulate(Handle src, Handle dst) override;
 
-  /// Overwrite-style accumulate used for initialisation: dst[i] = src[i].
-  void copy_segment(Handle src, Handle dst) override;
-
   // --- tagged (idempotent) mutations -------------------------------------
   // Mirrored variants used by the recovery layer: the mutation is applied at
   // most once per OpTag — a replay of the last in-flight op after a failover
-  // is dropped (and counted in stats().replays_dropped) instead of applied
-  // twice.  An untagged OpTag degenerates to the plain op.
+  // or a repair is dropped (and counted in stats().replays_dropped) instead
+  // of applied twice.  An untagged OpTag degenerates to the plain op.
 
-  SHMCAFFE_HOT_KERNEL void write_tagged(Handle handle, std::span<const float> src, std::size_t offset,
-                    OpTag tag) override;
-  SHMCAFFE_HOT_KERNEL void accumulate_tagged(Handle src, Handle dst, OpTag tag) override;
-  void copy_segment_tagged(Handle src, Handle dst, OpTag tag);
+  SHMCAFFE_HOT_KERNEL void write_tagged(Handle handle, std::span<const float> src,
+                                        std::size_t offset, OpTag tag);
+  SHMCAFFE_HOT_KERNEL void accumulate_tagged(Handle src, Handle dst, OpTag tag);
 
   // --- data integrity ------------------------------------------------------
   // Per-chunk FNV-1a checksums over float segments (enabled by
@@ -226,23 +231,13 @@ class SmbServer final : public SmbService {
   SHMCAFFE_NONBLOCKING void store(Handle handle, std::size_t index, std::int64_t value) override;
   SHMCAFFE_NONBLOCKING std::int64_t fetch_add(Handle handle, std::size_t index,
                                               std::int64_t delta) override;
-  /// Snapshot reductions over the whole counter segment (progress criteria).
-  [[nodiscard]] SHMCAFFE_NONBLOCKING std::int64_t min_value(Handle handle) const override;
-  [[nodiscard]] SHMCAFFE_NONBLOCKING std::int64_t max_value(Handle handle) const override;
-  [[nodiscard]] SHMCAFFE_NONBLOCKING std::int64_t sum(Handle handle) const override;
 
   // --- update notification -------------------------------------------------
 
-  /// Monotone version, bumped by every write/accumulate/copy to the segment.
+  /// Monotone version, bumped by every write/accumulate to the segment.
   /// Non-blocking by contract: pollers may call it at any rate, under any
   /// caller-side lock.
   [[nodiscard]] SHMCAFFE_NONBLOCKING std::uint64_t version(Handle handle) const override;
-
-  /// Blocks until version(handle) >= min_version; returns the version seen.
-  /// Thin forwarder over the deadline overload — prefer that one: an
-  /// unbounded wait on a segment whose writer died never returns.
-  SHMCAFFE_BLOCKS std::uint64_t wait_version_at_least(Handle handle,
-                                                      std::uint64_t min_version) const;
 
   /// Blocks until version(handle) >= min_version or `timeout` elapses.
   /// Returns the version seen, or nullopt on timeout.  Throws SmbUnavailable
@@ -286,10 +281,10 @@ class SmbServer final : public SmbService {
     /// from every outstanding pin) IS the pin protocol.
     common::arena::Buffer data SHMCAFFE_PIN_ESCAPE{"smb.segment"};
     /// Outstanding pinned views of this epoch.  Always modified under the
-    /// owning segment's data_mutex (the kBlockWriters wakeup needs the
-    /// mutex held between the decrement and the notify); atomic so the
-    /// pin-balance check at release() can read it under the table lock,
-    /// which ranks above data_mutex and therefore cannot nest it.
+    /// owning segment's data_mutex, so an unpin happens-before the next
+    /// writer that finds the count at zero and mutates in place; atomic
+    /// because that mutex belongs to the enclosing Segment, not to the
+    /// epoch.
     std::atomic<int> pins{0};
   };
 
@@ -316,8 +311,9 @@ class SmbServer final : public SmbService {
     /// replay detection); guarded by data_mutex like floats + version.
     std::unordered_map<std::uint64_t, std::uint64_t> applied_tags
         SHMCAFFE_GUARDED_BY(data_mutex);
-    /// Guards floats + version.  All segments share one lock rank: pairs
-    /// (accumulate/copy) are only ever taken together via std::scoped_lock.
+    /// Guards floats + version.  All segments share one lock rank, and the
+    /// server never holds two at once (accumulate snapshots the source
+    /// under its lock, then applies under the destination's).
     mutable common::OrderedMutex data_mutex{"smb.server.segment",
                                             common::lockrank::kSmbSegment};
     mutable std::condition_variable_any version_cv;
@@ -337,14 +333,10 @@ class SmbServer final : public SmbService {
   /// `segment`; records it otherwise.
   bool replayed_locked(Segment& segment, OpTag tag)
       SHMCAFFE_REQUIRES(segment.data_mutex);
-  /// Applies the pin policy before a mutation of `segment`'s floats: with
-  /// pins outstanding, kCopyOnWrite swaps in a fresh storage epoch (the
-  /// retired one stays alive and immutable via the pinned views' refs);
-  /// kBlockWriters waits on `lock` until every pin is released (throws
-  /// SmbUnavailable if the server fail-stops mid-wait).
-  SHMCAFFE_BLOCKS void prepare_write_locked(Segment& segment,
-                                            std::unique_lock<common::OrderedMutex>& lock)
-      SHMCAFFE_REQUIRES(segment.data_mutex);
+  /// Copy-on-write before a mutation of `segment`'s floats: with pins
+  /// outstanding, swaps in a fresh storage epoch (the retired one stays
+  /// alive and immutable via the pinned views' refs).
+  void prepare_write_locked(Segment& segment) SHMCAFFE_REQUIRES(segment.data_mutex);
 
   [[nodiscard]] bool maintain_checksums() const { return options_.integrity.maintain(); }
   /// FNV-1a over the chunk's float bytes.

@@ -5,7 +5,13 @@
 // contract: segment lifecycle (Fig. 2 create/attach by SHM key), the float
 // data path (read / write / server-side accumulate, §III-B), the counter
 // segment ops backing the shared progress board (§III-E), and update
-// notification (version counters, Fig. 6 T.A5).  Implementations:
+// notification (version counters, Fig. 6 T.A5).  Nothing else: the trainer,
+// the progress board and the sharded buffer call all but the update
+// notification, which examples/smb_progress_board drives, and the segment
+// and float ops are the ones the simulated twin SimSmbClient models
+// (sim_smb.h).  The OpTag-guarded mutations a mirror replays after a
+// failover are not part of it; they live on SmbServer, the one class the
+// mirror drives.  Implementations:
 //
 //   * SmbServer        — one functional in-memory server (server.h);
 //   * ReplicatedSmb    — a primary/backup ensemble of SmbServers with
@@ -20,12 +26,10 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <span>
 #include <stdexcept>
 #include <utility>
-#include <vector>
 
 #include "common/ordered_mutex.h"
 
@@ -73,36 +77,11 @@ class SmbCorruption : public SmbError {
   using SmbError::SmbError;
 };
 
-/// Identity of one mirrored mutation, used for idempotent replay.  A
-/// mirroring agent stamps each float-path mutation with its own id and a
-/// strictly increasing sequence number; a server that already applied the
-/// tag drops the replay instead of double-applying it (the "last in-flight
-/// op" replayed after a failover must be exactly-once per replica).
-struct OpTag {
-  std::uint64_t writer = 0;  ///< mirroring-agent id (0 = untagged)
-  std::uint64_t sequence = 0;  ///< strictly increasing per writer; 0 = untagged
-  [[nodiscard]] bool tagged() const { return writer != 0 && sequence != 0; }
-};
-
-/// What a writer does when it arrives while pinned read views are
-/// outstanding on the segment (see SmbService::read_pinned).
-enum class PinWritePolicy {
-  /// The writer clones the segment's storage and mutates the clone; the
-  /// pinned views keep reading the retired epoch (immutable, kept alive by
-  /// their references) and the clone becomes the segment's live storage.
-  /// Writers never wait; readers see a consistent snapshot.
-  kCopyOnWrite,
-  /// The writer blocks until every pin on the live storage is released —
-  /// cheaper (no clone) when exchanges are short and writers can tolerate
-  /// the stall.
-  kBlockWriters,
-};
-
 /// Epoch-pinned zero-copy read view over a float segment (move-only RAII).
 ///
 /// The span aliases the service's own storage for one *storage epoch*: the
-/// contents never change underneath the view (writers either clone the
-/// storage or wait, per PinWritePolicy), and checksum verification — when
+/// contents never change underneath the view (a writer that meets a pin
+/// clones the storage instead), and checksum verification — when
 /// the integrity layer is on — happened once at pin time instead of per
 /// element copied.  Destroying (or release()-ing) the view unpins the
 /// epoch; services assert pin/unpin balance when the segment is freed.
@@ -172,55 +151,25 @@ class SmbService {
 
   /// Zero-copy read: pins the segment's current storage epoch and returns a
   /// view of `count` floats at `offset` directly into it.  The view stays
-  /// consistent until released (writers copy-on-write or block, per the
-  /// implementation's PinWritePolicy); integrity verification happens once
-  /// at pin time.  The default forwards to a copy read into an owned buffer
-  /// so passive implementations keep working — only implementations that
-  /// can actually hand out stable views (SmbServer, ReplicatedSmb, the sim
-  /// client) override this with a genuinely zero-copy path.
+  /// consistent until released (writers copy-on-write around it); integrity
+  /// verification happens once at pin time.
   /// The view escapes to the caller by design — that is the whole contract.
   [[nodiscard]] virtual SHMCAFFE_PIN_ESCAPE PinnedFloats read_pinned(
-      Handle handle, std::size_t count, std::size_t offset = 0) const {
-    auto owned = std::make_shared<std::vector<float>>(count);
-    read(handle, {owned->data(), owned->size()}, offset);
-    std::span<const float> view{owned->data(), owned->size()};
-    return PinnedFloats(view, [owned]() mutable { owned.reset(); });
-  }
+      Handle handle, std::size_t count, std::size_t offset = 0) const = 0;
 
   virtual void write(Handle handle, std::span<const float> src, std::size_t offset) = 0;
   /// Server-side accumulate: dst[i] += src[i] for the full (equal) lengths.
   virtual void accumulate(Handle src, Handle dst) = 0;
-  /// Overwrite-style accumulate used for initialisation: dst[i] = src[i].
-  virtual void copy_segment(Handle src, Handle dst) = 0;
-
-  // --- tagged (idempotent) mutations --------------------------------------
-  // Variants stamped with a caller OpTag so an ambiguous retry (the client
-  // timed out but the op may have landed) can be resent safely: a service
-  // that tracks applied tags drops the replay instead of double-applying it.
-  // The defaults forward to the plain ops (no replay tracking) so passive
-  // implementations keep working; SmbServer and ReplicatedSmb override.
-
-  virtual void write_tagged(Handle handle, std::span<const float> src, std::size_t offset,
-                            OpTag /*tag*/) {
-    write(handle, src, offset);
-  }
-  virtual void accumulate_tagged(Handle src, Handle dst, OpTag /*tag*/) {
-    accumulate(src, dst);
-  }
 
   // --- counter segment ops -----------------------------------------------
 
   [[nodiscard]] virtual std::int64_t load(Handle handle, std::size_t index) const = 0;
   virtual void store(Handle handle, std::size_t index, std::int64_t value) = 0;
   virtual std::int64_t fetch_add(Handle handle, std::size_t index, std::int64_t delta) = 0;
-  /// Snapshot reductions over the whole counter segment (progress criteria).
-  [[nodiscard]] virtual std::int64_t min_value(Handle handle) const = 0;
-  [[nodiscard]] virtual std::int64_t max_value(Handle handle) const = 0;
-  [[nodiscard]] virtual std::int64_t sum(Handle handle) const = 0;
 
   // --- update notification -----------------------------------------------
 
-  /// Monotone version, bumped by every write/accumulate/copy to the segment.
+  /// Monotone version, bumped by every write/accumulate to the segment.
   [[nodiscard]] virtual std::uint64_t version(Handle handle) const = 0;
   /// Blocks until version(handle) >= min_version or `timeout` elapses.
   /// Returns the version seen, or nullopt on timeout.  An implementation

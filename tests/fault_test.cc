@@ -1,6 +1,6 @@
 // Tests for the fault-injection subsystem and graceful degradation:
 // deterministic plan generation, the injector query API, the SMB deadline /
-// retry / error-reporting hardening, fabric capacity windows and datagram
+// error-reporting hardening, fabric capacity windows and datagram
 // drops, and the functional trainer surviving a mid-run worker crash under
 // every termination criterion.
 #include <gtest/gtest.h>
@@ -24,7 +24,6 @@
 #include "net/fabric.h"
 #include "recovery/replicated_smb.h"
 #include "sim/simulation.h"
-#include "smb/client.h"
 #include "smb/server.h"
 
 namespace shmcaffe {
@@ -323,60 +322,6 @@ TEST(SmbErrors, KindMismatchNamesTheKey) {
 TEST(SmbErrors, MissingKeyThrowsNotFound) {
   smb::SmbServer server;
   EXPECT_THROW((void)server.attach_floats(999), smb::SmbNotFound);
-}
-
-// --- SmbClient retry (tentpole, functional side) ---
-
-TEST(SmbClient, AttachRetriesUntilSegmentAppears) {
-  smb::SmbServer server;
-  smb::RetryPolicy policy;
-  policy.max_attempts = 50;
-  policy.initial_backoff = std::chrono::milliseconds(1);
-  policy.max_backoff = std::chrono::milliseconds(5);
-  smb::SmbClient client(server, policy);
-  std::thread creator([&server] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    (void)server.create_floats(55, 16);
-  });
-  const smb::Handle h = client.attach_floats(55);  // races the creator
-  creator.join();
-  std::vector<float> probe(16);
-  client.read(h, probe);
-  client.release(h);
-}
-
-TEST(SmbClient, AttachGivesUpAfterBudget) {
-  smb::SmbServer server;
-  smb::RetryPolicy policy;
-  policy.max_attempts = 3;
-  policy.initial_backoff = std::chrono::microseconds(100);
-  smb::SmbClient client(server, policy);
-  EXPECT_THROW((void)client.attach_floats(777), smb::SmbNotFound);
-}
-
-TEST(SmbClient, KindMismatchIsNotRetried) {
-  smb::SmbServer server;
-  (void)server.create_floats(9, 4);
-  smb::RetryPolicy policy;
-  policy.max_attempts = 1000;
-  policy.initial_backoff = std::chrono::seconds(1);  // a retry would hang the test
-  smb::SmbClient client(server, policy);
-  const auto start = std::chrono::steady_clock::now();
-  EXPECT_THROW((void)client.attach_counters(9), smb::SmbError);
-  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::milliseconds(500));
-}
-
-TEST(SmbClient, BackoffGrowsAndClamps) {
-  smb::RetryPolicy policy;
-  policy.initial_backoff = std::chrono::milliseconds(1);
-  policy.backoff_multiplier = 2.0;
-  policy.jitter = 0.0;
-  policy.max_backoff = std::chrono::milliseconds(4);
-  common::Rng rng(1);
-  EXPECT_EQ(smb::backoff_delay(policy, 1, rng), std::chrono::milliseconds(1));
-  EXPECT_EQ(smb::backoff_delay(policy, 2, rng), std::chrono::milliseconds(2));
-  EXPECT_EQ(smb::backoff_delay(policy, 3, rng), std::chrono::milliseconds(4));
-  EXPECT_EQ(smb::backoff_delay(policy, 4, rng), std::chrono::milliseconds(4));  // clamped
 }
 
 // --- SMB server freeze window ---

@@ -7,11 +7,9 @@
 #include <vector>
 
 #include "baselines/functional_ssgd.h"
-#include "core/evaluate.h"
 #include "core/trainer.h"
 #include "data/record_store.h"
 #include "dl/param_vector.h"
-#include "dl/serialize.h"
 #include "minimpi/minimpi.h"
 #include "smb/server.h"
 
@@ -56,33 +54,6 @@ TEST(Integration, GlobalWeightsEqualLocalAfterSingleWorkerRun) {
   const core::TrainResult result = core::train_shmcaffe(tiny_options(1, 1));
   ASSERT_FALSE(result.curve.empty());
   EXPECT_NEAR(result.curve.back().test_accuracy, result.final_accuracy, 0.03);
-}
-
-TEST(Integration, TrainedSnapshotSurvivesSerialisationAndEvaluatesIdentically) {
-  // dl + data + core + serialize: train, snapshot, restore into a fresh
-  // net, verify identical evaluation.
-  common::Rng rng(11);
-  data::SynthDatasetOptions data_options;
-  data_options.channels = 1;
-  data_options.height = 12;
-  data_options.width = 12;
-  data_options.classes = 6;
-  data_options.size = 384;
-  const data::SynthImageDataset test_set(data_options);
-
-  dl::ModelInputSpec spec{1, 12, 12, 6};
-  dl::Net net = dl::make_mini_resnet(spec);
-  net.init_params(rng);
-  const core::EvalResult before = core::evaluate(net, test_set);
-
-  const std::vector<std::byte> blob = dl::save_snapshot(net);
-  dl::Net restored = dl::make_mini_resnet(spec);
-  common::Rng other(99);
-  restored.init_params(other);
-  dl::load_snapshot(restored, blob);
-  const core::EvalResult after = core::evaluate(restored, test_set);
-  EXPECT_DOUBLE_EQ(before.loss, after.loss);
-  EXPECT_DOUBLE_EQ(before.accuracy, after.accuracy);
 }
 
 TEST(Integration, RecordStoreFeedsTrainingEquivalently) {

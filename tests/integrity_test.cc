@@ -1,11 +1,10 @@
 // Tests for the end-to-end SMB data-integrity layer: per-chunk checksums and
 // verify-on-read detection, torn-write application, replica read-repair and
-// scrubbing, the integrity expander of the control-event journal, SmbClient
-// tagged retransmission (idempotent replay), checkpoint-slot corruption
-// fallback, and the acceptance runs — a seeded corruption plan through a
-// replicated trainer detects, repairs and converges to the fault-free
-// result, with the functional and simulated stacks executing the same
-// integrity events.
+// scrubbing, the integrity expander of the control-event journal, tagged
+// retransmission (idempotent replay), checkpoint-slot corruption fallback,
+// and the acceptance runs — a seeded corruption plan through a replicated
+// trainer detects, repairs and converges to the fault-free result, with the
+// functional and simulated stacks executing the same integrity events.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,7 +26,6 @@
 #include "recovery/checkpoint.h"
 #include "recovery/integrity.h"
 #include "recovery/replicated_smb.h"
-#include "smb/client.h"
 #include "smb/server.h"
 
 namespace shmcaffe {
@@ -167,62 +165,46 @@ TEST(TornWrite, UnreachedOrdinalNeverFires) {
   server.release(g);
 }
 
-// --- SmbClient tagged retransmission (satellite: idempotent retry) --------
-
-TEST(SmbClientRetry, ResentAccumulateIsDroppedNotReapplied) {
-  smb::SmbServer server;
-  smb::SmbClient client(server);
-  const smb::Handle src = client.create_floats(1, 2);
-  const smb::Handle dst = client.create_floats(2, 2);
-  client.write(src, std::vector<float>{1, 1});
-  client.write(dst, std::vector<float>{0, 0});
-
-  client.accumulate(src, dst);
-  // The ambiguous-timeout retransmit: the op landed, so the replay under the
-  // original tag must be dropped, not applied a second time.
-  EXPECT_TRUE(client.resend_last_mutation());
-  EXPECT_TRUE(client.resend_last_mutation());  // and again
-  std::vector<float> seen(2);
-  client.read(dst, seen);
-  EXPECT_EQ(seen, (std::vector<float>{1, 1}));
-  EXPECT_EQ(server.stats().replays_dropped, 2u);
-  client.release(src);
-  client.release(dst);
-}
+// --- tagged retransmission (idempotent retry) -----------------------------
+// The retrying client is a mirror agent: it stamps each mutation with its
+// writer id and a fresh sequence number, and after an ambiguous failure
+// resends the in-flight op under the same tag.
 
 TEST(SmbClientRetry, ResentWriteIsDroppedAndTagsNeverRepeat) {
   smb::SmbServer server;
-  smb::SmbClient client(server);
-  const smb::Handle g = client.create_floats(5, 2);
-  client.write(g, std::vector<float>{1, 2});
-  const smb::OpTag first = client.last_mutation_tag();
-  EXPECT_TRUE(first.tagged());
-  EXPECT_TRUE(client.resend_last_mutation());
-  EXPECT_EQ(server.stats().replays_dropped, 1u);
-
-  client.write(g, std::vector<float>{3, 4});
-  const smb::OpTag second = client.last_mutation_tag();
-  EXPECT_EQ(second.writer, first.writer);
-  EXPECT_NE(second.sequence, first.sequence);
+  const smb::Handle g = server.create_floats(5, 2);
+  const smb::OpTag first{/*writer=*/3, /*sequence=*/1};
+  server.write_tagged(g, std::vector<float>{1, 2}, 0, first);
+  // The resend arrives after the segment moved on: dropped, not re-applied.
+  server.write(g, std::vector<float>{2, 2});
+  server.write_tagged(g, std::vector<float>{1, 2}, 0, first);
   std::vector<float> seen(2);
-  client.read(g, seen);
+  server.read(g, seen);
+  EXPECT_EQ(seen, (std::vector<float>{2, 2}));
+  EXPECT_EQ(server.stats().replays_dropped, 1u);
+  // The writer's next sequence number applies.
+  server.write_tagged(g, std::vector<float>{3, 4}, 0,
+                      smb::OpTag{first.writer, first.sequence + 1});
+  server.read(g, seen);
   EXPECT_EQ(seen, (std::vector<float>{3, 4}));
-  client.release(g);
-}
+  server.release(g);
 
-TEST(SmbClientRetry, NothingToResendReturnsFalse) {
-  smb::SmbServer server;
-  smb::SmbClient client(server);
-  EXPECT_FALSE(client.resend_last_mutation());
-}
-
-TEST(SmbClientRetry, DistinctClientsGetDistinctWriterIds) {
-  smb::SmbServer server;
-  smb::SmbClient a(server);
-  smb::SmbClient b(server);
-  EXPECT_NE(a.writer_id(), b.writer_id());
-  EXPECT_NE(a.writer_id(), 1u);  // 1 is reserved for the mirror agent
-  EXPECT_NE(b.writer_id(), 1u);
+  // The ensemble's mirror agent never reuses a tag: back-to-back writes each
+  // apply on every replica, and no replica drops one as a replay.
+  smb::SmbServer a;
+  smb::SmbServer b;
+  ReplicatedSmb ensemble({&a, &b});
+  const smb::Handle h = ensemble.create_floats(6, 2);
+  ensemble.write(h, std::vector<float>{1, 2});
+  ensemble.write(h, std::vector<float>{3, 4});
+  for (smb::SmbServer* replica : {&a, &b}) {
+    const smb::Handle ph = replica->attach_floats(6);
+    replica->read(ph, seen);
+    EXPECT_EQ(seen, (std::vector<float>{3, 4}));
+    EXPECT_EQ(replica->stats().replays_dropped, 0u);
+    replica->release(ph);
+  }
+  ensemble.release(h);
 }
 
 // --- replica read-repair --------------------------------------------------

@@ -546,7 +546,7 @@ TEST(GuardedByRule, HonoursTheAllowEscapeHatch) {
 TEST(IncludeLayeringRule, AllowsDeclaredAndSameDirectoryEdges) {
   EXPECT_FALSE(fires("src/smb/server.cc", "#include \"net/fabric.h\"\n",
                      "include-layering"));
-  EXPECT_FALSE(fires("src/core/trainer.cc", "#include \"smb/client.h\"\n",
+  EXPECT_FALSE(fires("src/core/trainer.cc", "#include \"smb/service.h\"\n",
                      "include-layering"));
   EXPECT_FALSE(fires("src/recovery/replicated_smb.cc", "#include \"recovery/epoch.h\"\n",
                      "include-layering"));

@@ -1,15 +1,12 @@
 // Tests for the zero-copy epoch-pinned SMB read path: pinned views vs copy
-// reads, the two PinWritePolicy behaviours, pin accounting (bytes_pinned,
+// reads, copy-on-write around a pin, pin accounting (bytes_pinned,
 // balance-at-release), verify-at-pin-time integrity, and the pinned path
 // through ReplicatedSmb, ShardedBuffer, and the functional trainer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstring>
 #include <numeric>
-#include <thread>
 #include <vector>
 
 #include "core/config.h"
@@ -23,7 +20,6 @@ namespace {
 
 using smb::Handle;
 using smb::PinnedFloats;
-using smb::PinWritePolicy;
 using smb::SmbServer;
 using smb::SmbServerOptions;
 
@@ -75,10 +71,10 @@ TEST(SmbPinnedRead, StatsCountPinnedBytesSeparatelyFromCopied) {
   EXPECT_EQ(after.reads, before.reads);
 }
 
-// --- write policies ---------------------------------------------------------
+// --- copy-on-write ----------------------------------------------------------
 
 TEST(SmbPinnedRead, CopyOnWriteKeepsViewOnRetiredEpoch) {
-  SmbServer server;  // kCopyOnWrite is the default
+  SmbServer server;
   const Handle handle = server.create_floats(7, 128);
   const std::vector<float> old_data = iota_floats(128, 1.0F);
   server.write(handle, old_data);
@@ -99,34 +95,6 @@ TEST(SmbPinnedRead, CopyOnWriteKeepsViewOnRetiredEpoch) {
   view.release();
   server.write(handle, old_data);
   EXPECT_EQ(server.stats().cow_clones, 1U);
-}
-
-TEST(SmbPinnedRead, BlockWritersPolicyStallsWriterUntilUnpin) {
-  SmbServerOptions options;
-  options.pin_write_policy = PinWritePolicy::kBlockWriters;
-  SmbServer server(options);
-  const Handle handle = server.create_floats(7, 64);
-  server.write(handle, iota_floats(64));
-
-  PinnedFloats view = server.read_pinned(handle, 64);
-  std::atomic<bool> write_done{false};
-  std::thread writer([&] {
-    server.write(handle, std::vector<float>(64, 5.0F));
-    write_done.store(true, std::memory_order_release);
-  });
-
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(write_done.load(std::memory_order_acquire))
-      << "writer completed while a pin was outstanding";
-
-  view.release();
-  writer.join();
-  EXPECT_TRUE(write_done.load(std::memory_order_acquire));
-  std::vector<float> now(64);
-  server.read(handle, now);
-  EXPECT_EQ(now[0], 5.0F);
-  // Blocking never clones.
-  EXPECT_EQ(server.stats().cow_clones, 0U);
 }
 
 // --- pin accounting ----------------------------------------------------------

@@ -131,18 +131,6 @@ TEST(SmbServer, AccumulateRequiresDistinctEqualSizedFloatSegments) {
   EXPECT_THROW(server.accumulate(a, c), SmbError);
 }
 
-TEST(SmbServer, CopySegmentOverwrites) {
-  SmbServer server;
-  const Handle a = server.create_floats(1, 3);
-  const Handle b = server.create_floats(2, 3);
-  server.write(a, std::vector<float>{7, 8, 9});
-  server.write(b, std::vector<float>{1, 1, 1});
-  server.copy_segment(a, b);
-  std::vector<float> out(3);
-  server.read(b, out);
-  EXPECT_EQ(out, (std::vector<float>{7, 8, 9}));
-}
-
 TEST(SmbServer, CountersStoreLoadFetchAdd) {
   SmbServer server;
   const Handle h = server.create_counters(9, 4);
@@ -154,18 +142,6 @@ TEST(SmbServer, CountersStoreLoadFetchAdd) {
   EXPECT_THROW(server.store(h, 4, 1), SmbError);
 }
 
-TEST(SmbServer, CounterReductions) {
-  SmbServer server;
-  const Handle h = server.create_counters(9, 4);
-  server.store(h, 0, 10);
-  server.store(h, 1, -5);
-  server.store(h, 2, 30);
-  server.store(h, 3, 7);
-  EXPECT_EQ(server.min_value(h), -5);
-  EXPECT_EQ(server.max_value(h), 30);
-  EXPECT_EQ(server.sum(h), 42);
-}
-
 TEST(SmbServer, VersionBumpsOnEveryMutation) {
   SmbServer server;
   const Handle g = server.create_floats(1, 4);
@@ -175,8 +151,6 @@ TEST(SmbServer, VersionBumpsOnEveryMutation) {
   EXPECT_EQ(server.version(g), 1u);
   server.accumulate(d, g);
   EXPECT_EQ(server.version(g), 2u);
-  server.copy_segment(d, g);
-  EXPECT_EQ(server.version(g), 3u);
   EXPECT_EQ(server.version(d), 0u);
 }
 

@@ -166,6 +166,57 @@ lint_coverage_gate() {
   echo "==> [lint] snapshot written to LINT_coverage.json"
 }
 
+# Bench snapshot gate: Release build of bench target $2, one run, then a
+# guarded overwrite of the committed baseline $3.  Every row present in both
+# the old and the new snapshot must stay within 20% of its recorded
+# throughput, or the stage fails and keeps the baseline (override with
+# --force after an intentional change).  With a fourth argument `host`, the
+# fence also refuses a baseline whose host line (nproc, SIMD tier) differs
+# from this machine's: that throughput was measured on another kind of
+# machine.
+snapshot_gate() {
+  local stage=$1 target=$2 json=$3 host=${4:-}
+  echo "==> [$stage] configure + build (build-bench, Release)"
+  # Lock-held assertions off: the benches are measured, not checked, and the
+  # per-call held-list scan would perturb the hot paths.
+  cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=Release \
+        -DSHMCAFFE_LOCK_ASSERTS=OFF >/dev/null
+  cmake --build build-bench -j "$JOBS" --target "$target"
+  echo "==> [$stage] $target"
+  local new_json
+  new_json=$(mktemp)
+  "./build-bench/bench/$target" > "$new_json"
+  local extract='s/.*"name": "\([^"]*\)".*"throughput": \([0-9.eE+-]*\).*/\1 \2/p'
+  if [[ -f "$json" && "$FORCE" != 1 ]]; then
+    if [[ "$host" == host ]]; then
+      local host_line='s/^ *"host": \(.*\),$/\1/p' old_host new_host
+      old_host=$(sed -n "$host_line" "$json")
+      new_host=$(sed -n "$host_line" "$new_json")
+      if [[ "$old_host" != "$new_host" ]]; then
+        echo "==> [$stage] $json came from another host" \
+             "(${old_host:-no host block}; this one is $new_host): not fenced," \
+             "baseline kept (rerun with --force to overwrite)" >&2
+        rm -f "$new_json"
+        exit 1
+      fi
+    fi
+    if ! awk 'NR==FNR { old[$1] = $2; next }
+              ($1 in old) && old[$1] > 0 && $2 < 0.8 * old[$1] {
+                printf "regression: %s %.4f -> %.4f (-%.0f%%)\n",
+                       $1, old[$1], $2, 100 * (1 - $2 / old[$1]); bad = 1
+              }
+              END { exit bad }' \
+          <(sed -n "$extract" "$json") <(sed -n "$extract" "$new_json"); then
+      echo "==> [$stage] >20% throughput regression vs $json;" \
+           "baseline kept (rerun with --force to overwrite)" >&2
+      rm -f "$new_json"
+      exit 1
+    fi
+  fi
+  mv "$new_json" "$json"
+  echo "==> [$stage] snapshot written to $json"
+}
+
 # Schedule-independence gate: every functional end-to-end test must pass
 # whatever the core count or load, on every repeat.  Each suite runs
 # in-process N times (--gtest_repeat) per mode; a pass is an "[ OK ]" line,
@@ -265,31 +316,7 @@ for stage in "${STAGES[@]}"; do
       # throughput fence catches modelling regressions, not machine noise.
       run_stage elastic-plain build "" "-L elastic"
       run_stage elastic-tsan build-tsan thread "-L elastic"
-      echo "==> [elastic] configure + build (build-bench, Release)"
-      cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=Release \
-            -DSHMCAFFE_LOCK_ASSERTS=OFF >/dev/null
-      cmake --build build-bench -j "$JOBS" --target bench_ext_elastic
-      echo "==> [elastic] bench_ext_elastic"
-      new_json=$(mktemp)
-      ./build-bench/bench/bench_ext_elastic > "$new_json"
-      extract='s/.*"name": "\([^"]*\)".*"throughput": \([0-9.eE+-]*\).*/\1 \2/p'
-      if [[ -f BENCH_elastic.json && "$FORCE" != 1 ]]; then
-        if ! awk 'NR==FNR { old[$1] = $2; next }
-                  ($1 in old) && old[$1] > 0 && $2 < 0.8 * old[$1] {
-                    printf "regression: %s %.4f -> %.4f (-%.0f%%)\n",
-                           $1, old[$1], $2, 100 * (1 - $2 / old[$1]); bad = 1
-                  }
-                  END { exit bad }' \
-              <(sed -n "$extract" BENCH_elastic.json) \
-              <(sed -n "$extract" "$new_json"); then
-          echo "==> [elastic] >20% throughput regression vs BENCH_elastic.json;" \
-               "baseline kept (rerun with --force to overwrite)" >&2
-          rm -f "$new_json"
-          exit 1
-        fi
-      fi
-      mv "$new_json" BENCH_elastic.json
-      echo "==> [elastic] snapshot written to BENCH_elastic.json"
+      snapshot_gate elastic bench_ext_elastic BENCH_elastic.json
       ;;
     integrity)
       # Focused gate for the data-integrity layer (chunk checksums,
@@ -303,31 +330,7 @@ for stage in "${STAGES[@]}"; do
       # modelling regressions, not machine noise.
       run_stage integrity-plain build "" "-L integrity"
       run_stage integrity-asan build-asan address "-L integrity"
-      echo "==> [integrity] configure + build (build-bench, Release)"
-      cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=Release \
-            -DSHMCAFFE_LOCK_ASSERTS=OFF >/dev/null
-      cmake --build build-bench -j "$JOBS" --target bench_ext_integrity
-      echo "==> [integrity] bench_ext_integrity"
-      new_json=$(mktemp)
-      ./build-bench/bench/bench_ext_integrity > "$new_json"
-      extract='s/.*"name": "\([^"]*\)".*"throughput": \([0-9.eE+-]*\).*/\1 \2/p'
-      if [[ -f BENCH_integrity.json && "$FORCE" != 1 ]]; then
-        if ! awk 'NR==FNR { old[$1] = $2; next }
-                  ($1 in old) && old[$1] > 0 && $2 < 0.8 * old[$1] {
-                    printf "regression: %s %.4f -> %.4f (-%.0f%%)\n",
-                           $1, old[$1], $2, 100 * (1 - $2 / old[$1]); bad = 1
-                  }
-                  END { exit bad }' \
-              <(sed -n "$extract" BENCH_integrity.json) \
-              <(sed -n "$extract" "$new_json"); then
-          echo "==> [integrity] >20% throughput regression vs BENCH_integrity.json;" \
-               "baseline kept (rerun with --force to overwrite)" >&2
-          rm -f "$new_json"
-          exit 1
-        fi
-      fi
-      mv "$new_json" BENCH_integrity.json
-      echo "==> [integrity] snapshot written to BENCH_integrity.json"
+      snapshot_gate integrity bench_ext_integrity BENCH_integrity.json
       ;;
     simd)
       # Kernel-core tier cross-check: build a second tree with the SIMD tier
@@ -346,50 +349,10 @@ for stage in "${STAGES[@]}"; do
       ;;
     bench)
       # Micro-kernel throughput snapshot.  Optimised tree (the sanitizer
-      # trees and default RelWithDebInfo mismeasure the kernels), one run,
-      # then a guarded overwrite of the committed baseline: every kernel
-      # present in both old and new snapshots must stay within 20% of its
-      # recorded throughput, or the stage fails and keeps the baseline
-      # (override with --force after an intentional change).
-      echo "==> [bench] configure + build (build-bench, Release)"
-      # Lock-held assertions off: the kernels are measured, not checked, and
-      # the per-call held-list scan would perturb the hot paths.
-      cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=Release \
-            -DSHMCAFFE_LOCK_ASSERTS=OFF >/dev/null
-      cmake --build build-bench -j "$JOBS" --target bench_micro_kernels
-      echo "==> [bench] bench_micro_kernels"
-      new_json=$(mktemp)
-      ./build-bench/bench/bench_micro_kernels > "$new_json"
-      extract='s/.*"name": "\([^"]*\)".*"throughput": \([0-9.eE+-]*\).*/\1 \2/p'
-      if [[ -f BENCH_kernels.json && "$FORCE" != 1 ]]; then
-        # Throughput depends on the core count and SIMD tier, so the fence
-        # only compares runs whose host lines match exactly.
-        host='s/^ *"host": \(.*\),$/\1/p'
-        old_host=$(sed -n "$host" BENCH_kernels.json)
-        new_host=$(sed -n "$host" "$new_json")
-        if [[ "$old_host" != "$new_host" ]]; then
-          echo "==> [bench] BENCH_kernels.json came from another host" \
-               "(${old_host:-no host block}; this one is $new_host): not fenced," \
-               "baseline kept (rerun with --force to overwrite)" >&2
-          rm -f "$new_json"
-          exit 1
-        fi
-        if ! awk 'NR==FNR { old[$1] = $2; next }
-                  ($1 in old) && old[$1] > 0 && $2 < 0.8 * old[$1] {
-                    printf "regression: %s %.4f -> %.4f (-%.0f%%)\n",
-                           $1, old[$1], $2, 100 * (1 - $2 / old[$1]); bad = 1
-                  }
-                  END { exit bad }' \
-              <(sed -n "$extract" BENCH_kernels.json) \
-              <(sed -n "$extract" "$new_json"); then
-          echo "==> [bench] >20% throughput regression vs BENCH_kernels.json;" \
-               "baseline kept (rerun with --force to overwrite)" >&2
-          rm -f "$new_json"
-          exit 1
-        fi
-      fi
-      mv "$new_json" BENCH_kernels.json
-      echo "==> [bench] snapshot written to BENCH_kernels.json"
+      # trees and default RelWithDebInfo mismeasure the kernels), fenced only
+      # against a baseline from the same host: kernel throughput depends on
+      # the core count and SIMD tier.
+      snapshot_gate bench bench_micro_kernels BENCH_kernels.json host
       ;;
     stress)
       stress_stage "$REPEATS"
