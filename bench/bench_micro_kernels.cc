@@ -1,17 +1,20 @@
-// Micro-kernel throughput snapshot for the deterministic work pool (PR:
-// perf_opt).  Measures the three ported hot paths — Conv2d im2col+GEMM
-// forward/backward, the fused SEASGD elastic exchange (eqs. 5+6), and the
-// SMB server-side accumulate (eq. 7) — each at pool widths 1 and 4, plus a
-// scalar reference implementation of the pre-pool conv GEMM (row-at-a-time,
-// per-call scratch) so the speedup of the tiled kernels is visible in the
-// numbers themselves.
+// Micro-kernel throughput snapshot for the deterministic work pool.
+// Measures the pooled hot paths — Conv2d im2col+GEMM forward/backward,
+// FullyConnected forward on the same tiled GEMM engine, the fused SEASGD
+// elastic exchange (eqs. 5+6), and the SMB server-side accumulate (eq. 7) —
+// each at pool widths 1, 2 and 4, plus single-threaded references: the
+// pre-pool conv GEMM (row-at-a-time, per-call scratch) and the serial
+// per-output dot product FullyConnected used before the engine, so the
+// speedup of the tuned kernels is visible in the numbers themselves.
 //
 // Output is one JSON document.  Timings vary run to run, but the layout is
 // fixed and every kernel row carries a `checksum` computed from the kernel's
-// float outputs in a fixed order — the t1 and t4 rows of a kernel must agree
-// on it bit-for-bit (the work pool's determinism contract; asserted here).
-// A `host` line (core count, SIMD tier) names the machine.
-// `tools/check.sh bench` snapshots the document into BENCH_kernels.json and
+// float outputs in a fixed order.  Two bitwise contracts are asserted here:
+// the rows of one kernel agree across pool widths (the work pool's
+// determinism contract), and each tuned kernel agrees with its reference
+// (the tuned kernels keep the reference's float order).  A `host` line
+// (core count, SIMD tier) names the machine.  `tools/check.sh bench`
+// snapshots the per-row median of three runs into BENCH_kernels.json and
 // refuses to overwrite the baseline on a >20% throughput regression, or when
 // the baseline came from another host, unless forced.
 #include <unistd.h>
@@ -45,6 +48,12 @@ constexpr int kOutC = 32;
 constexpr int kSide = 16;
 constexpr int kFwdReps = 40;
 constexpr int kBwdReps = 20;
+// FullyConnected geometry: fc1 of the seasgd-wide workload (batch 16,
+// 64x64 inputs -> 64 hidden units).  2 * 16 * 4096 * 64 ~ 8.4 MFLOP.
+constexpr int kFcBatch = 16;
+constexpr int kFcIn = 4096;
+constexpr int kFcOut = 64;
+constexpr int kFcReps = 40;
 // SEASGD / SMB span: 4M floats (a ShmCaffe-B-scale parameter buffer).
 constexpr std::size_t kSpan = 4U << 20;
 constexpr int kSpanReps = 12;
@@ -98,12 +107,12 @@ void emit(const char* name, int threads, double total_seconds, int reps, double 
                      bytes / per_iter * 1e-9, check});
 }
 
-/// Throughput of the named row, or 0 if absent.
-double throughput_of(std::string_view name, int threads) {
+/// The named row, or null if absent.
+const Row* row_of(std::string_view name, int threads) {
   for (const Row& r : rows) {
-    if (std::string_view(r.name) == name && r.threads == threads) return r.throughput;
+    if (std::string_view(r.name) == name && r.threads == threads) return &r;
   }
-  return 0.0;
+  return nullptr;
 }
 
 // --- scalar reference: the pre-pool conv GEMM ------------------------------
@@ -236,13 +245,19 @@ void bench_conv(int threads) {
   x_grad.reshape(x.shape());
   std::vector<dl::Tensor*> bottom_grads{&x_grad};
   conv.backward({&x}, top, top_grad, bottom_grads);  // size dcol_
+  dl::Tensor& dw = conv.params()[0]->grad;
+  dl::Tensor& db = conv.params()[1]->grad;
   const double bwd_best = best_of(kBwdReps, [&] {
     x_grad.zero();
+    dw.zero();
+    db.zero();
     conv.backward({&x}, top, top_grad, bottom_grads);
   });
   // dW, dcol and col2im each stream the full GEMM volume: ~3x forward work.
   emit("conv_bwd", threads, bwd_best, kBwdReps, 3.0 * flops, "gflops",
-       3.0 * flops / 2.0 * sizeof(float), checksum(x_grad.data(), x_grad.size()));
+       3.0 * flops / 2.0 * sizeof(float),
+       checksum(x_grad.data(), x_grad.size()) + checksum(dw.data(), dw.size()) +
+           checksum(db.data(), db.size()));
 }
 
 void bench_conv_scalar_reference() {
@@ -275,10 +290,63 @@ void bench_conv_scalar_reference() {
   std::vector<float> db(init.params()[1]->value.size());
   const double bwd_best = best_of(kBwdReps, [&] {
     x_grad.zero();
+    std::fill(dw.begin(), dw.end(), 0.0F);
+    std::fill(db.begin(), db.end(), 0.0F);
     ref.backward(x, top_grad, w, dw.data(), db.data(), &x_grad);
   });
   emit("conv_bwd_scalar_ref", 1, bwd_best, kBwdReps, 3.0 * flops, "gflops",
-       3.0 * flops / 2.0 * sizeof(float), checksum(x_grad.data(), x_grad.size()));
+       3.0 * flops / 2.0 * sizeof(float),
+       checksum(x_grad.data(), x_grad.size()) + checksum(dw.data(), dw.size()) +
+           checksum(db.data(), db.size()));
+}
+
+// FullyConnected forward on the tiled engine, and the serial loop it
+// replaced: one bias-seeded dot-product chain per (sample, output), inputs
+// ascending.  Both see the same weights and inputs.
+struct FcSetup {
+  dl::FullyConnected fc{"fc", kFcIn, kFcOut};
+  dl::Tensor x{{kFcBatch, kFcIn}};
+  dl::Tensor top;
+
+  FcSetup() {
+    common::Rng rng(23);
+    fc.init_params(rng);
+    for (float& v : fc.params()[1]->value.span()) v = static_cast<float>(rng.uniform(-1, 1));
+    for (float& v : x.span()) v = static_cast<float>(rng.uniform(-1, 1));
+    fc.setup({&x}, top);
+  }
+};
+
+constexpr double kFcFlops = 2.0 * kFcBatch * kFcIn * kFcOut;
+
+void bench_fc(int threads) {
+  common::parallel::set_thread_count(threads);
+  FcSetup s;
+  s.fc.forward({&s.x}, s.top, false);
+  const double best = best_of(kFcReps, [&] { s.fc.forward({&s.x}, s.top, false); });
+  emit("fc_fwd", threads, best, kFcReps, kFcFlops, "gflops", kFcFlops / 2.0 * sizeof(float),
+       checksum(s.top.data(), s.top.size()));
+}
+
+void bench_fc_scalar_reference() {
+  FcSetup s;
+  const float* w = s.fc.params()[0]->value.data();
+  const float* b = s.fc.params()[1]->value.data();
+  const auto forward = [&] {
+    for (int n = 0; n < kFcBatch; ++n) {
+      const float* xn = s.x.data() + static_cast<std::size_t>(n) * kFcIn;
+      for (int o = 0; o < kFcOut; ++o) {
+        const float* wrow = w + static_cast<std::size_t>(o) * kFcIn;
+        float acc = b[o];
+        for (int i = 0; i < kFcIn; ++i) acc += wrow[i] * xn[i];
+        s.top[static_cast<std::size_t>(n) * kFcOut + o] = acc;
+      }
+    }
+  };
+  forward();
+  const double best = best_of(kFcReps, forward);
+  emit("fc_fwd_scalar_ref", 1, best, kFcReps, kFcFlops, "gflops",
+       kFcFlops / 2.0 * sizeof(float), checksum(s.top.data(), s.top.size()));
 }
 
 void bench_seasgd(int threads) {
@@ -415,10 +483,12 @@ void bench_smb_read() {
 int main() {
   for (const int threads : {1, 2, 4}) {
     bench_conv(threads);
+    bench_fc(threads);
     bench_seasgd(threads);
     bench_smb_accumulate(threads);
   }
   bench_conv_scalar_reference();
+  bench_fc_scalar_reference();
   bench_exchange_core();
   bench_smb_read();
   common::parallel::shutdown();
@@ -441,7 +511,7 @@ int main() {
 
   // Speedup of each tuned kernel over its in-bench reference, one ratio per
   // pair: folded into one mean, the pin-vs-copy ratio (a pin moves no bytes)
-  // would hide the other three.
+  // would hide the others.
   struct SpeedupPair {
     const char* key;
     const char* tuned;
@@ -450,23 +520,36 @@ int main() {
   const SpeedupPair pairs[] = {
       {"conv_fwd", "conv_fwd", "conv_fwd_scalar_ref"},
       {"conv_bwd", "conv_bwd", "conv_bwd_scalar_ref"},
+      {"fc_fwd", "fc_fwd", "fc_fwd_scalar_ref"},
       {"exchange_core", "exchange_core_simd", "exchange_core_scalar"},
       {"smb_read", "smb_read_pinned", "smb_read_copy"},
   };
 
-  std::printf("{\n  \"schema\": \"bench_micro_kernels/v3\",\n");
+  // A tuned kernel keeps its reference's float order: same checksum.
+  for (const SpeedupPair& pair : pairs) {
+    const Row* tuned = row_of(pair.tuned, 1);
+    const Row* ref = row_of(pair.ref, 1);
+    if (tuned == nullptr || ref == nullptr || tuned->check != ref->check) {
+      std::fprintf(stderr, "checksum mismatch between %s and %s\n", pair.tuned, pair.ref);
+      return 1;
+    }
+  }
+
+  std::printf("{\n  \"schema\": \"bench_micro_kernels/v4\",\n");
   // The machine the rows were measured on: tools/check.sh fences only
   // against a baseline whose host line matches this one exactly.
   std::printf("  \"host\": {\"nproc\": %ld, \"simd\": \"%s\"},\n",
               sysconf(_SC_NPROCESSORS_ONLN), common::simd::dispatch_name());
   std::printf("  \"conv\": {\"batch\": %d, \"in_c\": %d, \"out_c\": %d, \"side\": %d},\n",
               kBatch, kInC, kOutC, kSide);
+  std::printf("  \"fc\": {\"batch\": %d, \"in\": %d, \"out\": %d},\n", kFcBatch, kFcIn,
+              kFcOut);
   std::printf("  \"span_elements\": %zu,\n", kSpan);
   std::printf("  \"speedup_vs_ref\": {");
   for (std::size_t i = 0; i < std::size(pairs); ++i) {
-    const double ref = throughput_of(pairs[i].ref, 1);
+    const double ref = row_of(pairs[i].ref, 1)->throughput;
     std::printf("%s\"%s\": %.4f", i == 0 ? "" : ", ", pairs[i].key,
-                ref > 0 ? throughput_of(pairs[i].tuned, 1) / ref : 0.0);
+                ref > 0 ? row_of(pairs[i].tuned, 1)->throughput / ref : 0.0);
   }
   std::printf("},\n");
   std::printf("  \"kernels\": [\n");

@@ -31,7 +31,10 @@
 //     checksum fields).
 //   * Reductions (dot products, checksums over doubles) are NOT offered
 //     here on purpose: any widened reduction reorders the summation.
-//     Callers keep those loops scalar (see dl/layers.cc backward_gemm).
+//     Callers vectorise across independent outputs instead of within one
+//     sum: dl's GEMM engine (dl/layers.cc) runs every dense product — conv
+//     forward, the conv weight gradient, FullyConnected forward — as axpy
+//     rows, so each output element still adds its products in serial order.
 //
 // The FNV-1a word hash lives here too: it is the integrity layer's
 // per-chunk checksum core, processing 8 bytes per multiply instead of one.
@@ -76,8 +79,8 @@ inline constexpr const char* dispatch_name() {
 #endif
 }
 
-/// y[i] += a * x[i].  The conv GEMM tile accumulator core (dl/layers.cc):
-/// one weight broadcast against a row of the im2col matrix.
+/// y[i] += a * x[i].  The GEMM engine's tile accumulator core
+/// (dl/layers.cc): one A element broadcast against a row of B.
 inline void axpy(std::size_t n, float a, const float* x, float* y) {
 #if defined(SHMCAFFE_SIMD_AVX2)
   const __m256 av = _mm256_set1_ps(a);

@@ -119,6 +119,20 @@ class SegmentTimer {
   Clock::time_point mark_ = Clock::now();
 };
 
+/// True if `b` pins, shard for shard, the same storage as `a`: a pinned
+/// epoch stays alive while viewed, so equal addresses mean the same epoch.
+bool same_epochs(const std::vector<ShardedBuffer::PinnedShard>& a,
+                 const std::vector<ShardedBuffer::PinnedShard>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].offset != b[i].offset || a[i].view.data() != b[i].view.data() ||
+        a[i].view.size() != b[i].view.size()) {
+      return false;
+    }
+  }
+  return true;
+}
+
 /// Which life of a worker slot this call runs.
 enum class WorkerLife {
   kInitial,   ///< an original rank, from the start of the run
@@ -339,21 +353,37 @@ void run_worker(WorkerShared& shared, int worker, WorkerLife life, std::int64_t 
     if (exchange.stopping) throw smb::SmbUnavailable("SMB lost during exchange");
     dl::copy_params_to(net, local.span());
     if (options.zero_copy_reads) {
-      // T1 zero-copy: pin per-shard views of W_g (checksums verified once
-      // at pin time) and run T2 directly against SMB storage — no staging
-      // copy of the global weights at all.  Per-shard chunking changes
-      // nothing numerically: eqs. (5)+(6) are elementwise, so the floats
-      // match the staged path bitwise for any shard split or pool width.
-      // T1/T2 run under exchange.mutex by design (mutual exclusion with the
-      // update thread, which is parked on the cv here), and the pins are
-      // dropped before the lock: frame-local, never pinned-across-unlock.
+      // T1 zero-copy: pin per-shard views of W_g (checksums verified at pin
+      // time) and run T2 directly against SMB storage — no staging copy of
+      // the global weights at all.  Per-shard chunking changes nothing
+      // numerically: eqs. (5)+(6) are elementwise, so the floats match the
+      // staged path bitwise for any shard split or pool width.  T1/T2 run
+      // under exchange.mutex by design (mutual exclusion with the update
+      // thread, which is parked on the cv here), and the pins are dropped
+      // before the lock: frame-local, never pinned-across-unlock.
       // lint:allow-next-line(no-blocking-under-lock,pin-lifetime)
-      for (ShardedBuffer::PinnedShard& shard : global.read_pinned(home_shard())) {
-        // lint:allow-next-line(no-blocking-under-lock) pool fan-out inside
-        elastic_exchange_parallel(                      // the T1/T2 window
-            std::span<float>(local.data() + shard.offset, shard.view.size()),
-            shard.view.span(), alpha,
-            std::span<float>(exchange.delta.data() + shard.offset, shard.view.size()));
+      std::vector<ShardedBuffer::PinnedShard> pins = global.read_pinned(home_shard());
+      for (;;) {
+        for (ShardedBuffer::PinnedShard& shard : pins) {
+          // lint:allow-next-line(no-blocking-under-lock) pool fan-out inside
+          elastic_exchange_parallel(                      // the T1/T2 window
+              std::span<float>(local.data() + shard.offset, shard.view.size()),
+              shard.view.span(), alpha,
+              std::span<float>(exchange.delta.data() + shard.offset, shard.view.size()));
+        }
+        if (!options.integrity.verify_on_read) break;
+        // A bit flip does not respect pins: one landing in the pinned epoch
+        // after its pin-time verification would reach local and the delta
+        // unverified.  Re-pinning verifies the live epoch again (and read-
+        // repairs it through the replica vote).  If every shard still pins
+        // the epoch T2 read, that epoch verified clean after T2, so the
+        // increment stands; otherwise drop it and redo T1/T2 from the fresh
+        // pins.
+        // lint:allow-next-line(no-blocking-under-lock,pin-lifetime)
+        std::vector<ShardedBuffer::PinnedShard> fresh = global.read_pinned(home_shard());
+        if (same_epochs(pins, fresh)) break;
+        pins = std::move(fresh);
+        dl::copy_params_to(net, local.span());
       }
     } else {
       // Same mutual-exclusion argument as the zero-copy branch above.
@@ -799,18 +829,27 @@ TrainResult train_shmcaffe(const DistTrainOptions& options) {
   const Clock::time_point wall_start = Clock::now();
 
   // The plan's server faults, in firing order.  Torn writes key on a write
-  // ordinal, not a time: arm them on their server up front, before any
-  // worker writes.
+  // ordinal, and corruptions with an `iteration` on a pinned-read ordinal,
+  // not a time: arm them on their server up front, before any worker
+  // writes or pins.
   std::vector<fault::FaultEvent> server_faults;
   if (options.faults != nullptr) {
     for (int n = 0; n < physical_count; ++n) {
+      smb::SmbServer& server = *servers[static_cast<std::size_t>(n)];
       for (const std::vector<fault::FaultEvent>& events :
-           {options.faults->server_freezes(n), options.faults->server_fail_stops(n),
-            options.faults->segment_corruptions(n)}) {
+           {options.faults->server_freezes(n), options.faults->server_fail_stops(n)}) {
         server_faults.insert(server_faults.end(), events.begin(), events.end());
       }
+      for (const fault::FaultEvent& event : options.faults->segment_corruptions(n)) {
+        if (event.iteration >= 1) {
+          server.arm_pinned_corruption(static_cast<std::uint64_t>(event.iteration),
+                                       event.sequence, static_cast<int>(event.severity));
+        } else {
+          server_faults.push_back(event);
+        }
+      }
       for (const fault::FaultEvent& event : options.faults->torn_writes(n)) {
-        servers[static_cast<std::size_t>(n)]->arm_torn_write(event.sequence, event.severity);
+        server.arm_torn_write(event.sequence, event.severity);
       }
     }
     std::stable_sort(server_faults.begin(), server_faults.end(),
@@ -1132,6 +1171,9 @@ TrainResult train_shmcaffe(const DistTrainOptions& options) {
     }
     for (const std::uint64_t marker : server.torn_applied_markers()) {
       observed.push_back({fault::ControlAction::kTornWriteApplied, n, marker});
+    }
+    for (const std::uint64_t marker : server.pinned_corruption_markers()) {
+      observed.push_back({fault::ControlAction::kCorruptionInjected, n, marker});
     }
   }
   for (std::size_t s = 0; s < ensembles.size(); ++s) {

@@ -7,10 +7,16 @@ namespace {
 
 constexpr std::uint32_t kMagic = 0x534d4231;  // "SMB1"
 
+/// Appends `bytes` raw bytes from `data` to `out`.
+void append_bytes(std::vector<std::byte>& out, const void* data, std::size_t bytes) {
+  const std::size_t at = out.size();
+  out.resize(at + bytes);
+  if (bytes > 0) std::memcpy(out.data() + at, data, bytes);
+}
+
 template <typename T>
 void append_pod(std::vector<std::byte>& out, const T& value) {
-  const auto* begin = reinterpret_cast<const std::byte*>(&value);
-  out.insert(out.end(), begin, begin + sizeof(T));
+  append_bytes(out, &value, sizeof(T));
 }
 
 template <typename T>
@@ -49,8 +55,7 @@ std::vector<std::byte> encode_sample(std::span<const float> image, int label) {
   append_pod(out, kMagic);
   append_pod(out, static_cast<std::int32_t>(label));
   append_pod(out, static_cast<std::uint32_t>(image.size()));
-  const auto* pixels = reinterpret_cast<const std::byte*>(image.data());
-  out.insert(out.end(), pixels, pixels + image.size_bytes());
+  append_bytes(out, image.data(), image.size_bytes());
   return out;
 }
 

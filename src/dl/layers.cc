@@ -16,15 +16,102 @@ void check(bool condition, const char* message) {
   if (!condition) throw std::invalid_argument(message);
 }
 
-// Cache-block tile of the GEMM engine: each work item computes a
-// kOcTile x kColTile block of the output into a stack-local accumulator
-// (8 KiB), streaming the column matrix row by row.  Every output element
-// belongs to exactly one tile and the reduction over the kk rows runs in
-// ascending row order, so results are independent of the pool width.
-constexpr int kOcTile = 8;
-constexpr int kColTile = 256;
 // im2col / dcol rows handed to one pool chunk.
 constexpr std::size_t kRowGrain = 4;
+// Floats the transposed im2col writes per pool chunk (whole rows of kk).
+constexpr std::size_t kLoweringChunkFloats = 2048;
+// Inputs per block of FullyConnected's x transpose.
+constexpr std::size_t kTransposeBlock = 16;
+
+// --- the GEMM engine ---------------------------------------------------------
+// The one dense product in dl:  out (= or +=) init + A . B,  for row-major
+// A[m][k] and B[k][n], with output element (i, j) at
+// out[i * row_stride + j * col_stride].  Conv2d forward (W . col), the conv
+// weight gradient (dY . col^T, added into dW) and FullyConnected forward
+// (W . x^T, written as Y[n][o]) all run through it.
+//
+// Cache-block tiled: each work item computes a kRowTile x kColTile block of
+// the output in a stack-local accumulator (8 KiB), streaming B row by row.
+// Every accumulator element starts at init[i] (0 without init) and adds
+// A[i][r] * B[r][j] for r ascending through simd::axpy — multiply and add
+// kept separate.  That is exactly the order of a serial dot product, so
+// each output element has the bits of the naive loop whatever the tile,
+// the pool width or the SIMD tier; what the tile buys is that a row's
+// kColTile outputs accumulate as independent lanes instead of one
+// add-latency-bound chain.
+constexpr std::size_t kRowTile = 8;
+constexpr std::size_t kColTile = 256;
+
+struct GemmOut {
+  float* data;
+  std::size_t row_stride;
+  std::size_t col_stride;
+  bool accumulate;  // out += product instead of out = product
+};
+
+/// acc[i][j] += a[i][r] * b[r][j] for r ascending, one axpy per `a`
+/// element, over one `rows` x `cols` tile: `a` and `b` point at the tile's
+/// first A row (stride k) and B column (row stride n), and acc's rows are
+/// packed at `cols` floats.  A nonzero `Width` fixes `cols` at compile time:
+/// full tiles, and narrow ones of one or two AVX2 vectors, whose rows the
+/// compiler can then keep in registers (FullyConnected forward's tile width
+/// is its batch).  The float order is the same for every Width.
+template <std::size_t Width>
+void accumulate_tile(std::size_t rows, std::size_t cols, std::size_t k, const float* a,
+                     const float* b, std::size_t n, float* acc) {
+  const std::size_t width = Width != 0 ? Width : cols;
+  for (std::size_t r = 0; r < k; ++r) {
+    const float* brow = b + r * n;
+    for (std::size_t i = 0; i < rows; ++i) {
+      common::simd::axpy(width, a[i * k + r], brow, acc + i * width);
+    }
+  }
+}
+
+void gemm(std::size_t m, std::size_t n, std::size_t k, const float* a, const float* b,
+          const float* init, const GemmOut& out) {
+  const std::size_t row_tiles = (m + kRowTile - 1) / kRowTile;
+  const std::size_t col_tiles = (n + kColTile - 1) / kColTile;
+  common::parallel::parallel_for(
+      row_tiles * col_tiles, 1, [&](std::size_t tb, std::size_t te) {
+        // Rows packed at the tile's width: a narrow tile's rows then share
+        // cache lines instead of sitting 1 KiB apart, where every fourth row
+        // would 4K-alias its store against the next row's load.
+        float acc[kRowTile * kColTile];
+        for (std::size_t tile = tb; tile < te; ++tile) {
+          const std::size_t i0 = tile / col_tiles * kRowTile;
+          const std::size_t j0 = tile % col_tiles * kColTile;
+          const std::size_t rows = std::min(kRowTile, m - i0);
+          const std::size_t cols = std::min(kColTile, n - j0);
+          for (std::size_t i = 0; i < rows; ++i) {
+            std::fill(acc + i * cols, acc + (i + 1) * cols,
+                      init == nullptr ? 0.0F : init[i0 + i]);
+          }
+          const float* atile = a + i0 * k;
+          const float* btile = b + j0;
+          if (cols == kColTile) {
+            accumulate_tile<kColTile>(rows, cols, k, atile, btile, n, acc);
+          } else if (cols == 16) {
+            accumulate_tile<16>(rows, cols, k, atile, btile, n, acc);
+          } else if (cols == 8) {
+            accumulate_tile<8>(rows, cols, k, atile, btile, n, acc);
+          } else {
+            accumulate_tile<0>(rows, cols, k, atile, btile, n, acc);
+          }
+          for (std::size_t i = 0; i < rows; ++i) {
+            const float* arow = acc + i * cols;
+            float* orow = out.data + (i0 + i) * out.row_stride + j0 * out.col_stride;
+            if (out.accumulate) {
+              for (std::size_t j = 0; j < cols; ++j) orow[j * out.col_stride] += arow[j];
+            } else if (out.col_stride == 1) {
+              std::copy(arow, arow + cols, orow);
+            } else {
+              for (std::size_t j = 0; j < cols; ++j) orow[j * out.col_stride] = arow[j];
+            }
+          }
+        }
+      });
+}
 
 int conv_out_extent(int in, int kernel, int stride, int pad) {
   return (in + 2 * pad - kernel) / stride + 1;
@@ -41,14 +128,13 @@ void msra_fill(Tensor& t, std::size_t fan_in, common::Rng& rng) {
 // --- Conv2d ---------------------------------------------------------------
 
 Conv2d::Conv2d(std::string name, int in_channels, int out_channels, int kernel, int stride,
-               int pad, ConvEngine engine)
+               int pad)
     : Layer(std::move(name)),
       in_channels_(in_channels),
       out_channels_(out_channels),
       kernel_(kernel),
       stride_(stride),
-      pad_(pad),
-      engine_(engine) {
+      pad_(pad) {
   check(in_channels > 0 && out_channels > 0 && kernel > 0 && stride > 0 && pad >= 0,
         "Conv2d: invalid geometry");
   weight_.name = Layer::name() + ".weight";
@@ -78,78 +164,12 @@ void Conv2d::init_params(common::Rng& rng) {
 }
 
 void Conv2d::forward(const std::vector<const Tensor*>& bottoms, Tensor& top, bool /*train*/) {
-  if (engine_ == ConvEngine::kIm2colGemm) {
-    forward_gemm(*bottoms[0], top);
-  } else {
-    forward_direct(*bottoms[0], top);
-  }
-}
-
-void Conv2d::forward_direct(const Tensor& x, Tensor& top) {
-  const int oh = top.h();
-  const int ow = top.w();
-  for (int n = 0; n < x.n(); ++n) {
-    for (int oc = 0; oc < out_channels_; ++oc) {
-      const float b = bias_.value[static_cast<std::size_t>(oc)];
-      for (int y = 0; y < oh; ++y) {
-        for (int xo = 0; xo < ow; ++xo) {
-          float acc = b;
-          for (int ic = 0; ic < in_channels_; ++ic) {
-            for (int ky = 0; ky < kernel_; ++ky) {
-              const int iy = y * stride_ + ky - pad_;
-              if (iy < 0 || iy >= x.h()) continue;
-              for (int kx = 0; kx < kernel_; ++kx) {
-                const int ix = xo * stride_ + kx - pad_;
-                if (ix < 0 || ix >= x.w()) continue;
-                acc += weight_.value.at(oc, ic, ky, kx) * x.at(n, ic, iy, ix);
-              }
-            }
-          }
-          top.at(n, oc, y, xo) = acc;
-        }
-      }
-    }
-  }
+  forward_gemm(*bottoms[0], top);
 }
 
 void Conv2d::backward(const std::vector<const Tensor*>& bottoms, const Tensor& top,
                       const Tensor& top_grad, const std::vector<Tensor*>& bottom_grads) {
-  if (engine_ == ConvEngine::kIm2colGemm) {
-    backward_gemm(*bottoms[0], top, top_grad, bottom_grads[0]);
-  } else {
-    backward_direct(*bottoms[0], top, top_grad, bottom_grads[0]);
-  }
-}
-
-void Conv2d::backward_direct(const Tensor& x, const Tensor& top, const Tensor& top_grad,
-                             Tensor* dx) {
-  const int oh = top.h();
-  const int ow = top.w();
-  for (int n = 0; n < x.n(); ++n) {
-    for (int oc = 0; oc < out_channels_; ++oc) {
-      for (int y = 0; y < oh; ++y) {
-        for (int xo = 0; xo < ow; ++xo) {
-          const float g = top_grad.at(n, oc, y, xo);
-          if (g == 0.0F) continue;
-          bias_.grad[static_cast<std::size_t>(oc)] += g;
-          for (int ic = 0; ic < in_channels_; ++ic) {
-            for (int ky = 0; ky < kernel_; ++ky) {
-              const int iy = y * stride_ + ky - pad_;
-              if (iy < 0 || iy >= x.h()) continue;
-              for (int kx = 0; kx < kernel_; ++kx) {
-                const int ix = xo * stride_ + kx - pad_;
-                if (ix < 0 || ix >= x.w()) continue;
-                weight_.grad.at(oc, ic, ky, kx) += g * x.at(n, ic, iy, ix);
-                if (dx != nullptr) {
-                  dx->at(n, ic, iy, ix) += g * weight_.value.at(oc, ic, ky, kx);
-                }
-              }
-            }
-          }
-        }
-      }
-    }
-  }
+  backward_gemm(*bottoms[0], top, top_grad, bottom_grads[0]);
 }
 
 void Conv2d::im2col(const Tensor& x, int sample, int oh, int ow) {
@@ -183,60 +203,43 @@ void Conv2d::im2col(const Tensor& x, int sample, int oh, int ow) {
   });
 }
 
+void Conv2d::im2col_transposed(const Tensor& x, int sample, int oh, int ow) {
+  // col_ layout: rows = output positions (y, xo), columns = (ic, ky, kx).
+  // Each chunk writes whole rows, padded positions included.
+  const std::size_t columns = static_cast<std::size_t>(oh) * ow;
+  const std::size_t kk = static_cast<std::size_t>(in_channels_) * kernel_ * kernel_;
+  col_.ensure(columns * kk);
+  const std::size_t grain = std::max<std::size_t>(1, kLoweringChunkFloats / kk);
+  common::parallel::parallel_for(columns, grain, [&](std::size_t cb, std::size_t ce) {
+    for (std::size_t c = cb; c < ce; ++c) {
+      const int y = static_cast<int>(c) / ow;
+      const int xo = static_cast<int>(c) % ow;
+      float* dst = col_.data() + c * kk;
+      for (int ic = 0; ic < in_channels_; ++ic) {
+        for (int ky = 0; ky < kernel_; ++ky) {
+          const int iy = y * stride_ + ky - pad_;
+          const bool row_inside = iy >= 0 && iy < x.h();
+          for (int kx = 0; kx < kernel_; ++kx, ++dst) {
+            const int ix = xo * stride_ + kx - pad_;
+            *dst = row_inside && ix >= 0 && ix < x.w() ? x.at(sample, ic, iy, ix) : 0.0F;
+          }
+        }
+      }
+    }
+  });
+}
+
 void Conv2d::forward_gemm(const Tensor& x, Tensor& top) {
   const int oh = top.h();
   const int ow = top.w();
-  const int columns = oh * ow;
-  const int kk = in_channels_ * kernel_ * kernel_;
-  const float* w = weight_.value.data();  // [OC, kk]
-  const std::size_t oc_tiles = (static_cast<std::size_t>(out_channels_) + kOcTile - 1) / kOcTile;
-  const std::size_t col_tiles = (static_cast<std::size_t>(columns) + kColTile - 1) / kColTile;
+  const std::size_t columns = static_cast<std::size_t>(oh) * ow;
+  const std::size_t kk = static_cast<std::size_t>(in_channels_) * kernel_ * kernel_;
+  const auto oc = static_cast<std::size_t>(out_channels_);
   for (int n = 0; n < x.n(); ++n) {
     im2col(x, n, oh, ow);
-    float* out = top.data() +
-                 static_cast<std::size_t>(n) * out_channels_ * columns;
-    const float* col = col_.data();
-    common::parallel::parallel_for(
-        oc_tiles * col_tiles, 1, [&](std::size_t tb, std::size_t te) {
-          float acc[kOcTile][kColTile];
-          for (std::size_t tile = tb; tile < te; ++tile) {
-            const int oc0 = static_cast<int>(tile / col_tiles) * kOcTile;
-            const int oc1 = std::min(oc0 + kOcTile, out_channels_);
-            const int c0 = static_cast<int>(tile % col_tiles) * kColTile;
-            const int c1 = std::min(c0 + kColTile, columns);
-            const int ocn = oc1 - oc0;
-            const int cn = c1 - c0;
-            for (int i = 0; i < ocn; ++i) {
-              std::fill(acc[i], acc[i] + cn,
-                        bias_.value[static_cast<std::size_t>(oc0 + i)]);
-            }
-            if (ocn == kOcTile && cn == kColTile) {
-              // Full tile: compile-time trip counts, accumulated by the
-              // simd::axpy core (lane-independent, multiply and add kept
-              // separate); same ascending-r float order as the general
-              // path below and as the scalar-fallback build.
-              for (int r = 0; r < kk; ++r) {
-                const float* crow = col + static_cast<std::size_t>(r) * columns + c0;
-                for (int i = 0; i < kOcTile; ++i) {
-                  const float wv = w[static_cast<std::size_t>(oc0 + i) * kk + r];
-                  common::simd::axpy(kColTile, wv, crow, acc[i]);
-                }
-              }
-            } else {
-              for (int r = 0; r < kk; ++r) {
-                const float* crow = col + static_cast<std::size_t>(r) * columns + c0;
-                for (int i = 0; i < ocn; ++i) {
-                  const float wv = w[static_cast<std::size_t>(oc0 + i) * kk + r];
-                  common::simd::axpy(static_cast<std::size_t>(cn), wv, crow, acc[i]);
-                }
-              }
-            }
-            for (int i = 0; i < ocn; ++i) {
-              float* orow = out + static_cast<std::size_t>(oc0 + i) * columns + c0;
-              std::copy(acc[i], acc[i] + cn, orow);
-            }
-          }
-        });
+    // top[n] = bias + W[oc][kk] . col[kk][columns]
+    gemm(oc, columns, kk, weight_.value.data(), col_.data(), bias_.value.data(),
+         GemmOut{top.data() + static_cast<std::size_t>(n) * oc * columns, columns, 1, false});
   }
 }
 
@@ -247,33 +250,24 @@ void Conv2d::backward_gemm(const Tensor& x, const Tensor& top, const Tensor& top
   const int columns = oh * ow;
   const int kk = in_channels_ * kernel_ * kernel_;
   const float* w = weight_.value.data();
-  float* dw = weight_.grad.data();
   dcol_.ensure(static_cast<std::size_t>(kk) * columns);
 
   for (int n = 0; n < x.n(); ++n) {
-    im2col(x, n, oh, ow);
     const float* gout = top_grad.data() +
                         static_cast<std::size_t>(n) * out_channels_ * columns;
-    const float* col = col_.data();
-    // dW += dY . col^T ; db += row-sums(dY).  Parallel over output channels:
-    // each channel's bias and weight rows are written by exactly one chunk,
-    // and every dot product reduces in ascending column order.
-    common::parallel::parallel_for(
-        static_cast<std::size_t>(out_channels_), 1, [&](std::size_t ob, std::size_t oe) {
-          for (std::size_t oc = ob; oc < oe; ++oc) {
-            const float* grow = gout + oc * columns;
-            float bias_acc = 0.0F;
-            for (int cidx = 0; cidx < columns; ++cidx) bias_acc += grow[cidx];
-            bias_.grad[oc] += bias_acc;
-            float* dwrow = dw + oc * kk;
-            for (int r = 0; r < kk; ++r) {
-              const float* crow = col + static_cast<std::size_t>(r) * columns;
-              float acc = 0.0F;
-              for (int cidx = 0; cidx < columns; ++cidx) acc += grow[cidx] * crow[cidx];
-              dwrow[r] += acc;
-            }
-          }
-        });
+    // db += row sums of dY, each in ascending column order.
+    for (int oc = 0; oc < out_channels_; ++oc) {
+      const float* grow = gout + static_cast<std::size_t>(oc) * columns;
+      float bias_acc = 0.0F;
+      for (int cidx = 0; cidx < columns; ++cidx) bias_acc += grow[cidx];
+      bias_.grad[static_cast<std::size_t>(oc)] += bias_acc;
+    }
+    // dW += dY[oc][columns] . col^T[columns][kk].  One engine call per
+    // sample: the per-sample partials add into dW in sample order.
+    im2col_transposed(x, n, oh, ow);
+    gemm(static_cast<std::size_t>(out_channels_), static_cast<std::size_t>(kk),
+         static_cast<std::size_t>(columns), gout, col_.data(), nullptr,
+         GemmOut{weight_.grad.data(), static_cast<std::size_t>(kk), 1, true});
     if (dx == nullptr) continue;
     // dcol = W^T . dY, parallel over column-matrix rows; each row is owned by
     // one chunk and accumulates over output channels in ascending order.
@@ -469,20 +463,23 @@ void FullyConnected::init_params(common::Rng& rng) {
 void FullyConnected::forward(const std::vector<const Tensor*>& bottoms, Tensor& top,
                              bool /*train*/) {
   const Tensor& x = *bottoms[0];
-  const int batch = x.dim(0);
-  const float* in = x.data();
-  float* out = top.data();
-  const float* w = weight_.value.data();
-  for (int n = 0; n < batch; ++n) {
-    const float* xn = in + static_cast<std::size_t>(n) * in_features_;
-    float* yn = out + static_cast<std::size_t>(n) * out_features_;
-    for (int o = 0; o < out_features_; ++o) {
-      const float* wrow = w + static_cast<std::size_t>(o) * in_features_;
-      float acc = bias_.value[static_cast<std::size_t>(o)];
-      for (int i = 0; i < in_features_; ++i) acc += wrow[i] * xn[i];
-      yn[o] = acc;
+  const auto batch = static_cast<std::size_t>(x.dim(0));
+  const auto in = static_cast<std::size_t>(in_features_);
+  const auto out = static_cast<std::size_t>(out_features_);
+  // x^T [in][batch], so the engine's lanes run across the batch.  Blocked
+  // over kTransposeBlock inputs so the written rows stay in L1.
+  common::arena::Buffer xt("dl.fc.xt");
+  xt.ensure(in * batch);
+  for (std::size_t i0 = 0; i0 < in; i0 += kTransposeBlock) {
+    const std::size_t i1 = std::min(in, i0 + kTransposeBlock);
+    for (std::size_t n = 0; n < batch; ++n) {
+      const float* xn = x.data() + n * in;
+      for (std::size_t i = i0; i < i1; ++i) xt[i * batch + n] = xn[i];
     }
   }
+  // Y[n][o] = bias[o] + W[o][in] . x^T[in][n]: product row o, column n.
+  gemm(out, batch, in, weight_.value.data(), xt.data(), bias_.value.data(),
+       GemmOut{top.data(), 1, out, false});
 }
 
 void FullyConnected::backward(const std::vector<const Tensor*>& bottoms, const Tensor& /*top*/,

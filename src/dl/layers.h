@@ -13,21 +13,17 @@
 
 namespace shmcaffe::dl {
 
-/// Convolution compute engine: kDirect is the straightforward reference
-/// implementation; kIm2colGemm lowers each sample to a column matrix and
-/// runs the convolution as a matrix product (Caffe's strategy) — several
-/// times faster on CPU and bit-compatible in shape, equivalent numerically
-/// up to float association.  The GEMM engine is cache-block tiled over
-/// (output channel, output position) and runs on the shared work pool
-/// (common/parallel.h); its chunking is a pure function of the geometry, so
-/// outputs and gradients are bitwise identical for every SHMCAFFE_THREADS.
-enum class ConvEngine { kDirect, kIm2colGemm };
-
-/// 2-D convolution with square kernel, stride and zero padding.
+/// 2-D convolution with square kernel, stride and zero padding.  Each
+/// sample is lowered to a column matrix (im2col) and the convolution runs as
+/// matrix products on dl's tiled GEMM engine (Caffe's strategy): forward
+/// is W . col, the weight gradient dY . col^T.  The engine runs on the
+/// shared work pool (common/parallel.h) with chunking that is a pure
+/// function of the geometry, so outputs and gradients are bitwise identical
+/// for every SHMCAFFE_THREADS.
 class Conv2d final : public Layer {
  public:
   Conv2d(std::string name, int in_channels, int out_channels, int kernel, int stride = 1,
-         int pad = 0, ConvEngine engine = ConvEngine::kIm2colGemm);
+         int pad = 0);
 
   void setup(const std::vector<const Tensor*>& bottoms, Tensor& top) override;
   void forward(const std::vector<const Tensor*>& bottoms, Tensor& top, bool train) override;
@@ -43,20 +39,20 @@ class Conv2d final : public Layer {
   void set_init_scale(double scale) { init_scale_ = scale; }
 
  private:
-  void forward_direct(const Tensor& x, Tensor& top);
-  void backward_direct(const Tensor& x, const Tensor& top, const Tensor& top_grad,
-                       Tensor* dx);
   SHMCAFFE_HOT_KERNEL void forward_gemm(const Tensor& x, Tensor& top);
   SHMCAFFE_HOT_KERNEL void backward_gemm(const Tensor& x, const Tensor& top,
                                          const Tensor& top_grad, Tensor* dx);
+  /// Lowers one sample into col_ as [kk][columns] (forward's B operand).
   SHMCAFFE_HOT_KERNEL void im2col(const Tensor& x, int sample, int oh, int ow);
+  /// The same lowering as [columns][kk] (col^T, the weight gradient's B
+  /// operand), filled by output position.
+  void im2col_transposed(const Tensor& x, int sample, int oh, int ow);
 
   int in_channels_;
   int out_channels_;
   int kernel_;
   int stride_;
   int pad_;
-  ConvEngine engine_;
   double init_scale_ = 1.0;
   ParamBlob weight_;          // [out, in, k, k]
   ParamBlob bias_;            // [out]
@@ -67,7 +63,6 @@ class Conv2d final : public Layer {
   /// escape.
   common::arena::Buffer col_ SHMCAFFE_PIN_ESCAPE{"dl.conv.col"};    // im2col scratch
   common::arena::Buffer dcol_ SHMCAFFE_PIN_ESCAPE{"dl.conv.dcol"};  // backward col-grad scratch
-
 };
 
 /// Rectified linear unit, y = max(0, x).
@@ -106,11 +101,14 @@ class GlobalAvgPool final : public Layer {
 };
 
 /// Inner product (fully connected): flattens each sample to a feature vector.
+/// Forward runs on dl's tiled GEMM engine as W . x^T, with x transposed per
+/// call into arena scratch.
 class FullyConnected final : public Layer {
  public:
   FullyConnected(std::string name, int in_features, int out_features);
   void setup(const std::vector<const Tensor*>& bottoms, Tensor& top) override;
-  void forward(const std::vector<const Tensor*>& bottoms, Tensor& top, bool train) override;
+  SHMCAFFE_HOT_KERNEL void forward(const std::vector<const Tensor*>& bottoms, Tensor& top,
+                                   bool train) override;
   void backward(const std::vector<const Tensor*>& bottoms, const Tensor& top,
                 const Tensor& top_grad, const std::vector<Tensor*>& bottom_grads) override;
   std::vector<ParamBlob*> params() override { return {&weight_, &bias_}; }

@@ -32,7 +32,8 @@ enum class FaultKind : std::uint8_t {
   kLinkDegrade,   ///< link capacity multiplied by `severity` during the window
   kLinkDown,      ///< link capacity ~0 during the window (flap)
   kDatagramDrop,  ///< control datagram with global sequence `sequence` is lost once
-  kSegmentCorruption,  ///< silent bit-flips in server `target`'s segments at `start_seconds`
+  kSegmentCorruption,  ///< silent bit-flips in server `target`'s segments at `start_seconds`,
+                       ///< or inside its `iteration`-th pinned read when iteration >= 1
   kTornWrite,  ///< server `target` applies write ordinal `sequence` only partially
 };
 
@@ -45,9 +46,12 @@ enum class FaultKind : std::uint8_t {
 /// the same fields rather than widening the struct (the fingerprint encoding
 /// stays stable): corruption is (target=server, start, severity=bit-flip
 /// count, sequence=nonzero marker doubling as the bit-position seed; high bit
-/// clear); a torn write is (target=server, sequence=1-based server-local
-/// write ordinal, severity=fraction of the payload that lands; the marker is
-/// `sequence` with the high bit set, so the two marker spaces never collide).
+/// clear), or with iteration >= 1 (target=server, iteration=1-based
+/// server-local pinned-read ordinal, severity, sequence): the flips land in
+/// the storage that read just pinned, after its verification; a torn write
+/// is (target=server, sequence=1-based server-local write ordinal,
+/// severity=fraction of the payload that lands; the marker is `sequence`
+/// with the high bit set, so the two marker spaces never collide).
 struct FaultEvent {
   FaultKind kind = FaultKind::kWorkerCrash;
   int target = -1;                 ///< worker / server / link index

@@ -21,17 +21,22 @@ std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) {
   return hash;
 }
 
+/// Appends `bytes` raw bytes from `data` to `out`.
+void append_bytes(std::vector<std::uint8_t>& out, const void* data, std::size_t bytes) {
+  const std::size_t at = out.size();
+  out.resize(at + bytes);
+  if (bytes > 0) std::memcpy(out.data() + at, data, bytes);
+}
+
 template <typename T>
 void append_pod(std::vector<std::uint8_t>& out, const T& value) {
-  const auto* raw = reinterpret_cast<const std::uint8_t*>(&value);
-  out.insert(out.end(), raw, raw + sizeof(T));
+  append_bytes(out, &value, sizeof(T));
 }
 
 template <typename T>
 void append_vector(std::vector<std::uint8_t>& out, const std::vector<T>& values) {
   append_pod(out, static_cast<std::uint32_t>(values.size()));
-  const auto* raw = reinterpret_cast<const std::uint8_t*>(values.data());
-  out.insert(out.end(), raw, raw + values.size() * sizeof(T));
+  append_bytes(out, values.data(), values.size() * sizeof(T));
 }
 
 /// Bounds-checked sequential reader over the slot bytes.  Every read checks

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <optional>
 #include <set>
 #include <thread>
 
@@ -224,26 +225,42 @@ PinnedFloats SmbServer::read_pinned(Handle handle, std::size_t count,
                                     std::size_t offset) const {
   block_while_frozen();
   const std::shared_ptr<Segment> segment = find(handle, Kind::kFloats);
+  // Same ordinal + gate pattern as write_tagged's torn writes.
+  const std::uint64_t ordinal = pin_ordinal_.fetch_add(1, std::memory_order_relaxed) + 1;
+  std::optional<PinnedFlip> flip;
+  if (pinned_armed_count_.load(std::memory_order_acquire) > 0) {
+    std::unique_lock table(table_mutex_);
+    const auto it = armed_pinned_.find(ordinal);
+    if (it != armed_pinned_.end()) {
+      flip = it->second;
+      armed_pinned_.erase(it);
+      pinned_armed_count_.fetch_sub(1, std::memory_order_release);
+    }
+  }
   std::shared_ptr<SegmentStorage> epoch;
+  bool flipped = false;
   {
     std::scoped_lock lock(segment->data_mutex);
     if (offset + count > segment->storage->data.size()) {
       throw SmbError("read out of segment bounds");
     }
-    // Verification happens ONCE, at pin time: the epoch is immutable while
-    // pinned (writers clone it), so re-verifying per consumer of the
-    // view would re-hash bytes that cannot have changed.
+    // Verification happens ONCE, at pin time: writers clone a pinned epoch,
+    // so only a fault (below) can change its bytes afterwards.
     if (options_.integrity.verify_on_read) {
       verify_chunks_locked(*segment, offset, count);
     }
     epoch = segment->storage;
     epoch->pins.fetch_add(1, std::memory_order_relaxed);
     segment->pins_issued.fetch_add(1, std::memory_order_relaxed);
+    if (flip.has_value()) {
+      flipped = flip_bits_locked(*segment, flip->marker, flip->bit_flips) > 0;
+    }
   }
   {
     std::unique_lock table(table_mutex_);
     stats_.pinned_reads += 1;
     stats_.bytes_pinned += static_cast<std::int64_t>(count * sizeof(float));
+    if (flipped) pinned_flipped_.push_back(flip->marker);
   }
   const std::span<const float> view{epoch->data.data() + offset, count};
   return PinnedFloats(view, [segment, epoch = std::move(epoch)] {
@@ -538,25 +555,32 @@ std::size_t SmbServer::corrupt_floats(ShmKey key, std::uint64_t marker, int bit_
     segment = by_access_key_.at(it->second);
   }
   if (segment->kind != Kind::kFloats) return 0;
+  std::scoped_lock lock(segment->data_mutex);
+  return flip_bits_locked(*segment, marker, bit_flips);
+}
+
+std::size_t SmbServer::flip_bits_locked(Segment& segment, std::uint64_t marker,
+                                        int bit_flips) const
+    SHMCAFFE_REQUIRES(segment.data_mutex) {
+  SHMCAFFE_ASSERT_HELD(segment.data_mutex);
   common::Rng rng(marker);
   // Deliberately skips the copy-on-write: silent corruption does not
   // announce itself, so a pinned view may observe the flipped bits — that
   // is the fault being modelled (verification happened at pin time).
-  std::scoped_lock lock(segment->data_mutex);
-  if (segment->storage->data.empty()) return 0;
+  if (segment.storage->data.empty()) return 0;
   std::set<std::size_t> chunks;
   const std::size_t width = std::max<std::size_t>(1, options_.integrity.chunk_floats);
   for (int f = 0; f < std::max(1, bit_flips); ++f) {
-    const std::size_t index = rng.next_below(segment->storage->data.size());
+    const std::size_t index = rng.next_below(segment.storage->data.size());
     // Mantissa bits only: the poisoned value stays finite, so a run that
     // consumes it degrades measurably instead of NaN-ing out instantly.
     const std::uint32_t bit = 1U << rng.next_below(23);
     std::uint32_t bits = 0;
-    std::memcpy(&bits, &segment->storage->data[index], sizeof(bits));
+    std::memcpy(&bits, &segment.storage->data[index], sizeof(bits));
     bits ^= bit;
-    std::memcpy(&segment->storage->data[index], &bits, sizeof(bits));
+    std::memcpy(&segment.storage->data[index], &bits, sizeof(bits));
     const std::size_t c = index / width;
-    if (c < segment->chunk_markers.size()) segment->chunk_markers[c] = marker;
+    if (c < segment.chunk_markers.size()) segment.chunk_markers[c] = marker;
     chunks.insert(c);
   }
   // Checksums deliberately not refreshed, and the version not bumped: the
@@ -570,6 +594,22 @@ void SmbServer::arm_torn_write(std::uint64_t ordinal, double fraction) {
   if (armed_torn_.emplace(ordinal, std::clamp(fraction, 0.0, 1.0)).second) {
     torn_armed_count_.fetch_add(1, std::memory_order_release);
   }
+}
+
+void SmbServer::arm_pinned_corruption(std::uint64_t ordinal, std::uint64_t marker,
+                                      int bit_flips) {
+  if (ordinal == 0) throw SmbError("pinned-read ordinal is 1-based");
+  std::unique_lock table(table_mutex_);
+  if (armed_pinned_.emplace(ordinal, PinnedFlip{marker, std::max(1, bit_flips)}).second) {
+    pinned_armed_count_.fetch_add(1, std::memory_order_release);
+  }
+}
+
+std::vector<std::uint64_t> SmbServer::pinned_corruption_markers() const {
+  std::shared_lock lock(table_mutex_);
+  std::vector<std::uint64_t> result = pinned_flipped_;
+  std::sort(result.begin(), result.end());
+  return result;
 }
 
 std::int64_t SmbServer::load(Handle handle, std::size_t index) const {

@@ -150,8 +150,10 @@ class SmbServer final : public SmbService {
   /// bytes_read).  Checksums of the range are verified once, at pin time.
   /// While the view is live, a writer clones the storage (copy-on-write)
   /// and never waits for the unpin, matching the paper's asynchronous
-  /// exchange.  The corrupt_floats fault hook deliberately skips the clone:
-  /// silent corruption does not announce itself to readers.
+  /// exchange.  The corruption fault hooks deliberately skip the clone:
+  /// silent corruption does not announce itself to readers, so a reader
+  /// that must not consume a flip landing inside its window re-pins after
+  /// use — a clean re-pin of the same epoch proves the bytes it read.
   [[nodiscard]] SHMCAFFE_PIN_ESCAPE PinnedFloats read_pinned(
       Handle handle, std::size_t count, std::size_t offset = 0) const override;
 
@@ -221,6 +223,14 @@ class SmbServer final : public SmbService {
   /// a writer-side checksum with a partially-landed DMA.  The tail chunks
   /// are poisoned with marker kTornWriteMarkerBit | ordinal.
   void arm_torn_write(std::uint64_t ordinal, double fraction);
+
+  /// Arms a flip inside a reader's window: the `ordinal`-th pinned read
+  /// served by this server (1-based, arrival order) pins, verifies, and
+  /// then has corrupt_floats' flips land in the epoch it just pinned.
+  void arm_pinned_corruption(std::uint64_t ordinal, std::uint64_t marker, int bit_flips);
+
+  /// Markers of armed pinned-read corruptions that fired, ascending.
+  [[nodiscard]] std::vector<std::uint64_t> pinned_corruption_markers() const;
 
   // --- counter segment ops -----------------------------------------------
 
@@ -360,6 +370,9 @@ class SmbServer final : public SmbService {
       SHMCAFFE_REQUIRES(segment.data_mutex);
   /// Records a verification outcome under the table lock (stats + markers).
   void record_verification(std::size_t checked, const std::vector<CorruptChunk>& bad) const;
+  /// corrupt_floats' flips on the live epoch; returns the chunks poisoned.
+  std::size_t flip_bits_locked(Segment& segment, std::uint64_t marker, int bit_flips) const
+      SHMCAFFE_REQUIRES(segment.data_mutex);
 
   SmbServerOptions options_ SHMCAFFE_UNGUARDED;  // immutable after ctor
   /// steady_clock time (ns since epoch) until which the data path is frozen.
@@ -386,6 +399,21 @@ class SmbServer final : public SmbService {
   std::atomic<std::uint64_t> write_ordinal_{0};
   /// Fast-path gate: nonzero only while torn writes are armed.
   std::atomic<int> torn_armed_count_{0};
+  /// An armed pinned-read corruption: corrupt_floats' marker and flips.
+  struct PinnedFlip {
+    std::uint64_t marker = 0;
+    int bit_flips = 1;
+  };
+  /// Armed pinned-read corruptions: pinned-read ordinal -> flip.  Mutable
+  /// for the same reason as stats_: the const read_pinned fires them.
+  mutable std::unordered_map<std::uint64_t, PinnedFlip> armed_pinned_
+      SHMCAFFE_GUARDED_BY(table_mutex_);
+  /// Markers of armed pinned-read corruptions that fired.
+  mutable std::vector<std::uint64_t> pinned_flipped_ SHMCAFFE_GUARDED_BY(table_mutex_);
+  /// Arrival-order pinned-read counter (pinned-corruption ordinals).
+  mutable std::atomic<std::uint64_t> pin_ordinal_{0};
+  /// Fast-path gate: nonzero only while pinned-read corruptions are armed.
+  mutable std::atomic<int> pinned_armed_count_{0};
 };
 
 }  // namespace shmcaffe::smb

@@ -551,6 +551,47 @@ TEST(IntegrityEndToEnd, CorruptionIsDetectedRepairedAndHarmless) {
   EXPECT_FALSE(result.journal.empty());
 }
 
+/// One corruption burst against the replica the trainer pins (shard 0,
+/// replica 0), landing inside its 7th pinned read: after the pin verified,
+/// before T2 consumed the view.  Keyed on the pin ordinal, not on wall time,
+/// so it hits the same exchange on every run.
+FaultPlan pinned_corruption_plan() {
+  FaultPlan plan;
+  FaultEvent flip;
+  flip.kind = FaultKind::kSegmentCorruption;
+  flip.target = 0;
+  flip.iteration = 7;
+  flip.severity = 3;
+  flip.sequence = 0x4444;
+  plan.add(flip);
+  return plan;
+}
+
+TEST(IntegrityEndToEnd, FlipWhilePinnedIsDetectedRepairedAndHarmless) {
+  // Pin-time verification alone cannot see this flip: only the re-pin
+  // after T2 does.  It must be detected, repaired by replica vote, and the
+  // exchange redone, so the single-worker result equals the fault-free run
+  // bit for bit.
+  const FaultInjector injector(pinned_corruption_plan());
+  core::DistTrainOptions options = small_train_options();
+  options.smb_replicas = 3;
+  options.integrity = full_integrity();
+  options.faults = &injector;
+  const core::TrainResult result = core::train_shmcaffe(options);
+
+  EXPECT_EQ(result.corruptions_detected, 1);
+  EXPECT_GE(result.integrity_repairs, 1);
+  EXPECT_EQ(result.integrity_rollbacks, 0);
+  EXPECT_EQ(result.journal, planned_journal(options));
+
+  core::DistTrainOptions clean = small_train_options();
+  clean.smb_replicas = 3;
+  clean.integrity = full_integrity();
+  const core::TrainResult baseline = core::train_shmcaffe(clean);
+  EXPECT_EQ(result.final_accuracy, baseline.final_accuracy);
+  EXPECT_EQ(result.final_loss, baseline.final_loss);
+}
+
 /// The integrity-domain events of `journal`, in order.
 std::vector<ControlEvent> integrity_events(const std::vector<ControlEvent>& journal) {
   std::vector<ControlEvent> out;

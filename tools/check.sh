@@ -41,7 +41,8 @@
 #                             # and next to `nproc` busy-loop processes; prints
 #                             # a pass count per test and mode, and fails on
 #                             # any failure
-#   tools/check.sh bench      # Release build + bench_micro_kernels snapshot
+#   tools/check.sh bench      # Release build + bench_micro_kernels, run as 3
+#                             # processes; the per-row median snapshot goes
 #                             # into BENCH_kernels.json; refuses to overwrite
 #                             # the baseline on a >20% throughput regression,
 #                             # or when its host block (nproc, SIMD tier)
@@ -166,26 +167,87 @@ lint_coverage_gate() {
   echo "==> [lint] snapshot written to LINT_coverage.json"
 }
 
-# Bench snapshot gate: Release build of bench target $2, one run, then a
-# guarded overwrite of the committed baseline $3.  Every row present in both
-# the old and the new snapshot must stay within 20% of its recorded
-# throughput, or the stage fails and keeps the baseline (override with
-# --force after an intentional change).  With a fourth argument `host`, the
-# fence also refuses a baseline whose host line (nproc, SIMD tier) differs
-# from this machine's: that throughput was measured on another kind of
-# machine.
+# Per-row median of the bench documents given as arguments (an odd number
+# of runs of one binary): each kernel row is the run's line whose
+# throughput is the median for that row, each speedup_vs_ref ratio is the
+# median ratio, and every other line comes from the first run.
+median_snapshot() {
+  awk '
+    function median(list,    n, v, i, j, t) {
+      n = split(list, v, " ")
+      for (i = 2; i <= n; i++) {
+        for (j = i; j > 1 && v[j - 1] + 0 > v[j] + 0; j--) { t = v[j]; v[j] = v[j - 1]; v[j - 1] = t }
+      }
+      return v[int((n + 1) / 2)]
+    }
+    FNR == 1 { runs++ }
+    /"name": "/ {
+      name = $0; sub(/.*"name": "/, "", name); sub(/".*/, "", name)
+      tput = $0; sub(/.*"throughput": /, "", tput); sub(/,.*/, "", tput)
+      line[name, tput] = $0
+      tputs[name] = tputs[name] " " tput
+      if (runs == 1) doc[++lines] = "\001" name
+      next
+    }
+    /"speedup_vs_ref": / {
+      rest = $0; sub(/.*\{/, "", rest); sub(/\}.*/, "", rest)
+      count = split(rest, pairs, ", ")
+      for (p = 1; p <= count; p++) {
+        split(pairs[p], kv, ": ")
+        ratios[kv[1]] = ratios[kv[1]] " " kv[2]
+        if (runs == 1) keys[p] = kv[1]
+      }
+      if (runs == 1) doc[++lines] = "\002"
+      next
+    }
+    runs == 1 { doc[++lines] = $0 }
+    END {
+      for (l = 1; l <= lines; l++) {
+        if (substr(doc[l], 1, 1) == "\001") {
+          name = substr(doc[l], 2)
+          print line[name, median(tputs[name])]
+        } else if (doc[l] == "\002") {
+          out = "  \"speedup_vs_ref\": {"
+          for (p = 1; p <= count; p++) {
+            out = out (p > 1 ? ", " : "") keys[p] ": " sprintf("%.4f", median(ratios[keys[p]]))
+          }
+          print out "},"
+        } else {
+          print doc[l]
+        }
+      }
+    }' "$@"
+}
+
+# Bench snapshot gate: Release build of bench target $2, $5 runs (default
+# 1; more than one snapshots their per-row median), then a guarded
+# overwrite of the committed baseline $3.  Every row present in both the old
+# and the new snapshot must stay within 20% of its recorded throughput, or
+# the stage fails and keeps the baseline (override with --force after an
+# intentional change).  With a fourth argument `host`, the fence also
+# refuses a baseline whose host line (nproc, SIMD tier) differs from this
+# machine's: that throughput was measured on another kind of machine.
 snapshot_gate() {
-  local stage=$1 target=$2 json=$3 host=${4:-}
+  local stage=$1 target=$2 json=$3 host=${4:-} runs=${5:-1}
   echo "==> [$stage] configure + build (build-bench, Release)"
   # Lock-held assertions off: the benches are measured, not checked, and the
   # per-call held-list scan would perturb the hot paths.
   cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=Release \
         -DSHMCAFFE_LOCK_ASSERTS=OFF >/dev/null
   cmake --build build-bench -j "$JOBS" --target "$target"
-  echo "==> [$stage] $target"
-  local new_json
+  local new_json run_dir
   new_json=$(mktemp)
-  "./build-bench/bench/$target" > "$new_json"
+  run_dir=$(mktemp -d)
+  for run in $(seq "$runs"); do
+    echo "==> [$stage] $target (run $run of $runs)"
+    "./build-bench/bench/$target" > "$run_dir/$run.json"
+  done
+  if (( runs > 1 )); then
+    median_snapshot $(seq -f "$run_dir/%g.json" "$runs") > "$new_json"
+  else
+    mv "$run_dir/1.json" "$new_json"
+  fi
+  rm -rf "$run_dir"
   local extract='s/.*"name": "\([^"]*\)".*"throughput": \([0-9.eE+-]*\).*/\1 \2/p'
   if [[ -f "$json" && "$FORCE" != 1 ]]; then
     if [[ "$host" == host ]]; then
@@ -351,8 +413,9 @@ for stage in "${STAGES[@]}"; do
       # Micro-kernel throughput snapshot.  Optimised tree (the sanitizer
       # trees and default RelWithDebInfo mismeasure the kernels), fenced only
       # against a baseline from the same host: kernel throughput depends on
-      # the core count and SIMD tier.
-      snapshot_gate bench bench_micro_kernels BENCH_kernels.json host
+      # the core count and SIMD tier.  One process can read a row 40% off on
+      # a shared VM, so the fence sees the per-row median of three.
+      snapshot_gate bench bench_micro_kernels BENCH_kernels.json host 3
       ;;
     stress)
       stress_stage "$REPEATS"
