@@ -1,11 +1,12 @@
 // Micro-kernel throughput snapshot for the deterministic work pool.
 // Measures the pooled hot paths — Conv2d im2col+GEMM forward/backward,
 // FullyConnected forward on the same tiled GEMM engine, the fused SEASGD
-// elastic exchange (eqs. 5+6), and the SMB server-side accumulate (eq. 7) —
-// each at pool widths 1, 2 and 4, plus single-threaded references: the
-// pre-pool conv GEMM (row-at-a-time, per-call scratch) and the serial
-// per-output dot product FullyConnected used before the engine, so the
-// speedup of the tuned kernels is visible in the numbers themselves.
+// elastic exchange (eqs. 5+6), the SMB server-side accumulate (eq. 7) and
+// the synthetic dataset's batch fill — each at pool widths 1, 2 and 4, plus
+// single-threaded references: the pre-pool conv GEMM (row-at-a-time,
+// per-call scratch), the serial per-output dot product FullyConnected used
+// before the engine, and the per-pixel image generator, so the speedup of
+// the tuned kernels is visible in the numbers themselves.
 //
 // Output is one JSON document.  Timings vary run to run, but the layout is
 // fixed and every kernel row carries a `checksum` computed from the kernel's
@@ -21,10 +22,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <iterator>
 #include <limits>
+#include <numeric>
 #include <string_view>
 #include <vector>
 
@@ -32,6 +35,7 @@
 #include "common/rng.h"
 #include "common/simd.h"
 #include "core/seasgd_math.h"
+#include "data/synth_dataset.h"
 #include "dl/layers.h"
 #include "smb/server.h"
 
@@ -54,6 +58,12 @@ constexpr int kFcBatch = 16;
 constexpr int kFcIn = 4096;
 constexpr int kFcOut = 64;
 constexpr int kFcReps = 40;
+// Batch fill: one seasgd-wide minibatch (16 samples, 1 x 64 x 64) at
+// noise 1.0; 16 consecutive indices cover every class twice.
+constexpr int kFillBatch = 16;
+constexpr int kFillSide = 64;
+constexpr int kFillReps = 8;
+constexpr double kFillPixels = static_cast<double>(kFillBatch) * kFillSide * kFillSide;
 // SEASGD / SMB span: 4M floats (a ShmCaffe-B-scale parameter buffer).
 constexpr std::size_t kSpan = 4U << 20;
 constexpr int kSpanReps = 12;
@@ -349,6 +359,105 @@ void bench_fc_scalar_reference() {
        kFcFlops / 2.0 * sizeof(float), checksum(s.top.data(), s.top.size()));
 }
 
+// SynthImageDataset::fill_batch, and the generator it replaced: every
+// family's formula evaluated per pixel and per channel, then the same tint
+// and noise draws.  Both fill the same indices from the same options.
+data::SynthDatasetOptions fill_options() {
+  data::SynthDatasetOptions options;
+  options.channels = 1;
+  options.height = kFillSide;
+  options.width = kFillSide;
+  options.size = 4096;
+  options.noise_stddev = 1.0;
+  return options;
+}
+
+double fill_checksum(const dl::Tensor& images, const dl::Tensor& labels) {
+  return checksum(images.data(), images.size()) + checksum(labels.data(), labels.size());
+}
+
+void bench_synth_fill(int threads) {
+  common::parallel::set_thread_count(threads);
+  const data::SynthImageDataset dataset(fill_options());
+  std::vector<std::size_t> indices(kFillBatch);
+  std::iota(indices.begin(), indices.end(), std::size_t{0});
+  dl::Tensor images;
+  dl::Tensor labels;
+  dataset.fill_batch(indices, images, labels);
+  const double best = best_of(kFillReps, [&] { dataset.fill_batch(indices, images, labels); });
+  emit("synth_fill", threads, best, kFillReps, kFillPixels, "gelems",
+       kFillPixels * sizeof(float), fill_checksum(images, labels));
+}
+
+float ref_pattern_value(int cls, int y, int x, int height, int width, double phase_y,
+                        double phase_x, double freq) {
+  const double fy = (y + phase_y) * freq;
+  const double fx = (x + phase_x) * freq;
+  const double cy = height / 2.0 + phase_y;
+  const double cx = width / 2.0 + phase_x;
+  const double dy = y - cy;
+  const double dx = x - cx;
+  const double radius = std::sqrt(dy * dy + dx * dx);
+  switch (cls) {
+    case 0:
+      return static_cast<float>(std::sin(fy));
+    case 1:
+      return static_cast<float>(std::sin(fx));
+    case 2:
+      return static_cast<float>(std::sin((fy + fx) * 0.7071));
+    case 3:
+      return static_cast<float>(std::sin(fy) * std::sin(fx));
+    case 4:
+      return static_cast<float>(std::sin(radius * freq * 2.0));
+    case 5:
+      return static_cast<float>(2.0 * std::exp(-radius * radius / (0.08 * height * width)) -
+                                1.0);
+    case 6:
+      return static_cast<float>((static_cast<double>(y) / height +
+                                 static_cast<double>(x) / width) -
+                                1.0);
+    case 7: {
+      const bool on_cross = std::abs(dy) < height / 6.0 || std::abs(dx) < width / 6.0;
+      return on_cross ? 1.0F : -1.0F;
+    }
+    default:
+      return 0.0F;
+  }
+}
+
+void bench_synth_fill_scalar_reference() {
+  const data::SynthDatasetOptions options = fill_options();
+  dl::Tensor images({kFillBatch, options.channels, options.height, options.width});
+  dl::Tensor labels({kFillBatch});
+  const auto fill = [&] {
+    for (int n = 0; n < kFillBatch; ++n) {
+      const auto index = static_cast<std::size_t>(n);
+      const int cls = static_cast<int>(index % static_cast<std::size_t>(options.classes));
+      common::Rng rng = common::Rng(options.seed).fork(index * 2654435761ULL + 1);
+      const double phase_y = rng.uniform(0.0, 4.0);
+      const double phase_x = rng.uniform(0.0, 4.0);
+      const double freq = rng.uniform(0.9, 1.25) * (2.0 * M_PI / 8.0);
+      const double amplitude = rng.uniform(0.7, 1.0);
+      for (int c = 0; c < options.channels; ++c) {
+        const double tint = rng.uniform(0.8, 1.2);
+        for (int y = 0; y < options.height; ++y) {
+          for (int x = 0; x < options.width; ++x) {
+            const double base = ref_pattern_value(cls, y, x, options.height, options.width,
+                                                  phase_y, phase_x, freq);
+            images.at(n, c, y, x) = static_cast<float>(
+                amplitude * tint * base + rng.normal(0.0, options.noise_stddev));
+          }
+        }
+      }
+      labels[index] = static_cast<float>(cls);
+    }
+  };
+  fill();
+  const double best = best_of(kFillReps, fill);
+  emit("synth_fill_scalar_ref", 1, best, kFillReps, kFillPixels, "gelems",
+       kFillPixels * sizeof(float), fill_checksum(images, labels));
+}
+
 void bench_seasgd(int threads) {
   common::parallel::set_thread_count(threads);
   common::Rng rng(11);
@@ -486,9 +595,11 @@ int main() {
     bench_fc(threads);
     bench_seasgd(threads);
     bench_smb_accumulate(threads);
+    bench_synth_fill(threads);
   }
   bench_conv_scalar_reference();
   bench_fc_scalar_reference();
+  bench_synth_fill_scalar_reference();
   bench_exchange_core();
   bench_smb_read();
   common::parallel::shutdown();
@@ -521,6 +632,7 @@ int main() {
       {"conv_fwd", "conv_fwd", "conv_fwd_scalar_ref"},
       {"conv_bwd", "conv_bwd", "conv_bwd_scalar_ref"},
       {"fc_fwd", "fc_fwd", "fc_fwd_scalar_ref"},
+      {"synth_fill", "synth_fill", "synth_fill_scalar_ref"},
       {"exchange_core", "exchange_core_simd", "exchange_core_scalar"},
       {"smb_read", "smb_read_pinned", "smb_read_copy"},
   };
@@ -535,7 +647,7 @@ int main() {
     }
   }
 
-  std::printf("{\n  \"schema\": \"bench_micro_kernels/v4\",\n");
+  std::printf("{\n  \"schema\": \"bench_micro_kernels/v5\",\n");
   // The machine the rows were measured on: tools/check.sh fences only
   // against a baseline whose host line matches this one exactly.
   std::printf("  \"host\": {\"nproc\": %ld, \"simd\": \"%s\"},\n",
@@ -544,6 +656,9 @@ int main() {
               kBatch, kInC, kOutC, kSide);
   std::printf("  \"fc\": {\"batch\": %d, \"in\": %d, \"out\": %d},\n", kFcBatch, kFcIn,
               kFcOut);
+  std::printf("  \"synth_fill\": {\"batch\": %d, \"channels\": 1, \"side\": %d, "
+              "\"noise\": 1.0},\n",
+              kFillBatch, kFillSide);
   std::printf("  \"span_elements\": %zu,\n", kSpan);
   std::printf("  \"speedup_vs_ref\": {");
   for (std::size_t i = 0; i < std::size(pairs); ++i) {

@@ -14,6 +14,7 @@
 #include <span>
 #include <vector>
 
+#include "common/ordered_mutex.h"
 #include "common/rng.h"
 #include "dl/tensor.h"
 
@@ -43,10 +44,12 @@ class SynthImageDataset {
   [[nodiscard]] int label(std::size_t index) const;
 
   /// Writes sample `index`'s pixels into `image` (image_elements() floats).
-  void materialize(std::size_t index, std::span<float> image) const;
+  /// Allocates nothing: the output buffer is its only scratch.
+  SHMCAFFE_HOT_KERNEL void materialize(std::size_t index, std::span<float> image) const;
 
   /// Fills a batch: `data` reshaped to [indices.size(), C, H, W], `labels`
-  /// to [indices.size()].
+  /// to [indices.size()].  Samples are synthesized on the work pool, one
+  /// per chunk, so the batch is the same at every pool width.
   void fill_batch(std::span<const std::size_t> indices, dl::Tensor& data,
                   dl::Tensor& labels) const;
 

@@ -1,20 +1,98 @@
 // Tests for the data pipeline: dataset determinism and learnability
-// structure, shard partitioning (no duplication, full coverage), epoch
-// shuffling, prefetcher liveness, and the record store / sample codec.
+// structure, the generator bitwise against the per-pixel loop it replaced
+// (kept here as the oracle), batch fills at every pool width, shard
+// partitioning (no duplication, full coverage), epoch shuffling and
+// prefetcher liveness.  The `tsan` label reruns them under ThreadSanitizer:
+// fill_batch submits pool work, from the prefetcher's producer thread too.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
 #include <thread>
 #include <vector>
 
+#include "common/parallel.h"
 #include "data/loader.h"
-#include "data/record_store.h"
 #include "data/synth_dataset.h"
 
 namespace shmcaffe::data {
 namespace {
+
+// --- per-pixel oracle --------------------------------------------------------
+// The generator as it was before the base pattern was hoisted out of the
+// pixel loop: every family's formula evaluated per pixel and per channel.
+// materialize must reproduce its floats bit for bit.
+
+float oracle_pattern_value(int cls, int y, int x, int height, int width, double phase_y,
+                           double phase_x, double freq) {
+  const double fy = (y + phase_y) * freq;
+  const double fx = (x + phase_x) * freq;
+  const double cy = height / 2.0 + phase_y;
+  const double cx = width / 2.0 + phase_x;
+  const double dy = y - cy;
+  const double dx = x - cx;
+  const double radius = std::sqrt(dy * dy + dx * dx);
+  switch (cls) {
+    case 0:
+      return static_cast<float>(std::sin(fy));
+    case 1:
+      return static_cast<float>(std::sin(fx));
+    case 2:
+      return static_cast<float>(std::sin((fy + fx) * 0.7071));
+    case 3:
+      return static_cast<float>(std::sin(fy) * std::sin(fx));
+    case 4:
+      return static_cast<float>(std::sin(radius * freq * 2.0));
+    case 5:
+      return static_cast<float>(2.0 * std::exp(-radius * radius / (0.08 * height * width)) -
+                                1.0);
+    case 6:
+      return static_cast<float>((static_cast<double>(y) / height +
+                                 static_cast<double>(x) / width) -
+                                1.0);
+    case 7: {
+      const bool on_cross = std::abs(dy) < height / 6.0 || std::abs(dx) < width / 6.0;
+      return on_cross ? 1.0F : -1.0F;
+    }
+    default:
+      return 0.0F;
+  }
+}
+
+void oracle_materialize(const SynthDatasetOptions& options, std::size_t index,
+                        std::vector<float>& image) {
+  image.assign(static_cast<std::size_t>(options.channels) * options.height * options.width,
+               0.0F);
+  const int cls = static_cast<int>(index % static_cast<std::size_t>(options.classes));
+  common::Rng rng = common::Rng(options.seed).fork(index * 2654435761ULL + 1);
+  const double phase_y = rng.uniform(0.0, 4.0);
+  const double phase_x = rng.uniform(0.0, 4.0);
+  const double freq = rng.uniform(0.9, 1.25) * (2.0 * M_PI / 8.0);
+  const double amplitude = rng.uniform(0.7, 1.0);
+  for (int c = 0; c < options.channels; ++c) {
+    const double tint = rng.uniform(0.8, 1.2);
+    for (int y = 0; y < options.height; ++y) {
+      for (int x = 0; x < options.width; ++x) {
+        const std::size_t at =
+            (static_cast<std::size_t>(c) * options.height + y) * options.width + x;
+        const double base = oracle_pattern_value(cls, y, x, options.height, options.width,
+                                                 phase_y, phase_x, freq);
+        image[at] = static_cast<float>(amplitude * tint * base +
+                                       rng.normal(0.0, options.noise_stddev));
+      }
+    }
+  }
+}
+
+/// Index of the first float whose bits differ, or n if all n agree.
+std::size_t first_bit_difference(const float* a, const float* b, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (std::memcmp(a + i, b + i, sizeof(float)) != 0) return i;
+  }
+  return n;
+}
 
 SynthDatasetOptions small_options() {
   SynthDatasetOptions options;
@@ -137,6 +215,76 @@ TEST(SynthDataset, RejectsInvalidOptions) {
   EXPECT_THROW(SynthImageDataset{options}, std::invalid_argument);
 }
 
+TEST(SynthOracle, MaterializeMatchesPerPixelLoopBitwise) {
+  // Every family (16 consecutive indices per geometry cover the 8 classes
+  // twice), 1-3 channels, square and non-square sides with odd sizes, one
+  // width past the checkerboard's block of column sines, and the noise off,
+  // moderate and strong.
+  struct Side {
+    int height;
+    int width;
+  };
+  const Side sides[] = {{4, 4}, {5, 7}, {9, 9}, {12, 12}, {16, 11},
+                        {24, 24}, {31, 17}, {33, 64}, {64, 64}, {4, 300}};
+  std::size_t first_index = 0;
+  std::vector<float> expected;
+  for (const Side side : sides) {
+    for (int channels = 1; channels <= 3; ++channels) {
+      for (const double noise : {0.0, 0.3, 1.0}) {
+        SynthDatasetOptions options;
+        options.channels = channels;
+        options.height = side.height;
+        options.width = side.width;
+        options.size = 4096;
+        options.noise_stddev = noise;
+        const SynthImageDataset dataset(options);
+        std::vector<float> actual(dataset.image_elements());
+        for (std::size_t index = first_index; index < first_index + 16; ++index) {
+          oracle_materialize(options, index, expected);
+          dataset.materialize(index, actual);
+          const std::size_t at =
+              first_bit_difference(actual.data(), expected.data(), actual.size());
+          ASSERT_EQ(at, actual.size())
+              << "index " << index << " (class " << dataset.label(index) << "), "
+              << channels << "x" << side.height << "x" << side.width << ", noise " << noise
+              << ": " << actual[at] << " vs " << expected[at];
+        }
+        first_index += 16;
+      }
+    }
+  }
+}
+
+TEST(SynthOracle, FillBatchEqualsPerSampleMaterializeAtEveryWidth) {
+  SynthDatasetOptions options;
+  options.height = 13;
+  options.width = 11;
+  options.size = 512;
+  options.noise_stddev = 1.0;
+  const SynthImageDataset dataset(options);
+  std::vector<std::size_t> indices(37);
+  for (std::size_t i = 0; i < indices.size(); ++i) indices[i] = (i * 131 + 7) % options.size;
+  const std::size_t stride = dataset.image_elements();
+  std::vector<float> expected(stride);
+  for (const int threads : {1, 2, 4}) {
+    common::parallel::set_thread_count(threads);
+    dl::Tensor images;
+    dl::Tensor labels;
+    dataset.fill_batch(indices, images, labels);
+    ASSERT_EQ(images.shape(), (std::vector<int>{37, 3, 13, 11}));
+    ASSERT_EQ(labels.shape(), (std::vector<int>{37}));
+    for (std::size_t n = 0; n < indices.size(); ++n) {
+      dataset.materialize(indices[n], expected);
+      const float* actual = images.data() + n * stride;
+      EXPECT_EQ(first_bit_difference(actual, expected.data(), stride), stride)
+          << "sample " << n << " at width " << threads;
+      EXPECT_EQ(labels[n], static_cast<float>(dataset.label(indices[n])))
+          << "sample " << n << " at width " << threads;
+    }
+  }
+  common::parallel::shutdown();
+}
+
 // --- ShardedLoader ---
 
 TEST(ShardedLoader, ShardsPartitionWithoutDuplication) {
@@ -211,6 +359,10 @@ TEST(Prefetcher, DeliversSameStreamAsBareLoader) {
     for (std::size_t j = 0; j < expected.labels.size(); ++j) {
       ASSERT_EQ(actual.labels[j], expected.labels[j]) << "batch " << i;
     }
+    ASSERT_EQ(actual.data.shape(), expected.data.shape());
+    ASSERT_EQ(first_bit_difference(actual.data.data(), expected.data.data(), expected.data.size()),
+              expected.data.size())
+        << "batch " << i;
   }
 }
 
@@ -221,71 +373,6 @@ TEST(Prefetcher, StopsCleanlyWhileFull) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));  // let it fill
   }  // destructor must not hang
   SUCCEED();
-}
-
-// --- RecordStore ---
-
-TEST(RecordStore, PutGetAndDuplicateRejection) {
-  RecordStore store;
-  EXPECT_TRUE(store.put("a", {std::byte{1}, std::byte{2}}));
-  EXPECT_FALSE(store.put("a", {std::byte{9}}));
-  const auto got = store.get("a");
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->size(), 2u);
-  EXPECT_FALSE(store.get("missing").has_value());
-  EXPECT_EQ(store.count(), 1u);
-  EXPECT_EQ(store.total_bytes(), 2);
-}
-
-TEST(RecordStore, KeysSorted) {
-  RecordStore store;
-  store.put("b", {});
-  store.put("a", {});
-  store.put("c", {});
-  EXPECT_EQ(store.keys(), (std::vector<std::string>{"a", "b", "c"}));
-}
-
-TEST(SampleCodec, RoundTrips) {
-  const std::vector<float> image{0.5F, -1.0F, 3.25F};
-  const std::vector<std::byte> record = encode_sample(image, 7);
-  std::vector<float> decoded;
-  int label = -1;
-  ASSERT_TRUE(decode_sample(record, decoded, label));
-  EXPECT_EQ(decoded, image);
-  EXPECT_EQ(label, 7);
-}
-
-TEST(SampleCodec, RejectsCorruptRecords) {
-  const std::vector<float> image{1.0F};
-  std::vector<std::byte> record = encode_sample(image, 0);
-  std::vector<float> decoded;
-  int label = 0;
-  EXPECT_FALSE(decode_sample(std::span(record).subspan(0, 3), decoded, label));
-  record[0] = std::byte{0xFF};  // break magic
-  EXPECT_FALSE(decode_sample(record, decoded, label));
-  std::vector<std::byte> truncated = encode_sample(image, 0);
-  truncated.pop_back();
-  EXPECT_FALSE(decode_sample(truncated, decoded, label));
-}
-
-TEST(RecordStore, WriteDatasetFreezesEverySample) {
-  SynthDatasetOptions options = small_options();
-  options.size = 64;
-  const SynthImageDataset dataset(options);
-  RecordStore store;
-  EXPECT_EQ(write_dataset(dataset, store), 64u);
-  EXPECT_EQ(store.count(), 64u);
-
-  // Spot-check a record decodes to the generated sample.
-  std::vector<float> expected(dataset.image_elements());
-  dataset.materialize(10, expected);
-  const auto record = store.get(record_key(10));
-  ASSERT_TRUE(record.has_value());
-  std::vector<float> decoded;
-  int label = -1;
-  ASSERT_TRUE(decode_sample(*record, decoded, label));
-  EXPECT_EQ(decoded, expected);
-  EXPECT_EQ(label, dataset.label(10));
 }
 
 }  // namespace

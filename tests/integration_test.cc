@@ -8,7 +8,6 @@
 
 #include "baselines/functional_ssgd.h"
 #include "core/trainer.h"
-#include "data/record_store.h"
 #include "dl/param_vector.h"
 #include "minimpi/minimpi.h"
 #include "smb/server.h"
@@ -54,32 +53,6 @@ TEST(Integration, GlobalWeightsEqualLocalAfterSingleWorkerRun) {
   const core::TrainResult result = core::train_shmcaffe(tiny_options(1, 1));
   ASSERT_FALSE(result.curve.empty());
   EXPECT_NEAR(result.curve.back().test_accuracy, result.final_accuracy, 0.03);
-}
-
-TEST(Integration, RecordStoreFeedsTrainingEquivalently) {
-  // data pipeline: freezing the dataset into the record store and decoding
-  // it back yields bit-identical samples to direct materialisation.
-  data::SynthDatasetOptions options;
-  options.channels = 1;
-  options.height = 12;
-  options.width = 12;
-  options.classes = 6;
-  options.size = 128;
-  const data::SynthImageDataset dataset(options);
-  data::RecordStore store;
-  ASSERT_EQ(data::write_dataset(dataset, store), 128u);
-
-  std::vector<float> direct(dataset.image_elements());
-  std::vector<float> decoded;
-  int label = -1;
-  for (std::size_t i = 0; i < dataset.size(); i += 17) {
-    dataset.materialize(i, direct);
-    const auto record = store.get(data::record_key(i));
-    ASSERT_TRUE(record.has_value());
-    ASSERT_TRUE(data::decode_sample(*record, decoded, label));
-    EXPECT_EQ(decoded, direct);
-    EXPECT_EQ(label, dataset.label(i));
-  }
 }
 
 TEST(Integration, SmbSurvivesTrainerScaleStress) {
