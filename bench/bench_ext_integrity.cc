@@ -56,10 +56,8 @@ core::SimShmCaffeOptions base_options() {
 
 recovery::IntegrityPolicy full_policy() {
   recovery::IntegrityPolicy policy;
-  policy.checksum_chunks = true;
   policy.verify_on_read = true;
   policy.read_repair = true;
-  policy.scrub_on_checkpoint = true;
   return policy;
 }
 

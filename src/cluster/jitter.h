@@ -39,13 +39,6 @@ struct ComputeJitter {
   [[nodiscard]] SimTime sample(common::Rng& rng, SimTime base) const {
     return static_cast<SimTime>(static_cast<double>(base) * sample_multiplier(rng));
   }
-
-  /// max over `k` independent samples (a synchronous group's iteration).
-  [[nodiscard]] SimTime sample_max(common::Rng& rng, SimTime base, int k) const {
-    SimTime worst = 0;
-    for (int i = 0; i < k; ++i) worst = std::max(worst, sample(rng, base));
-    return worst;
-  }
 };
 
 /// Static per-worker heterogeneity, as opposed to ComputeJitter's transient

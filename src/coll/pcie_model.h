@@ -46,11 +46,6 @@ struct PcieModel {
     const double data_seconds = (k - 1.0) / k * static_cast<double>(bytes) / bus_bandwidth;
     return units::from_seconds(data_seconds) + (devices - 1) * hop_latency;
   }
-
-  /// Time for a K-device ring reduce (to one root) of a `bytes` buffer.
-  [[nodiscard]] SimTime reduce_time(int devices, std::int64_t bytes) const {
-    return broadcast_time(devices, bytes);  // same traffic pattern, reversed
-  }
 };
 
 }  // namespace shmcaffe::coll

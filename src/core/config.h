@@ -51,13 +51,6 @@ struct DistTrainOptions {
   /// redundancy); >= 2 wraps each shard in a ReplicatedSmb ensemble that
   /// mirrors mutations and fails over when the primary fail-stops.
   int smb_replicas = 1;
-  /// When true, the T1 read of the elastic exchange (Fig. 6) pins
-  /// epoch-stable zero-copy views of W_g instead of staging a private copy;
-  /// the T2 arithmetic runs directly against SMB storage.  Numerically
-  /// identical either way (eqs. (5)+(6) are elementwise); this only trades
-  /// a memcpy for a pin/unpin pair.  Checkpoint and recovery reads always
-  /// copy (they outlive the read window).
-  bool zero_copy_reads = true;
 
   TerminationCriterion termination = TerminationCriterion::kAverageIterations;
   /// Bound on how many iterations a worker may run ahead of the slowest one
@@ -97,9 +90,9 @@ struct DistTrainOptions {
   /// fixed-membership behaviour.  Requires group_size == 1: elastic workers
   /// run pure SEASGD (a hybrid group cannot shrink mid-collective).
   const elastic::MembershipPlan* membership = nullptr;
-  /// Straggler detection/quarantine policy and elastic pacing knobs; the
-  /// detector runs only when membership_policy.straggler_detection is set
-  /// (which also requires group_size == 1).
+  /// Straggler detection/quarantine policy; the detector runs only when
+  /// membership_policy.straggler_detection is set (which also requires
+  /// group_size == 1).
   elastic::MembershipPolicy membership_policy;
 
   DistTrainOptions() {

@@ -21,6 +21,17 @@
 namespace shmcaffe::core {
 namespace {
 
+// Modelled latencies of the control plane (the functional stack pays the
+// real cost of each step instead).
+/// Respawn + W_g adoption before a re-admitted worker's first iteration.
+constexpr double kReadmitDelaySeconds = 0.5;
+/// Spawn + SMB attach of a cold joiner before its catch-up read.
+constexpr double kJoinDelaySeconds = 0.25;
+/// A draining worker's final increment flush.
+constexpr double kDrainFlushSeconds = 0.05;
+/// Shard-map recompute + adoption after every join, drain and eviction.
+constexpr double kRebalanceSeconds = 0.01;
+
 struct GroupStats {
   SimTime comp = 0;
   SimTime comm = 0;
@@ -68,7 +79,6 @@ struct SimRecoveryContext {
   SimTime smb_dead_at = std::numeric_limits<SimTime>::max();
   /// Re-admission enabled (policy.respawn_crashed, async only).
   bool readmit = false;
-  SimTime readmit_delay = 0;
 };
 
 /// The instant SMB service resumes if `now` falls inside a failover pause
@@ -91,13 +101,11 @@ struct ShardEndpoint {
   std::int64_t bytes = 0;
 };
 
-sim::Task<void> read_global(sim::Simulation& sim, std::vector<ShardEndpoint>& shards,
-                            bool zero_copy) {
+sim::Task<void> read_global(sim::Simulation& sim, std::vector<ShardEndpoint>& shards) {
   std::vector<sim::Task<void>> reads;
   reads.reserve(shards.size());
   for (ShardEndpoint& shard : shards) {
-    reads.push_back(zero_copy ? shard.client->read_pinned(shard.global, shard.bytes)
-                              : shard.client->read(shard.global, shard.bytes));
+    reads.push_back(shard.client->read(shard.global, shard.bytes));
   }
   co_await sim::when_all(sim, std::move(reads));
 }
@@ -178,11 +186,9 @@ sim::Task<void> group_worker(sim::Simulation& sim, const SimShmCaffeOptions& opt
       // Re-admission: the replacement attaches after the modelled respawn
       // delay, adopts W_g (a full global read + local update), and resumes
       // the slot's remaining iterations under its new incarnation.
-      co_await sim.delay(recovery.readmit_delay);
+      co_await sim.delay(units::from_seconds(kReadmitDelaySeconds));
       if (use_smb) {
-        // Catch-up adoption always copies (the adopted weights outlive the
-        // read window), matching the functional trainer.
-        co_await read_global(sim, shards, /*zero_copy=*/false);
+        co_await read_global(sim, shards);
         co_await sim.delay(t_ulw);
       }
       stats.recovered = true;
@@ -190,9 +196,9 @@ sim::Task<void> group_worker(sim::Simulation& sim, const SimShmCaffeOptions& opt
     if (drain_at >= 0 && it >= drain_at) {
       // Voluntary drain: flush the pipeline, deregister (rebalancing the
       // shard map), and leave with the slot's progress intact.
-      co_await sim.delay(units::from_seconds(elastic->policy.drain_flush_seconds));
+      co_await sim.delay(units::from_seconds(kDrainFlushSeconds));
       elastic->service->drain(group);
-      co_await sim.delay(units::from_seconds(elastic->policy.rebalance_seconds));
+      co_await sim.delay(units::from_seconds(kRebalanceSeconds));
       stats.drained = true;
       break;
     }
@@ -214,7 +220,7 @@ sim::Task<void> group_worker(sim::Simulation& sim, const SimShmCaffeOptions& opt
           ++stall_violations;
           if (stall_violations >= elastic->policy.evict_after_violations) {
             elastic->service->evict(group);
-            co_await sim.delay(units::from_seconds(elastic->policy.rebalance_seconds));
+            co_await sim.delay(units::from_seconds(kRebalanceSeconds));
             evicted_now = true;
           } else {
             elastic->service->quarantine(group);
@@ -243,8 +249,8 @@ sim::Task<void> group_worker(sim::Simulation& sim, const SimShmCaffeOptions& opt
       // flush blocks us here (the paper's T.A5 wait).
       {
         sim::SimLock lock = co_await exchange_mutex.scoped_lock();
-        co_await read_global(sim, shards, options.zero_copy_reads);  // T1: T_rgw
-        co_await sim.delay(t_ulw);          // T2: T_ulw
+        co_await read_global(sim, shards);  // T1: T_rgw
+        co_await sim.delay(t_ulw);           // T2: T_ulw
         if (!options.overlap_update) {
           // Ablation: flush the increment inline instead of overlapping.
           co_await flush_increment(sim, shards);
@@ -307,7 +313,7 @@ sim::Task<void> join_worker(sim::Simulation& sim, const SimShmCaffeOptions& opti
                             elastic::MembershipEvent event, int total_groups,
                             const SimRecoveryContext& recovery, GroupStats& stats,
                             ElasticSimState& elastic) {
-  co_await sim.delay(units::from_seconds(elastic.policy.join_delay_seconds));
+  co_await sim.delay(units::from_seconds(kJoinDelaySeconds));
   std::vector<ShardEndpoint> shards(clients.size());
   for (std::size_t n = 0; n < clients.size(); ++n) {
     ShardEndpoint& ep = shards[n];
@@ -318,10 +324,9 @@ sim::Task<void> join_worker(sim::Simulation& sim, const SimShmCaffeOptions& opti
         1000 + static_cast<smb::ShmKey>(event.worker), ep.bytes);
   }
   elastic.service->join(event.worker);
-  co_await sim.delay(units::from_seconds(elastic.policy.rebalance_seconds));
-  // Catch-up: adopt W_g before contributing (global read + local update);
-  // always a copy read, like the functional trainer's catch-up path.
-  co_await read_global(sim, shards, /*zero_copy=*/false);
+  co_await sim.delay(units::from_seconds(kRebalanceSeconds));
+  // Catch-up: adopt W_g before contributing (global read + local update).
+  co_await read_global(sim, shards);
   co_await sim.delay(elastic.t_ulw);
   stats.joined_late = true;
   co_await group_worker(sim, options, std::move(shards), event.worker, total_groups,
@@ -460,7 +465,6 @@ cluster::PlatformTiming simulate_shmcaffe(const SimShmCaffeOptions& options) {
   // death is invisible; the last replica's death kills the shard.
   SimRecoveryContext recovery_ctx;
   recovery_ctx.readmit = options.recovery.respawn_crashed && options.group_size == 1;
-  recovery_ctx.readmit_delay = units::from_seconds(options.recovery.readmit_delay_seconds);
   std::vector<std::vector<int>> failed_active(static_cast<std::size_t>(nservers));
   if (options.faults != nullptr) {
     const int replicas = options.smb_replicas;
@@ -650,8 +654,7 @@ cluster::PlatformTiming simulate_shmcaffe(const SimShmCaffeOptions& options) {
   // The final scrub the functional trainer runs after training (one pass per
   // shard ensemble) — the walk exists only when there is a replica to vote
   // against.
-  if (options.integrity.enabled() && options.integrity.scrub_on_checkpoint &&
-      options.smb_replicas >= 2) {
+  if (options.integrity.verify_on_read && options.smb_replicas >= 2) {
     result.scrub_passes = nservers;
   }
 

@@ -5,7 +5,8 @@
 // aggregate timing matters).  Each group iteration replays Fig. 6:
 //
 //   [block until previous increment flushed]            -> counted as comm
-//   T1  read W_g from the SMB server                    -> comm
+//   T1  read W_g from the SMB server (a copy over the   -> comm
+//       fabric: the paper's memory server is remote)
 //   T2  update local weight (P bytes at GPU rate)       -> comm
 //   T3  wake the update thread, which overlaps:
 //         T.A1 write dW to the group's RSM segment
@@ -52,13 +53,6 @@ struct SimShmCaffeOptions {
   /// the identical integrity schedule from one FaultPlan.  Read-repair
   /// needs smb_replicas >= 2 (a lone copy has no peer to vote against).
   recovery::IntegrityPolicy integrity;
-  /// Model the T1 read as an epoch-pinned zero-copy view (a worker
-  /// colocated with its SMB shard attaches the segment in-process and T2
-  /// runs directly against SMB storage — only the API overhead is charged,
-  /// no HCA data transfer).  Default false: the paper's evaluated topology
-  /// keeps the memory server remote, so W_g must cross the fabric each
-  /// exchange, and the Fig. 12-15 timing fingerprints assume that cost.
-  bool zero_copy_reads = false;
   std::int64_t iterations = 200; ///< per group (measurement window)
   /// Fig. 6's design: the weight-increment write and global accumulate run
   /// on a separate update thread, hidden behind computation.  false = the
@@ -78,8 +72,8 @@ struct SimShmCaffeOptions {
   /// consumes — both stacks derive the identical membership schedule and
   /// fingerprint from it.  Requires group_size == 1 when set.
   const elastic::MembershipPlan* membership = nullptr;
-  /// Straggler-quarantine policy + elastic latencies (join/drain/rebalance).
-  /// membership_policy.straggler_detection also requires group_size == 1.
+  /// Straggler-quarantine policy; membership_policy.straggler_detection
+  /// also requires group_size == 1.
   elastic::MembershipPolicy membership_policy;
   /// Static per-worker compute/NIC heterogeneity: the planted straggler
   /// population the quarantine policy is exercised against at scale.

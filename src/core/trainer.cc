@@ -352,15 +352,17 @@ void run_worker(WorkerShared& shared, int worker, WorkerLife life, std::int64_t 
     exchange.cv.wait(lock, [&] { return !exchange.pending || exchange.stopping; });
     if (exchange.stopping) throw smb::SmbUnavailable("SMB lost during exchange");
     dl::copy_params_to(net, local.span());
-    if (options.zero_copy_reads) {
+    {
       // T1 zero-copy: pin per-shard views of W_g (checksums verified at pin
       // time) and run T2 directly against SMB storage — no staging copy of
       // the global weights at all.  Per-shard chunking changes nothing
-      // numerically: eqs. (5)+(6) are elementwise, so the floats match the
-      // staged path bitwise for any shard split or pool width.  T1/T2 run
-      // under exchange.mutex by design (mutual exclusion with the update
-      // thread, which is parked on the cv here), and the pins are dropped
-      // before the lock: frame-local, never pinned-across-unlock.
+      // numerically: eqs. (5)+(6) are elementwise, so the floats match a
+      // staged copy read followed by the scalar elastic_exchange bitwise, for
+      // any shard split or pool width.  T1/T2 run under exchange.mutex by
+      // design (mutual exclusion with the update thread, which is parked on
+      // the cv here), and the pins are dropped before the lock: frame-local,
+      // never pinned-across-unlock.  This block ends before T3 wakes the
+      // update thread, whose accumulate would clone a still-pinned epoch.
       // lint:allow-next-line(no-blocking-under-lock,pin-lifetime)
       std::vector<ShardedBuffer::PinnedShard> pins = global.read_pinned(home_shard());
       for (;;) {
@@ -385,15 +387,6 @@ void run_worker(WorkerShared& shared, int worker, WorkerLife life, std::int64_t 
         pins = std::move(fresh);
         dl::copy_params_to(net, local.span());
       }
-    } else {
-      // Same mutual-exclusion argument as the zero-copy branch above.
-      // lint:allow-next-line(no-blocking-under-lock)
-      global.read(global_copy.span(), home_shard());  // T1
-      // T2: eqs. (5)+(6), chunked on the work pool (bitwise equal to the
-      // scalar elastic_exchange for any SHMCAFFE_THREADS).
-      // lint:allow-next-line(no-blocking-under-lock)
-      elastic_exchange_parallel(local.span(), global_copy.span(), alpha,
-                                exchange.delta.span());
     }
     dl::copy_params_from(net, local.span());
     exchange.pending = true;  // T3: hand the increment to the update thread
@@ -461,7 +454,7 @@ void run_worker(WorkerShared& shared, int worker, WorkerLife life, std::int64_t 
     // Checkpoint windows double as scrub windows: walk the replica
     // ensembles while the update thread is quiesced, repairing any silent
     // corruption before it is ever read.
-    if (options.integrity.enabled() && options.integrity.scrub_on_checkpoint) {
+    if (options.integrity.verify_on_read) {
       for (recovery::ReplicatedSmb* ensemble : shared.ensembles) ensemble->scrub();
     }
   };
@@ -728,9 +721,7 @@ TrainResult train_shmcaffe(const DistTrainOptions& options) {
   // SmbService, so the Fig. 6 protocol is identical either way.
   const int physical_count = options.smb_servers * options.smb_replicas;
   smb::SmbServerOptions server_options;
-  server_options.integrity.checksum_chunks = options.integrity.checksum_chunks;
   server_options.integrity.verify_on_read = options.integrity.verify_on_read;
-  server_options.integrity.chunk_floats = options.integrity.chunk_floats;
   std::vector<std::unique_ptr<smb::SmbServer>> servers;
   for (int n = 0; n < physical_count; ++n) {
     servers.push_back(std::make_unique<smb::SmbServer>(server_options));
@@ -1087,7 +1078,7 @@ TrainResult train_shmcaffe(const DistTrainOptions& options) {
   // End-of-training scrub: catch (and repair) corruption injected after the
   // last exchange, while the supervisor still holds the segments and
   // before the final weights are evaluated.
-  if (options.integrity.enabled() && options.integrity.scrub_on_checkpoint) {
+  if (options.integrity.verify_on_read) {
     for (const auto& ensemble : ensembles) {
       try {
         ensemble->scrub();

@@ -76,8 +76,6 @@ class Net {
   /// Zeroes all parameter gradients (the solver calls this after a step).
   void zero_param_grads();
 
-  [[nodiscard]] std::size_t layer_count() const { return entries_.size(); }
-
  private:
   struct BlobRec {
     Tensor value;

@@ -25,21 +25,6 @@ double SgdSolver::learning_rate(int iteration) const {
       return o.base_lr;
     case LrPolicy::kStep:
       return o.base_lr * std::pow(o.gamma, iteration / o.step_size);
-    case LrPolicy::kMultiStep: {
-      int passed = 0;
-      for (int boundary : o.step_values) {
-        if (iteration >= boundary) ++passed;
-      }
-      return o.base_lr * std::pow(o.gamma, passed);
-    }
-    case LrPolicy::kExp:
-      return o.base_lr * std::pow(o.gamma, iteration);
-    case LrPolicy::kInv:
-      return o.base_lr * std::pow(1.0 + o.gamma * iteration, -o.power);
-    case LrPolicy::kPoly: {
-      const double frac = std::min(1.0, static_cast<double>(iteration) / o.max_iter);
-      return o.base_lr * std::pow(1.0 - frac, o.power);
-    }
   }
   return o.base_lr;
 }

@@ -1,4 +1,5 @@
-// SGD solver with momentum, weight decay and Caffe's learning-rate policies.
+// SGD solver with momentum, weight decay and Caffe's `fixed` and `step`
+// learning-rate policies.
 //
 // Update rule (Caffe convention):
 //   v <- momentum * v + lr * (grad + weight_decay * w)
@@ -15,16 +16,13 @@
 
 namespace shmcaffe::dl {
 
-enum class LrPolicy { kFixed, kStep, kMultiStep, kExp, kInv, kPoly };
+enum class LrPolicy { kFixed, kStep };
 
 struct SolverOptions {
   double base_lr = 0.1;
   LrPolicy lr_policy = LrPolicy::kFixed;
-  double gamma = 0.1;               ///< step/exp/inv decay factor
+  double gamma = 0.1;               ///< kStep decay factor
   int step_size = 100000;           ///< iterations per step (kStep)
-  std::vector<int> step_values;     ///< boundaries for kMultiStep
-  double power = 1.0;               ///< kInv / kPoly exponent
-  int max_iter = 100000;            ///< horizon for kPoly
   double momentum = 0.9;
   double weight_decay = 0.0;
 };

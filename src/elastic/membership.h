@@ -96,10 +96,11 @@ class MembershipPlan {
 
 // --- the policy -------------------------------------------------------------
 
-/// Straggler-quarantine bounds and elastic-transition latencies.  The
-/// detector judges heartbeat silence in seconds (elastic/straggler.h says
-/// why neither raw staleness nor a projection of it works under the
-/// trainer's max_iteration_skew pacing).
+/// Straggler-quarantine bounds.  The detector judges heartbeat silence in
+/// seconds (elastic/straggler.h says why neither raw staleness nor a
+/// projection of it works under the trainer's max_iteration_skew pacing).
+/// The simulated stack's join, drain and rebalance latencies are constants
+/// of core/sim_shmcaffe.cc; the functional stack pays their real cost.
 struct MembershipPolicy {
   /// Master switch for the straggler detector (quarantine + eviction).
   /// Off by default: fault-injection suites rely on stalls being survived
@@ -115,11 +116,6 @@ struct MembershipPolicy {
   double quarantine_stall_seconds = 0.35;
   /// The Nth silence evicts instead of quarantining.
   int evict_after_violations = 3;
-
-  // --- timing model (sim only; the functional stack pays real cost) ------
-  double join_delay_seconds = 0.25;   ///< spawn + SMB attach before catch-up
-  double drain_flush_seconds = 0.05;  ///< final increment flush on drain
-  double rebalance_seconds = 0.01;    ///< shard-map recompute + adoption
 };
 
 // --- the planned control events ---------------------------------------------

@@ -40,26 +40,6 @@ void ProtectionDomain::check_remote_access(std::uint32_t rkey, std::int64_t offs
   }
 }
 
-QueuePair::QueuePair(Device& local, ProtectionDomain& remote_pd)
-    : local_(&local), remote_pd_(&remote_pd) {}
-
-sim::Task<void> QueuePair::rdma_write(std::uint32_t rkey, std::int64_t offset,
-                                      std::int64_t len) {
-  remote_pd_->check_remote_access(rkey, offset, len);
-  // Data flows local.tx -> remote.rx; completion when the last byte lands.
-  co_await local_->fabric().transfer(local_->tx(), remote().rx(), len);
-}
-
-sim::Task<void> QueuePair::rdma_read(std::uint32_t rkey, std::int64_t offset,
-                                     std::int64_t len) {
-  remote_pd_->check_remote_access(rkey, offset, len);
-  // The READ request is a small wire message to the responder, then data
-  // flows remote.tx -> local.rx.  The request cost is one message latency
-  // (charged by the zero-byte transfer) on the request path.
-  co_await local_->fabric().transfer(local_->tx(), remote().rx(), 0);
-  co_await local_->fabric().transfer(remote().tx(), local_->rx(), len);
-}
-
 std::size_t DatagramService::attach(Device& device) {
   Mailbox box;
   box.device = &device;

@@ -6,16 +6,16 @@
 //  * ProtectionDomain  — owns registered MemoryRegions and their rkeys
 //  * MemoryRegion      — a registered buffer; remote access requires a valid
 //                        rkey and in-bounds [offset, offset+len)
-//  * QueuePair         — a connected pair of devices supporting one-sided
-//                        RDMA READ/WRITE
 //  * DatagramService   — an RDS-like reliable datagram mailbox per device,
 //                        used for control messages (the paper's SMB derives
 //                        its control path from the Linux RDS module)
 //
-// Completion semantics are collapsed into task completion: `co_await
-// qp.rdma_write(...)` resumes when the HCA would have raised the work
-// completion.  Only sizes travel through the simulation; payload bytes live
-// in the functional SMB, not here.
+// One-sided RDMA READ/WRITE is modelled by the simulated SMB client itself
+// (smb/sim_smb.h): the responder's protection check, then a fabric transfer
+// over the server's data path.  Completion semantics are collapsed into
+// task completion: an awaited operation resumes when the HCA would have
+// raised the work completion.  Only sizes travel through the simulation;
+// payload bytes live in the functional SMB, not here.
 #pragma once
 
 #include <cstdint>
@@ -91,28 +91,6 @@ class ProtectionDomain {
   std::map<std::uint32_t, MemoryRegion> regions_;  // by rkey
 };
 
-/// A reliably-connected queue pair between a local and a remote device.
-/// One-sided operations validate against the remote protection domain.
-class QueuePair {
- public:
-  QueuePair(Device& local, ProtectionDomain& remote_pd);
-
-  /// RDMA WRITE of `len` bytes into remote region `rkey` at `offset`.
-  [[nodiscard]] sim::Task<void> rdma_write(std::uint32_t rkey, std::int64_t offset,
-                                           std::int64_t len);
-
-  /// RDMA READ of `len` bytes from remote region `rkey` at `offset`.
-  [[nodiscard]] sim::Task<void> rdma_read(std::uint32_t rkey, std::int64_t offset,
-                                          std::int64_t len);
-
-  [[nodiscard]] Device& local() const { return *local_; }
-  [[nodiscard]] Device& remote() const { return remote_pd_->device(); }
-
- private:
-  Device* local_;
-  ProtectionDomain* remote_pd_;
-};
-
 /// A small control datagram (RDS-style).  Fields are opaque to this layer.
 struct Datagram {
   std::uint32_t opcode = 0;
@@ -139,8 +117,6 @@ class DatagramService {
 
   /// Receives the next datagram addressed to mailbox `index`.
   [[nodiscard]] sim::Task<Datagram> recv(std::size_t index);
-
-  [[nodiscard]] std::size_t mailbox_count() const { return mailboxes_.size(); }
 
   /// Wire size charged per datagram.
   static constexpr std::int64_t kWireBytes = 256;

@@ -12,7 +12,6 @@
 // the journal.
 #pragma once
 
-#include <cstddef>
 #include <vector>
 
 #include "fault/fault_plan.h"
@@ -20,29 +19,22 @@
 
 namespace shmcaffe::recovery {
 
-/// What the run does about silent data corruption.  All defaults keep the
-/// pre-integrity behaviour (no checksums, no verification) except repair
-/// and scrubbing, which are no-ops until verification is switched on and
-/// therefore safe-on.
+/// What the run does about silent data corruption.  The default keeps the
+/// pre-integrity behaviour (no checksums, no verification); read-repair is
+/// a no-op until verification is switched on and therefore safe-on.
 struct IntegrityPolicy {
-  /// Maintain per-chunk FNV-1a checksums on every SMB float segment.
-  bool checksum_chunks = false;
-  /// Verify checksums before serving reads / accumulating (detection).
+  /// The integrity data path: maintain per-chunk FNV-1a checksums on every
+  /// SMB float segment (smb::SmbIntegrityOptions' default 4096-float
+  /// chunks), verify them before serving reads and accumulating
+  /// (detection), and walk and verify every segment during checkpoint
+  /// quiesce windows and once at the end of training (scrubbing).
   bool verify_on_read = false;
   /// On detection, read the peer replicas, vote, and rewrite the bad copy
   /// (ReplicatedSmb read-repair).  Without it a detected corruption
   /// surfaces to the trainer, which degrades to a checkpoint rollback.
   bool read_repair = true;
-  /// Walk and verify all segments during checkpoint quiesce windows (and
-  /// once at the end of training), repairing what the walk finds.
-  bool scrub_on_checkpoint = true;
-  /// Checksum granularity in floats (16 KiB chunks by default).
-  std::size_t chunk_floats = 4096;
   /// Modelled cost of one replica repair (sim timing only).
   double sim_repair_seconds = 0.002;
-
-  /// True when the integrity data path (checksums) is active at all.
-  [[nodiscard]] bool enabled() const { return checksum_chunks || verify_on_read; }
 };
 
 /// Expands a fault plan into the integrity events `policy` mandates, in plan

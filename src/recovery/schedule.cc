@@ -14,7 +14,7 @@ std::vector<fault::ControlEvent> recovery_schedule(const fault::FaultPlan& plan,
   // second re-admission.
   std::map<int, std::int64_t> first_crash;
   for (const fault::FaultEvent& event : plan.events()) {
-    if (event.kind == fault::FaultKind::kServerFailStop && policy.smb_failover) {
+    if (event.kind == fault::FaultKind::kServerFailStop) {
       fail_stops.push_back(event);
     } else if (event.kind == fault::FaultKind::kWorkerCrash && policy.respawn_crashed) {
       const auto it = first_crash.find(event.target);

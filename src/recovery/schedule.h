@@ -11,26 +11,23 @@
 
 namespace shmcaffe::recovery {
 
-/// What the run does about injected failures.  All defaults preserve the
-/// pre-recovery behaviour (failures degrade, nothing heals) except SMB
-/// failover, which is a no-op without replicas and therefore safe-on.
+/// What the run does about injected failures.  The default preserves the
+/// pre-recovery behaviour for workers (a crash degrades, nothing heals).
+/// A replicated SMB always fails over when its primary fail-stops; without
+/// replicas there is nothing to fail over to.
 struct RecoveryPolicy {
-  /// Fail over a replicated SMB when its primary fail-stops.
-  bool smb_failover = true;
   /// Respawn a replacement for a crashed worker (re-admission).
   bool respawn_crashed = false;
   /// Modelled failure-detection + promotion latency (sim timing).
   double failover_seconds = 0.25;
-  /// Modelled respawn + W_g adoption latency before the replacement's first
-  /// iteration (sim timing; the functional stack pays real attach cost).
-  double readmit_delay_seconds = 0.5;
 };
 
 /// Expands a fault plan into the recovery actions `policy` mandates: a
-/// kSmbFailover per fail-stopped server, a kWorkerReadmit per crashed
-/// worker (earliest crash only — a worker dies once).  Failovers come
-/// first, by (fault start time, target), then readmits by (crash
-/// iteration, target).
+/// kSmbFailover per fail-stopped server (fault::executed drops the ones a
+/// run does not observe: a backup's death, a fail-stop without replicas),
+/// and a kWorkerReadmit per crashed worker (earliest crash only — a worker
+/// dies once) when policy.respawn_crashed is set.  Failovers come first, by
+/// (fault start time, target), then readmits by (crash iteration, target).
 [[nodiscard]] std::vector<fault::ControlEvent> recovery_schedule(const fault::FaultPlan& plan,
                                                                 const RecoveryPolicy& policy);
 

@@ -29,8 +29,6 @@ class Event {
   Event(const Event&) = delete;
   Event& operator=(const Event&) = delete;
 
-  [[nodiscard]] bool is_set() const { return set_; }
-
   /// Sets the flag and wakes every current waiter.
   void set() {
     set_ = true;
@@ -66,7 +64,6 @@ class Semaphore {
   Semaphore& operator=(const Semaphore&) = delete;
 
   [[nodiscard]] std::int64_t available() const { return available_; }
-  [[nodiscard]] std::size_t waiter_count() const { return waiters_.size(); }
 
   auto acquire() {
     struct Awaiter {

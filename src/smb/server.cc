@@ -30,7 +30,7 @@ SmbServer::SmbServer(SmbServerOptions options) : options_(options) {
   if (options_.capacity_bytes <= 0) {
     throw SmbError("SMB server capacity must be positive");
   }
-  if (maintain_checksums() && options_.integrity.chunk_floats == 0) {
+  if (options_.integrity.verify_on_read && options_.integrity.chunk_floats == 0) {
     throw SmbError("integrity chunk size must be positive");
   }
 }
@@ -56,7 +56,7 @@ Handle SmbServer::create_segment(ShmKey key, std::size_t count, Kind kind) {
   if (kind == Kind::kFloats) {
     // lint:allow-next-line(lock-region) fresh segment, not yet published
     segment->storage->data.assign(count, 0.0F);
-    if (maintain_checksums()) {
+    if (options_.integrity.verify_on_read) {
       const std::size_t chunks =
           (count + options_.integrity.chunk_floats - 1) / options_.integrity.chunk_floats;
       std::scoped_lock lock(segment->data_mutex);
@@ -556,6 +556,11 @@ std::size_t SmbServer::corrupt_floats(ShmKey key, std::uint64_t marker, int bit_
   }
   if (segment->kind != Kind::kFloats) return 0;
   std::scoped_lock lock(segment->data_mutex);
+  // A reader runs over its pinned view without the segment lock, so a flip
+  // in place into a pinned epoch would be a data race: clone the epoch
+  // first, like a writer.  The flip stays silent in the live epoch, and
+  // arm_pinned_corruption is the fault that lands inside a reader's pin.
+  prepare_write_locked(*segment);
   return flip_bits_locked(*segment, marker, bit_flips);
 }
 
@@ -564,9 +569,10 @@ std::size_t SmbServer::flip_bits_locked(Segment& segment, std::uint64_t marker,
     SHMCAFFE_REQUIRES(segment.data_mutex) {
   SHMCAFFE_ASSERT_HELD(segment.data_mutex);
   common::Rng rng(marker);
-  // Deliberately skips the copy-on-write: silent corruption does not
-  // announce itself, so a pinned view may observe the flipped bits — that
-  // is the fault being modelled (verification happened at pin time).
+  // No copy-on-write here: the armed pinned corruption flips the epoch its
+  // reader just pinned, on the reader's own thread, so that view observes
+  // the flipped bits — the fault being modelled (verification happened at
+  // pin time).
   if (segment.storage->data.empty()) return 0;
   std::set<std::size_t> chunks;
   const std::size_t width = std::max<std::size_t>(1, options_.integrity.chunk_floats);

@@ -64,18 +64,15 @@ struct OpTag {
 /// stays byte-for-byte what it was before the integrity layer existed.
 struct SmbIntegrityOptions {
   /// Maintain per-chunk FNV-1a checksums, updated incrementally by every
-  /// write / accumulate to a float segment.
-  bool checksum_chunks = false;
-  /// Verify the checksums of the touched range before serving a read and
-  /// before accumulating into (or snapshotting from) a segment, throwing
-  /// SmbCorruption on mismatch.  Verifying *before* the accumulate matters:
-  /// an unverified accumulate would recompute the checksum over corrupted
-  /// data and launder the corruption.  Implies checksum_chunks.
+  /// write / accumulate to a float segment, and verify the checksums of the
+  /// touched range before serving a read and before accumulating into (or
+  /// snapshotting from) a segment, throwing SmbCorruption on mismatch.
+  /// Verifying *before* the accumulate matters: an unverified accumulate
+  /// would recompute the checksum over corrupted data and launder the
+  /// corruption.
   bool verify_on_read = false;
   /// Checksum granularity in floats (16 KiB chunks by default).
   std::size_t chunk_floats = 4096;
-
-  [[nodiscard]] bool maintain() const { return checksum_chunks || verify_on_read; }
 };
 
 struct SmbServerOptions {
@@ -213,8 +210,10 @@ class SmbServer final : public SmbService {
 
   /// Flips `bit_flips` marker-seeded mantissa bits in the float segment
   /// under `key` and poisons the touched chunks with `marker`.  Checksums
-  /// are deliberately left stale — that is the fault.  Returns the number
-  /// of chunks poisoned (0 if the key does not name a float segment).
+  /// are deliberately left stale — that is the fault.  An epoch that
+  /// readers hold pinned is cloned first, as a writer would, so their views
+  /// keep the old bits.  Returns the number of chunks poisoned (0 if the
+  /// key does not name a float segment).
   std::size_t corrupt_floats(ShmKey key, std::uint64_t marker, int bit_flips);
 
   /// Arms a torn write: the `ordinal`-th float write accepted by this server
@@ -348,7 +347,6 @@ class SmbServer final : public SmbService {
   /// alive and immutable via the pinned views' refs).
   void prepare_write_locked(Segment& segment) SHMCAFFE_REQUIRES(segment.data_mutex);
 
-  [[nodiscard]] bool maintain_checksums() const { return options_.integrity.maintain(); }
   /// FNV-1a over the chunk's float bytes.
   static std::uint64_t chunk_checksum(const float* data, std::size_t count);
   /// Recomputes the checksums of every chunk overlapping [first, first+count)
@@ -370,7 +368,9 @@ class SmbServer final : public SmbService {
       SHMCAFFE_REQUIRES(segment.data_mutex);
   /// Records a verification outcome under the table lock (stats + markers).
   void record_verification(std::size_t checked, const std::vector<CorruptChunk>& bad) const;
-  /// corrupt_floats' flips on the live epoch; returns the chunks poisoned.
+  /// Flips bits of the live epoch in place (corrupt_floats after its
+  /// copy-on-write, or an armed pinned corruption); returns the chunks
+  /// poisoned.
   std::size_t flip_bits_locked(Segment& segment, std::uint64_t marker, int bit_flips) const
       SHMCAFFE_REQUIRES(segment.data_mutex);
 

@@ -142,19 +142,6 @@ sim::Task<void> SimSmbClient::read(Handle handle, std::int64_t bytes, std::int64
   co_await server_->fabric().transfer(server_->outbound_path(*device_), bytes);
 }
 
-sim::Task<void> SimSmbClient::read_pinned(Handle handle, std::int64_t bytes,
-                                          std::int64_t offset, bool verify) {
-  SimSmbServer::SegmentInfo* segment = server_->find_segment(handle.access_key);
-  if (segment == nullptr) throw SmbError("pinned read from unknown SMB handle");
-  server_->pd_.check_remote_access(segment->mr.rkey, offset, bytes);
-  co_await server_->simulation().delay(server_->options().op_overhead);
-  if (verify) {
-    // One verification pass over the pinned epoch, local to the server.
-    co_await server_->simulation().delay(
-        units::transfer_time(bytes, server_->options().accumulate_bandwidth));
-  }
-}
-
 sim::Task<void> SimSmbClient::write(Handle handle, std::int64_t bytes, std::int64_t offset) {
   SimSmbServer::SegmentInfo* segment = server_->find_segment(handle.access_key);
   if (segment == nullptr) throw SmbError("write to unknown SMB handle");

@@ -63,15 +63,6 @@ class SimSmbClient {
   [[nodiscard]] sim::Task<void> read(Handle handle, std::int64_t bytes,
                                      std::int64_t offset = 0);
 
-  /// Timing twin of SmbService::read_pinned for a worker colocated with the
-  /// SMB server (in-process attach): the view is epoch-pinned in place, so
-  /// the model charges only the API bookkeeping overhead — zero data bytes
-  /// cross the fabric and data_bytes_moved() is untouched.  Checksum
-  /// verification at pin time streams the segment once through the server
-  /// memory controllers (accumulate-engine bandwidth), off the HCA path.
-  [[nodiscard]] sim::Task<void> read_pinned(Handle handle, std::int64_t bytes,
-                                            std::int64_t offset = 0, bool verify = false);
-
   /// One-sided RDMA write of `bytes` into the segment.
   [[nodiscard]] sim::Task<void> write(Handle handle, std::int64_t bytes,
                                       std::int64_t offset = 0);

@@ -444,49 +444,6 @@ TEST(Solver, StepPolicyDecaysByGammaEveryStepSize) {
   EXPECT_NEAR(solver.learning_rate(250), 0.001, 1e-12);
 }
 
-TEST(Solver, MultiStepPolicy) {
-  Net net = build_mlp_flat();
-  SolverOptions options;
-  options.base_lr = 1.0;
-  options.lr_policy = LrPolicy::kMultiStep;
-  options.gamma = 0.5;
-  options.step_values = {10, 30};
-  SgdSolver solver(net, options);
-  EXPECT_DOUBLE_EQ(solver.learning_rate(5), 1.0);
-  EXPECT_DOUBLE_EQ(solver.learning_rate(15), 0.5);
-  EXPECT_DOUBLE_EQ(solver.learning_rate(40), 0.25);
-}
-
-TEST(Solver, PolyPolicyReachesZeroAtHorizon) {
-  Net net = build_mlp_flat();
-  SolverOptions options;
-  options.base_lr = 0.2;
-  options.lr_policy = LrPolicy::kPoly;
-  options.power = 2.0;
-  options.max_iter = 100;
-  SgdSolver solver(net, options);
-  EXPECT_DOUBLE_EQ(solver.learning_rate(0), 0.2);
-  EXPECT_NEAR(solver.learning_rate(50), 0.05, 1e-12);
-  EXPECT_NEAR(solver.learning_rate(100), 0.0, 1e-12);
-}
-
-TEST(Solver, InvAndExpPoliciesDecayMonotonically) {
-  Net net = build_mlp_flat();
-  for (LrPolicy policy : {LrPolicy::kInv, LrPolicy::kExp}) {
-    SolverOptions options;
-    options.lr_policy = policy;
-    options.gamma = policy == LrPolicy::kExp ? 0.99 : 0.001;
-    options.power = 0.75;
-    SgdSolver solver(net, options);
-    double prev = solver.learning_rate(0);
-    for (int it = 1; it <= 1000; it += 100) {
-      const double lr = solver.learning_rate(it);
-      EXPECT_LT(lr, prev);
-      prev = lr;
-    }
-  }
-}
-
 TEST(Solver, StepAppliesMomentumUpdate) {
   // One parameter, known gradient, check two steps by hand.
   Net net("tiny");

@@ -44,7 +44,6 @@ using recovery::ReplicatedSmb;
 /// Small chunks so a few-float segment spans several of them.
 smb::SmbServerOptions verified_options(std::size_t chunk_floats = 4) {
   smb::SmbServerOptions options;
-  options.integrity.checksum_chunks = true;
   options.integrity.verify_on_read = true;
   options.integrity.chunk_floats = chunk_floats;
   return options;
@@ -335,7 +334,6 @@ TEST(IntegritySchedule, PolicyGatesDetectionAndRepair) {
   EXPECT_EQ(recovery::integrity_schedule(corruption_plan(), off).size(), 2u);
 
   IntegrityPolicy verify;
-  verify.checksum_chunks = true;
   verify.verify_on_read = true;
   verify.read_repair = false;
   // Keyed by marker on the physical server each fault hits; a torn write's
@@ -363,7 +361,6 @@ TEST(IntegritySchedule, PolicyGatesDetectionAndRepair) {
 
 TEST(IntegritySchedule, ExecutedFilterKeepsOnlyObservedMarkers) {
   IntegrityPolicy policy;
-  policy.checksum_chunks = true;
   policy.verify_on_read = true;
   const auto planned = recovery::integrity_schedule(corruption_plan(), policy);
   // The corruption fired on server 0 and was detected there; the torn write
@@ -472,10 +469,8 @@ TEST(CheckpointCorruption, RottenNewestSlotFallsBackToOlderSlotBitExactly) {
 
 IntegrityPolicy full_integrity() {
   IntegrityPolicy policy;
-  policy.checksum_chunks = true;
   policy.verify_on_read = true;
   policy.read_repair = true;
-  policy.scrub_on_checkpoint = true;
   return policy;
 }
 

@@ -60,7 +60,6 @@ std::vector<ControlEvent> mixed_journal() {
   recovery::RecoveryPolicy recovery;
   recovery.respawn_crashed = true;
   recovery::IntegrityPolicy integrity;
-  integrity.checksum_chunks = true;
   integrity.verify_on_read = true;
   elastic::MembershipPolicy policy;
   policy.straggler_detection = true;

@@ -1,17 +1,14 @@
-// Tests for the verbs-like RDMA layer: registration, protection, one-sided
-// op timing and the datagram control channel.
+// Tests for the verbs-like RDMA layer: registration, protection and the
+// datagram control channel.  The one-sided data path is the simulated SMB
+// client's (sim_smb_test).
 #include <gtest/gtest.h>
 
-#include "common/units.h"
 #include "net/fabric.h"
 #include "rdma/verbs.h"
 #include "sim/simulation.h"
 
 namespace shmcaffe::rdma {
 namespace {
-
-using shmcaffe::units::kMicrosecond;
-using shmcaffe::units::kMillisecond;
 
 struct Rig {
   sim::Simulation sim;
@@ -72,68 +69,6 @@ TEST(ProtectionDomain, DeregisteredRegionRejectsAccess) {
   rig.server_pd.deregister_memory(mr);
   EXPECT_THROW(rig.server_pd.check_remote_access(mr.rkey, 0, 1), AccessError);
   EXPECT_EQ(rig.server_pd.region_count(), 0u);
-}
-
-TEST(QueuePair, WriteTimingMatchesBandwidth) {
-  Rig rig;
-  const MemoryRegion mr = rig.server_pd.register_memory(10'000'000);
-  QueuePair qp(rig.client, rig.server_pd);
-  SimTime done = -1;
-  rig.sim.spawn([](sim::Simulation& s, QueuePair& q, std::uint32_t rkey, SimTime& out)
-                    -> sim::Task<> {
-    co_await q.rdma_write(rkey, 0, 1'000'000);  // 1 MB at 1 GB/s
-    out = s.now();
-  }(rig.sim, qp, mr.rkey, done));
-  rig.sim.run();
-  EXPECT_NEAR(static_cast<double>(done), 1.0 * kMillisecond, 10'000.0);
-}
-
-TEST(QueuePair, ReadMovesDataOnResponderTxPath) {
-  Rig rig;
-  const MemoryRegion mr = rig.server_pd.register_memory(10'000'000);
-  QueuePair qp(rig.client, rig.server_pd);
-  rig.sim.spawn([](QueuePair& q, std::uint32_t rkey) -> sim::Task<> {
-    co_await q.rdma_read(rkey, 0, 2'000'000);
-  }(qp, mr.rkey));
-  rig.sim.run();
-  EXPECT_NEAR(static_cast<double>(rig.sim.now()), 2.0 * kMillisecond, 10'000.0);
-  // Data was carried by server.tx / client.rx, not the write path.
-  EXPECT_EQ(rig.fabric.stats(rig.server.tx()).bytes_carried, 2'000'000);
-  EXPECT_EQ(rig.fabric.stats(rig.client.rx()).bytes_carried, 2'000'000);
-  EXPECT_EQ(rig.fabric.stats(rig.server.rx()).bytes_carried, 0);
-}
-
-TEST(QueuePair, ConcurrentWritesShareTheServerRxLink) {
-  Rig rig;
-  const MemoryRegion mr = rig.server_pd.register_memory(100'000'000);
-  Device client2(rig.sim, rig.fabric, "client2", 1e9);
-  QueuePair qp1(rig.client, rig.server_pd);
-  QueuePair qp2(client2, rig.server_pd);
-  rig.sim.spawn([](QueuePair& q, std::uint32_t rkey) -> sim::Task<> {
-    co_await q.rdma_write(rkey, 0, 1'000'000);
-  }(qp1, mr.rkey));
-  rig.sim.spawn([](QueuePair& q, std::uint32_t rkey) -> sim::Task<> {
-    co_await q.rdma_write(rkey, 1'000'000, 1'000'000);
-  }(qp2, mr.rkey));
-  rig.sim.run();
-  // Both 1 MB writes into one 1 GB/s rx link: ~2 ms total.
-  EXPECT_NEAR(static_cast<double>(rig.sim.now()), 2.0 * kMillisecond, 10'000.0);
-}
-
-TEST(QueuePair, ProtectionViolationSurfacesBeforeAnyTransfer) {
-  Rig rig;
-  QueuePair qp(rig.client, rig.server_pd);
-  bool threw = false;
-  rig.sim.spawn([](QueuePair& q, bool& out) -> sim::Task<> {
-    try {
-      co_await q.rdma_write(12345, 0, 100);
-    } catch (const AccessError&) {
-      out = true;
-    }
-  }(qp, threw));
-  rig.sim.run();
-  EXPECT_TRUE(threw);
-  EXPECT_EQ(rig.fabric.stats(rig.server.rx()).bytes_carried, 0);
 }
 
 TEST(DatagramService, DeliversInOrderWithPayloadIntact) {

@@ -351,24 +351,37 @@ TEST(RecoverySchedule, OrdersFailoversThenReadmitsDeterministically) {
 }
 
 TEST(RecoverySchedule, PolicyGatesActions) {
-  RecoveryPolicy failover_only;
-  failover_only.respawn_crashed = false;
-  const auto failovers = recovery_schedule(recovery_plan(), failover_only);
-  ASSERT_EQ(failovers.size(), 2u);
-  for (const ControlEvent& event : failovers) {
-    EXPECT_EQ(event.action, ControlAction::kSmbFailover);
-  }
+  // Every server fail-stop plans a failover, whatever the policy; a run
+  // keeps only the failovers it observes (fault::executed).  respawn_crashed
+  // alone gates the re-admissions.
+  const std::vector<ControlEvent> failovers{
+      {ControlAction::kSmbFailover, 3, 1},
+      {ControlAction::kSmbFailover, 0, 1},
+  };
+  const RecoveryPolicy degrade;  // default: crashed workers stay dead
+  EXPECT_EQ(recovery_schedule(recovery_plan(), degrade), failovers);
+  EXPECT_TRUE(fault::executed(failovers, {}).empty());
 
-  RecoveryPolicy nothing;
-  nothing.smb_failover = false;
-  nothing.respawn_crashed = false;
-  EXPECT_TRUE(recovery_schedule(recovery_plan(), nothing).empty());
+  RecoveryPolicy respawn;
+  respawn.respawn_crashed = true;
+  const std::vector<ControlEvent> both = recovery_schedule(recovery_plan(), respawn);
+  ASSERT_EQ(both.size(), 4u);
+  EXPECT_EQ(std::vector<ControlEvent>(both.begin(), both.begin() + 2), failovers);
+  EXPECT_EQ(both[2].action, ControlAction::kWorkerReadmit);
+  EXPECT_EQ(both[3].action, ControlAction::kWorkerReadmit);
 
-  RecoveryPolicy readmit_only = nothing;
-  readmit_only.respawn_crashed = true;
-  for (const ControlEvent& event : recovery_schedule(recovery_plan(), readmit_only)) {
-    EXPECT_EQ(event.action, ControlAction::kWorkerReadmit);
+  // Without a fail-stop in the plan, only the gate decides.
+  const FaultPlan plan = recovery_plan();
+  FaultPlan crashes_only;
+  for (const FaultEvent& event : plan.events()) {
+    if (event.kind == FaultKind::kWorkerCrash) crashes_only.add(event);
   }
+  EXPECT_TRUE(recovery_schedule(crashes_only, degrade).empty());
+  const std::vector<ControlEvent> readmits{
+      {ControlAction::kWorkerReadmit, 2, 1},
+      {ControlAction::kWorkerReadmit, 1, 1},
+  };
+  EXPECT_EQ(recovery_schedule(crashes_only, respawn), readmits);
 }
 
 // --- progress-board re-admission -----------------------------------------

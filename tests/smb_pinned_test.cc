@@ -1,17 +1,19 @@
 // Tests for the zero-copy epoch-pinned SMB read path: pinned views vs copy
 // reads, copy-on-write around a pin, pin accounting (bytes_pinned,
 // balance-at-release), verify-at-pin-time integrity, and the pinned path
-// through ReplicatedSmb, ShardedBuffer, and the functional trainer.
+// through ReplicatedSmb, ShardedBuffer, and the trainer's T1/T2 exchange.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
 #include <numeric>
+#include <span>
 #include <vector>
 
-#include "core/config.h"
+#include "common/parallel.h"
+#include "common/rng.h"
+#include "core/seasgd_math.h"
 #include "core/sharded_buffer.h"
-#include "core/trainer.h"
 #include "recovery/replicated_smb.h"
 #include "smb/server.h"
 
@@ -226,38 +228,60 @@ TEST(SmbPinnedRead, ShardedViewsCoverTheLogicalBuffer) {
   }
 }
 
-// --- functional trainer -------------------------------------------------------
+// --- the trainer's T1/T2 ---------------------------------------------------
 
 TEST(SmbPinnedRead, TrainerZeroCopyPathIsBitwiseIdenticalToCopyPath) {
-  // The T1 exchange against pinned views must be numerically invisible: same
-  // floats, same rounding, just no staging copy.  One worker, one epoch of
-  // the toy conv family — the same fixture parallel_test uses for the
-  // thread-count invariance check.
-  core::DistTrainOptions options;
-  options.model_family = "mini_inception";
-  options.workers = 1;
-  options.group_size = 1;
-  options.input = dl::ModelInputSpec{1, 12, 12, 4};
-  options.train_data.channels = 1;
-  options.train_data.height = 12;
-  options.train_data.width = 12;
-  options.train_data.classes = 4;
-  options.train_data.size = 256;
-  options.train_data.noise_stddev = 0.25;
-  options.test_data = options.train_data;
-  options.test_data.size = 128;
-  options.test_data.seed = 0x7e57;
-  options.batch_size = 16;
-  options.epochs = 1;
+  // T1/T2 as the trainer's seasgd_exchange runs them: pinned per-shard views
+  // of W_g, and elastic_exchange_parallel on each shard at its offset.  The
+  // reference is a staged read, a copy of the whole buffer followed by the
+  // scalar elastic_exchange: same floats, same rounding, for any start shard
+  // and pool width.  The split is uneven (33335, 33334, 33334 floats) and
+  // every shard spans more than one pool chunk.
+  constexpr std::size_t kTotal = 100'003;
+  static_assert(kTotal / 3 > core::kSeasgdGrain);
+  SmbServer s0;
+  SmbServer s1;
+  SmbServer s2;
+  std::vector<smb::SmbServer*> servers = {&s0, &s1, &s2};
+  core::ShardedBuffer global =
+      core::ShardedBuffer::create(std::span<smb::SmbServer* const>(servers), 7, kTotal);
+  common::Rng rng(0x7e57);
+  std::vector<float> weights(kTotal);
+  std::vector<float> start_local(kTotal);
+  for (std::size_t i = 0; i < kTotal; ++i) {
+    weights[i] = static_cast<float>(rng.normal());
+    start_local[i] = weights[i] + static_cast<float>(0.01 * rng.normal());
+  }
+  global.write(weights);
+  const float alpha = 0.2F;
 
-  options.zero_copy_reads = true;
-  const core::TrainResult pinned = core::train_shmcaffe(options);
-  options.zero_copy_reads = false;
-  const core::TrainResult copied = core::train_shmcaffe(options);
+  for (const int threads : {1, 2, 4}) {
+    common::parallel::set_thread_count(threads);
+    for (const std::size_t start_shard : {0U, 1U, 2U}) {
+      std::vector<float> copy(kTotal);
+      global.read(copy, start_shard);
+      std::vector<float> want_local = start_local;
+      std::vector<float> want_delta(kTotal);
+      core::elastic_exchange(want_local, copy, alpha, want_delta);
 
-  EXPECT_EQ(pinned.final_loss, copied.final_loss);
-  EXPECT_EQ(pinned.final_accuracy, copied.final_accuracy);
-  ASSERT_EQ(pinned.curve.size(), copied.curve.size());
+      std::vector<float> local = start_local;
+      std::vector<float> delta(kTotal);
+      {
+        std::vector<core::ShardedBuffer::PinnedShard> pins = global.read_pinned(start_shard);
+        for (core::ShardedBuffer::PinnedShard& shard : pins) {
+          core::elastic_exchange_parallel(
+              std::span<float>(local.data() + shard.offset, shard.view.size()),
+              shard.view.span(), alpha,
+              std::span<float>(delta.data() + shard.offset, shard.view.size()));
+        }
+      }
+      EXPECT_EQ(std::memcmp(local.data(), want_local.data(), kTotal * sizeof(float)), 0)
+          << "local, start_shard " << start_shard << " at width " << threads;
+      EXPECT_EQ(std::memcmp(delta.data(), want_delta.data(), kTotal * sizeof(float)), 0)
+          << "delta, start_shard " << start_shard << " at width " << threads;
+    }
+  }
+  common::parallel::shutdown();
 }
 
 }  // namespace

@@ -1,12 +1,15 @@
 #!/usr/bin/env bash
 # One-command correctness gate: plain build + full test suite (including the
-# `ctest -L lint` static-analysis pass), then the concurrency suites under
-# ThreadSanitizer, then the full suite under AddressSanitizer+UBSan.
+# `ctest -L lint` static-analysis pass) + a compile of the end-to-end
+# benchmark, then the concurrency suites under ThreadSanitizer, then the full
+# suite under AddressSanitizer+UBSan.
 #
 # Usage:
 #   tools/check.sh            # run the whole matrix
 #   tools/check.sh plain      # just the plain build + full ctest (+ lint,
-#                             # incl. the lock-coverage snapshot gate)
+#                             # incl. the lock-coverage snapshot gate), then
+#                             # a Release build of the perfbench/ package
+#                             # into build-perfbench/ (compiled, not run)
 #   tools/check.sh tsan       # just the TSan build + `ctest -L tsan`
 #   tools/check.sh asan       # just the ASan/UBSan build + full ctest
 #   tools/check.sh lint       # `ctest -L lint` + `shmcaffe-lint --coverage`
@@ -50,8 +53,8 @@
 #                             # is also given
 #
 # Each configuration builds into its own tree (build/, build-tsan/,
-# build-asan/, build-bench/) so incremental reruns are cheap.  Exits non-zero
-# on the first failing stage.
+# build-asan/, build-bench/, build-perfbench/) so incremental reruns are
+# cheap.  Exits non-zero on the first failing stage.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -76,6 +79,16 @@ run_stage() {
   cmake --build "$build_dir" -j "$JOBS"
   echo "==> [$name] ctest $ctest_args"
   (cd "$build_dir" && ctest --output-on-failure -j "$JOBS" $ctest_args)
+}
+
+# Compile gate for the end-to-end benchmark.  perfbench/ is a CMake package
+# of its own that compiles ../src, so without this a change to a header it
+# includes would fail only when the benchmark runs.  Built in Release, as
+# perfbench/run.py builds it; not run.
+perfbench_build() {
+  echo "==> [plain] configure + build perfbench (build-perfbench, Release)"
+  cmake -S perfbench -B build-perfbench -DCMAKE_BUILD_TYPE=Release >/dev/null
+  cmake --build build-perfbench -j "$JOBS" --target perfbench
 }
 
 # Fails the gate if a per-class count (`sed` script $2 prints "class count"
@@ -341,9 +354,11 @@ for stage in "${STAGES[@]}"; do
     plain)
       # The plain tree runs everything: unit + integration suites, the
       # shmcaffe-lint repo scan (`-L lint`), and the lock-order detector
-      # guards embedded in the concurrency suites.
+      # guards embedded in the concurrency suites.  Then perfbench/ must
+      # still compile against the changed sources.
       run_stage plain build "" ""
       lint_coverage_gate build
+      perfbench_build
       ;;
     tsan)
       # Data-race + (via the LockOrder guard tests) deadlock-potential pass
