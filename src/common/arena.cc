@@ -83,19 +83,6 @@ Stats Arena::stats() const {
   return out;
 }
 
-std::size_t Arena::trim() {
-  std::scoped_lock lock(mutex_);
-  std::size_t freed = 0;
-  for (auto& [cls, slabs] : free_lists_) {
-    for (float* p : slabs) {
-      os_free(p);
-      freed += cls * sizeof(float);
-    }
-    slabs.clear();
-  }
-  return freed;
-}
-
 Arena& global_arena() {
   // Leaked: thread-local and static-lifetime buffers release during
   // shutdown, after function-local statics would have been destroyed.

@@ -81,9 +81,6 @@ class Arena {
   void release(const char* owner, Slab slab) noexcept;
 
   [[nodiscard]] Stats stats() const;
-  /// Drops every free-listed slab back to the OS; returns bytes freed.
-  /// Live slabs are untouched.
-  std::size_t trim();
 
   /// Size class (in floats) an acquire of `count` floats maps to: the next
   /// power of two, at least kMinSlabFloats.

@@ -27,7 +27,7 @@ thread_local std::condition_variable_any t_job_done;
 /// Chunks are claimed through `next` (dynamic schedule); determinism comes
 /// from the chunk *boundaries*, not from which thread runs which chunk.
 struct Job {
-  const IndexedChunkFn* fn = nullptr;
+  const ChunkFn* fn = nullptr;
   std::size_t grain = 1;
   std::size_t range = 0;
   std::size_t chunks = 0;
@@ -72,7 +72,7 @@ class Pool {
 
   void add_lanes(int delta) { lanes_.fetch_add(delta, std::memory_order_relaxed); }
 
-  void run(std::size_t range, std::size_t grain, const IndexedChunkFn& fn) {
+  void run(std::size_t range, std::size_t grain, const ChunkFn& fn) {
     if (range == 0) return;
     grain = std::max<std::size_t>(1, grain);
     const std::size_t chunks = chunk_count(range, grain);
@@ -224,7 +224,7 @@ class Pool {
       const std::size_t begin = chunk * job.grain;
       const std::size_t end = std::min(begin + job.grain, job.range);
       try {
-        (*job.fn)(chunk, begin, end);
+        (*job.fn)(begin, end);
       } catch (...) {
         std::unique_lock lock(mutex_);
         if (!job.failed.exchange(true, std::memory_order_acq_rel)) {
@@ -235,10 +235,10 @@ class Pool {
   }
 
   static void run_inline(std::size_t range, std::size_t grain, std::size_t chunks,
-                         const IndexedChunkFn& fn) {
+                         const ChunkFn& fn) {
     for (std::size_t chunk = 0; chunk < chunks; ++chunk) {
       const std::size_t begin = chunk * grain;
-      fn(chunk, begin, std::min(begin + grain, range));
+      fn(begin, std::min(begin + grain, range));
     }
   }
 
@@ -274,12 +274,6 @@ Lane::Lane() { Pool::instance().add_lanes(1); }
 Lane::~Lane() { Pool::instance().add_lanes(-1); }
 
 void parallel_for(std::size_t range, std::size_t grain, const ChunkFn& fn) {
-  const IndexedChunkFn indexed = [&fn](std::size_t /*chunk*/, std::size_t begin,
-                                       std::size_t end) { fn(begin, end); };
-  Pool::instance().run(range, grain, indexed);
-}
-
-void parallel_for_indexed(std::size_t range, std::size_t grain, const IndexedChunkFn& fn) {
   Pool::instance().run(range, grain, fn);
 }
 

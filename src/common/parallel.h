@@ -86,17 +86,10 @@ class Lane {
 };
 
 using ChunkFn = std::function<void(std::size_t begin, std::size_t end)>;
-using IndexedChunkFn =
-    std::function<void(std::size_t chunk, std::size_t begin, std::size_t end)>;
 
 /// Runs fn(begin, end) over every chunk of [0, range); returns when all
 /// chunks completed.  Rethrows the first chunk exception.  Submission
 /// blocks the caller until the pool drains the batch.
 SHMCAFFE_BLOCKS void parallel_for(std::size_t range, std::size_t grain, const ChunkFn& fn);
-
-/// Same, but hands the chunk index to fn — for kernels that reduce into
-/// per-chunk partial slots and combine them in chunk order afterwards.
-SHMCAFFE_BLOCKS void parallel_for_indexed(std::size_t range, std::size_t grain,
-                                          const IndexedChunkFn& fn);
 
 }  // namespace shmcaffe::common::parallel

@@ -1,33 +1,11 @@
-// Small statistics helpers used by benches and tests: single-pass running
-// moments (Welford) and a sample accumulator with exact percentiles.
+// A small statistics helper used by benches and tests: a sample
+// accumulator with exact percentiles.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
 namespace shmcaffe::common {
-
-/// Streaming mean/variance/min/max without storing samples (Welford).
-class RunningStats {
- public:
-  void add(double x);
-
-  [[nodiscard]] std::size_t count() const { return count_; }
-  [[nodiscard]] double mean() const { return count_ > 0 ? mean_ : 0.0; }
-  [[nodiscard]] double variance() const;  ///< unbiased sample variance
-  [[nodiscard]] double stddev() const;
-  [[nodiscard]] double min() const { return count_ > 0 ? min_ : 0.0; }
-  [[nodiscard]] double max() const { return count_ > 0 ? max_ : 0.0; }
-  [[nodiscard]] double sum() const { return sum_; }
-
- private:
-  std::size_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
 
 /// Stores samples; supports exact order statistics.  Quantile uses linear
 /// interpolation between closest ranks (same convention as numpy's default).

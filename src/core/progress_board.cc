@@ -111,14 +111,6 @@ ProgressBoard::WorkerState ProgressBoard::state_of(int worker) const {
   return static_cast<WorkerState>(server_->load(handle_, slot(kStates, worker)));
 }
 
-int ProgressBoard::live_count() const {
-  int live = 0;
-  for (int w = 0; w < capacity_; ++w) {
-    if (contributing(w)) ++live;
-  }
-  return live;
-}
-
 int ProgressBoard::sweep_dead(double timeout_seconds) {
   // One sweeper at a time; a peer already scanning covers this caller too.
   std::unique_lock sweep(sweep_mutex_, std::try_to_lock);

@@ -112,8 +112,6 @@ class ProgressBoard {
   [[nodiscard]] bool is_dead(int worker) const {
     return state_of(worker) == WorkerState::kDead;
   }
-  /// Contributing workers (alive or finished).
-  [[nodiscard]] int live_count() const;
   /// Total slots (initial workers + join capacity).
   [[nodiscard]] int capacity() const { return capacity_; }
 

@@ -11,11 +11,11 @@
 // shared by the functional trainers; (7) is performed by the SMB server's
 // accumulate operation.
 //
-// Each kernel comes in a scalar form and a `_parallel` form that runs the
-// same loop in fixed-size chunks on the shared work pool.  Every element is
+// The fused exchange also comes in a `_parallel` form that runs the same
+// loop in fixed-size chunks on the shared work pool.  Every element is
 // written by exactly one chunk and no chunk reads another chunk's output, so
-// the parallel forms are bitwise identical to the scalar ones for any pool
-// width (see common/parallel.h).  The element loops themselves are the
+// it is bitwise identical to the scalar form for any pool width (see
+// common/parallel.h).  The element loops themselves are the
 // common/simd.h cores — lane-independent elementwise algebra with multiply
 // and add kept separate, so the SIMD and scalar-fallback builds are also
 // bitwise identical (tests/simd_test.cc).
@@ -29,8 +29,8 @@
 
 namespace shmcaffe::core {
 
-/// Elements of a model span handed to one pool chunk by the `_parallel`
-/// SEASGD kernels.  64 KiB of floats — large enough that per-chunk dispatch
+/// Elements of a model span handed to one pool chunk by
+/// elastic_exchange_parallel.  64 KiB of floats — large enough that per-chunk dispatch
 /// overhead is negligible, small enough that ShmCaffe-B/C models still
 /// spread across every executor.
 inline constexpr std::size_t kSeasgdGrain = 16384;
@@ -55,29 +55,6 @@ SHMCAFFE_HOT_KERNEL inline void elastic_exchange(std::span<float> local, std::sp
   assert(local.size() == global.size() && local.size() == delta.size());
   common::simd::elastic_exchange_core(local.size(), local.data(), global.data(), alpha,
                                       delta.data());
-}
-
-/// Chunked (5): bitwise identical to weight_increment for any pool width.
-SHMCAFFE_HOT_KERNEL inline void weight_increment_parallel(std::span<const float> local,
-                                      std::span<const float> global, float alpha,
-                                      std::span<float> delta) {
-  assert(local.size() == global.size() && local.size() == delta.size());
-  common::parallel::parallel_for(
-      local.size(), kSeasgdGrain, [&](std::size_t begin, std::size_t end) {
-        common::simd::weight_increment_core(end - begin, local.data() + begin,
-                                            global.data() + begin, alpha,
-                                            delta.data() + begin);
-      });
-}
-
-/// Chunked (6): bitwise identical to apply_increment_locally.
-SHMCAFFE_HOT_KERNEL inline void apply_increment_locally_parallel(std::span<float> local,
-                                             std::span<const float> delta) {
-  assert(local.size() == delta.size());
-  common::parallel::parallel_for(
-      local.size(), kSeasgdGrain, [&](std::size_t begin, std::size_t end) {
-        common::simd::sub_inplace(end - begin, local.data() + begin, delta.data() + begin);
-      });
 }
 
 /// Chunked fused (5)+(6): bitwise identical to elastic_exchange.

@@ -303,7 +303,7 @@ sim::Task<void> group_worker(sim::Simulation& sim, const SimShmCaffeOptions& opt
   co_await updater;
 }
 
-/// A cold join: the functional supervisor's join + run_worker(kColdJoin)
+/// A cold join: the functional supervisor's join + a kColdJoin worker life
 /// path.  Provisioning latency, then delta-segment creation, registration
 /// (which rebalances the shard map), W_g adoption, and a full worker life.
 sim::Task<void> join_worker(sim::Simulation& sim, const SimShmCaffeOptions& options,

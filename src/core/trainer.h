@@ -2,23 +2,22 @@
 //
 // Implements the paper's training system with real OS threads, a real SMB
 // server (smb::SmbServer), MiniMPI initialisation and NCCL-style intra-group
-// collectives:
+// collectives, in three units along the paper's seams:
 //
-//  * ShmCaffe-A (options.group_size == 1): every worker runs SEASGD against
-//    the shared global-weight segment, with the Fig. 6 two-thread protocol —
-//    the main thread reads W_g and updates the local weight at iteration
-//    start; a separate update thread overlaps the weight-increment write and
-//    the server-side accumulate with the minibatch computation; the two are
-//    mutually exclusive via a per-worker lock.
-//  * ShmCaffe-H (options.group_size > 1): workers in the same group run
-//    synchronous SGD (ncclAllReduce gradient averaging), and only the group
-//    root exchanges elastically with the SMB server, broadcasting refreshed
-//    weights to its group (§III-D).
-//
-// Initialisation follows Fig. 2: MPI rank 0 creates the segments, publishes
-// the SHM key over MPI broadcast, initialises W_g, and every worker attaches
-// and adopts the global weights before training.  Termination is aligned
-// through the shared progress board (§III-E).
+//  * the exchange (core/exchange.h): a group root's Fig. 6 protocol, T1/T2
+//    on the main thread and the flush on a separate update thread that
+//    overlaps the minibatch, mutually exclusive under one lock;
+//  * the worker life (trainer.cc): Fig. 2 initialisation — MPI rank 0
+//    creates the segments, initialises W_g and broadcasts the SHM key, and
+//    every worker attaches and adopts W_g — then the step loop.  In
+//    ShmCaffe-A (options.group_size == 1) every worker exchanges with the
+//    SMB; in ShmCaffe-H (group_size > 1) a group runs synchronous SGD
+//    (ncclAllReduce gradient averaging) and only its root exchanges,
+//    broadcasting the refreshed weights to the group (§III-D);
+//  * the supervisor (trainer.cc): starts and reaps the worker lives, fires
+//    planned faults, sweeps heartbeats, evaluates W_g and assembles the
+//    result.  Termination is aligned through the shared progress board
+//    (§III-E).
 #pragma once
 
 #include "core/config.h"

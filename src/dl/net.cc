@@ -54,8 +54,6 @@ const Tensor& Net::blob(const std::string& blob_name) const {
   return blob_rec(blob_name).value;
 }
 
-bool Net::has_blob(const std::string& blob_name) const { return blobs_.contains(blob_name); }
-
 const Tensor& Net::forward(bool train) {
   if (entries_.empty()) throw std::logic_error("forward on an empty net");
   for (Entry& entry : entries_) {

@@ -55,8 +55,6 @@ class Net {
   /// Read access to any blob after forward.
   [[nodiscard]] const Tensor& blob(const std::string& blob_name) const;
 
-  [[nodiscard]] bool has_blob(const std::string& blob_name) const;
-
   /// Runs all layers; returns the last layer's top.
   const Tensor& forward(bool train);
 

@@ -284,11 +284,6 @@ int MembershipService::home_shard(int worker) const {
   return home_shard_[static_cast<std::size_t>(worker)];
 }
 
-std::vector<int> MembershipService::members() const {
-  std::scoped_lock lock(mutex_);
-  return members_locked();
-}
-
 std::vector<int> MembershipService::targets_locked(fault::ControlAction action) const
     SHMCAFFE_REQUIRES(mutex_) {
   SHMCAFFE_ASSERT_HELD(mutex_);
@@ -308,11 +303,6 @@ std::vector<int> MembershipService::joined() const {
 std::vector<int> MembershipService::drained() const {
   std::scoped_lock lock(mutex_);
   return targets_locked(fault::ControlAction::kWorkerDrain);
-}
-
-std::vector<int> MembershipService::evicted() const {
-  std::scoped_lock lock(mutex_);
-  return targets_locked(fault::ControlAction::kEvict);
 }
 
 std::int64_t MembershipService::rebalances() const {

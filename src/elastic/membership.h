@@ -184,12 +184,10 @@ class MembershipService {
   /// The shard index worker `worker`'s SEASGD fan-out starts at (0 for
   /// workers outside the member set).
   [[nodiscard]] int home_shard(int worker) const;
-  [[nodiscard]] std::vector<int> members() const;  ///< active ranks, ascending
 
   // --- result counters, derived from the journal ----------------------------
   [[nodiscard]] std::vector<int> joined() const;   ///< ascending
   [[nodiscard]] std::vector<int> drained() const;  ///< ascending
-  [[nodiscard]] std::vector<int> evicted() const;  ///< ascending
   /// Home-shard map recomputations (one per membership change).
   [[nodiscard]] std::int64_t rebalances() const;
   /// Worker->shard assignments that changed across all rebalances.

@@ -177,23 +177,4 @@ void Endpoint::reduce_sum(int root, std::span<float> data) {
   }
 }
 
-std::vector<float> Endpoint::gather(int root, std::span<const float> contribution) {
-  const int tag = next_collective_tag();
-  if (rank_ != root) {
-    send_floats(root, tag, contribution);
-    return {};
-  }
-  std::vector<float> result(contribution.size() * static_cast<std::size_t>(size()));
-  std::copy(contribution.begin(), contribution.end(),
-            result.begin() + static_cast<std::ptrdiff_t>(
-                                 contribution.size() * static_cast<std::size_t>(rank_)));
-  for (int r = 0; r < size(); ++r) {
-    if (r == root) continue;
-    recv_floats(r, tag,
-                std::span<float>(result.data() + contribution.size() * static_cast<std::size_t>(r),
-                                 contribution.size()));
-  }
-  return result;
-}
-
 }  // namespace shmcaffe::minimpi

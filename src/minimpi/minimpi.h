@@ -91,7 +91,6 @@ class Endpoint {
 
   [[nodiscard]] int rank() const { return rank_; }
   [[nodiscard]] int size() const { return context_->size(); }
-  [[nodiscard]] bool is_root() const { return rank_ == 0; }
 
   // --- point-to-point ------------------------------------------------------
 
@@ -145,10 +144,6 @@ class Endpoint {
 
   /// Elementwise sum across ranks, result only at root.
   void reduce_sum(int root, std::span<float> data);
-
-  /// Gathers each rank's equally-sized contribution; valid only at root,
-  /// ordered by rank.  Non-roots get an empty vector.
-  std::vector<float> gather(int root, std::span<const float> contribution);
 
  private:
   friend class Context;

@@ -11,22 +11,6 @@ sim::Task<void> SimGroupOps::send(int from, int to, std::int64_t bytes) {
                            ranks_[static_cast<std::size_t>(to)].rx, bytes);
 }
 
-sim::Task<void> SimGroupOps::star_gather_scatter(int root, std::int64_t bytes) {
-  const int n = static_cast<int>(ranks_.size());
-  // Gather: all slaves push concurrently into the root's rx link.
-  std::vector<sim::Task<void>> inbound;
-  for (int r = 0; r < n; ++r) {
-    if (r != root) inbound.push_back(send(r, root, bytes));
-  }
-  co_await sim::when_all(*sim_, std::move(inbound));
-  // Scatter: root pushes updated weights to every slave.
-  std::vector<sim::Task<void>> outbound;
-  for (int r = 0; r < n; ++r) {
-    if (r != root) outbound.push_back(send(root, r, bytes));
-  }
-  co_await sim::when_all(*sim_, std::move(outbound));
-}
-
 sim::Task<void> SimGroupOps::ring_allreduce(std::int64_t bytes) {
   const int n = static_cast<int>(ranks_.size());
   if (n <= 1) co_return;

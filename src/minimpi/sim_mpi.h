@@ -5,9 +5,6 @@
 // operations over the ranks' fabric endpoints rather than as per-rank
 // message exchanges:
 //
-//  * star_gather_scatter — Caffe-MPI's pattern: every slave sends its
-//    gradients to the master (master rx contention), the master averages and
-//    sends updated weights back to every slave (master tx contention).
 //  * ring_allreduce — MPICaffe's MPI_Allreduce: 2(N-1) synchronous steps of
 //    `bytes / N` around the ring.
 //  * broadcast — root pushes `bytes` to every other rank concurrently.
@@ -35,10 +32,6 @@ class SimGroupOps {
 
   /// Point-to-point transfer of `bytes` between two ranks.
   [[nodiscard]] sim::Task<void> send(int from, int to, std::int64_t bytes);
-
-  /// Slaves -> root gather of `bytes` each, then root -> slaves push of
-  /// `bytes` each (Caffe-MPI parameter exchange for one iteration).
-  [[nodiscard]] sim::Task<void> star_gather_scatter(int root, std::int64_t bytes);
 
   /// Ring allreduce of a `bytes`-sized buffer across all ranks.
   [[nodiscard]] sim::Task<void> ring_allreduce(std::int64_t bytes);

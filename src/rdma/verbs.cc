@@ -22,10 +22,6 @@ MemoryRegion ProtectionDomain::register_memory(std::int64_t length) {
   return mr;
 }
 
-void ProtectionDomain::deregister_memory(const MemoryRegion& mr) {
-  regions_.erase(mr.rkey);
-}
-
 void ProtectionDomain::check_remote_access(std::uint32_t rkey, std::int64_t offset,
                                            std::int64_t len) const {
   const auto it = regions_.find(rkey);

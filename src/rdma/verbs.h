@@ -74,9 +74,6 @@ class ProtectionDomain {
   /// sequentially in this PD's virtual space.
   MemoryRegion register_memory(std::int64_t length);
 
-  /// Invalidates a region; later remote access with its rkey fails.
-  void deregister_memory(const MemoryRegion& mr);
-
   /// Validates a remote access of [offset, offset+len) under `rkey`.
   /// Throws AccessError on violation.
   void check_remote_access(std::uint32_t rkey, std::int64_t offset, std::int64_t len) const;

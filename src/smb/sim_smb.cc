@@ -138,7 +138,6 @@ sim::Task<void> SimSmbClient::read(Handle handle, std::int64_t bytes, std::int64
   if (segment == nullptr) throw SmbError("read from unknown SMB handle");
   server_->pd_.check_remote_access(segment->mr.rkey, offset, bytes);
   co_await server_->simulation().delay(server_->options().op_overhead);
-  server_->data_bytes_moved_ += bytes;
   co_await server_->fabric().transfer(server_->outbound_path(*device_), bytes);
 }
 
@@ -147,7 +146,6 @@ sim::Task<void> SimSmbClient::write(Handle handle, std::int64_t bytes, std::int6
   if (segment == nullptr) throw SmbError("write to unknown SMB handle");
   server_->pd_.check_remote_access(segment->mr.rkey, offset, bytes);
   co_await server_->simulation().delay(server_->options().op_overhead);
-  server_->data_bytes_moved_ += bytes;
   co_await server_->fabric().transfer(server_->inbound_path(*device_), bytes);
 }
 

@@ -95,8 +95,6 @@ class SimSmbServer {
   [[nodiscard]] rdma::DatagramService& rds() { return rds_; }
   [[nodiscard]] std::size_t mailbox() const { return mailbox_; }
 
-  /// Total payload bytes moved through the server data path so far.
-  [[nodiscard]] std::int64_t data_bytes_moved() const { return data_bytes_moved_; }
   [[nodiscard]] std::uint64_t accumulates_served() const { return accumulates_served_; }
 
  private:
@@ -140,7 +138,6 @@ class SimSmbServer {
   std::unordered_map<ShmKey, std::uint64_t> key_to_access_;
   std::unordered_map<std::uint64_t, SegmentInfo> segments_;
   std::uint64_t next_access_key_ = 1;
-  std::int64_t data_bytes_moved_ = 0;
   std::uint64_t accumulates_served_ = 0;
 };
 

@@ -78,24 +78,6 @@ TEST(Arena, OwnersAreTrackedSeparatelyAndTotalled) {
   EXPECT_EQ(arena.stats().total.bytes_live, 0U);
 }
 
-TEST(Arena, TrimDropsFreeListsButNotLiveSlabs) {
-  Arena arena;
-  const Arena::Slab live = arena.acquire("trim", 64);
-  Arena::Slab idle = arena.acquire("trim", 512);
-  arena.release("trim", idle);
-
-  const std::size_t freed = arena.trim();
-  EXPECT_EQ(freed, 512U * sizeof(float));
-  // The live slab is untouched and still accounted.
-  EXPECT_EQ(arena.stats().by_owner.at("trim").bytes_live, 64U * sizeof(float));
-
-  // The trimmed class is gone: the next acquire hits the OS allocator again.
-  const Arena::Slab fresh = arena.acquire("trim", 512);
-  EXPECT_EQ(arena.stats().by_owner.at("trim").slab_allocs, 3U);
-  arena.release("trim", fresh);
-  arena.release("trim", live);
-}
-
 TEST(ArenaBuffer, EnsureGrowsAndPreservesPrefix) {
   Arena arena;
   Buffer buffer("buf.prefix", &arena);

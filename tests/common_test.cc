@@ -65,7 +65,7 @@ TEST(Rng, UniformRealInHalfOpenUnitInterval) {
 
 TEST(Rng, NormalHasApproximatelyUnitMoments) {
   Rng rng(9);
-  RunningStats stats;
+  SampleSet stats;
   for (int i = 0; i < 50000; ++i) stats.add(rng.normal());
   EXPECT_NEAR(stats.mean(), 0.0, 0.02);
   EXPECT_NEAR(stats.stddev(), 1.0, 0.02);
@@ -88,28 +88,6 @@ TEST(Rng, ShuffleIsAPermutation) {
   EXPECT_NE(v, original);  // astronomically unlikely to be identity
   std::sort(v.begin(), v.end());
   EXPECT_EQ(v, original);
-}
-
-TEST(RunningStats, MeanVarianceMinMax) {
-  RunningStats s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(RunningStats, EmptyAndSingleSample) {
-  RunningStats s;
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
-  s.add(3.5);
-  EXPECT_DOUBLE_EQ(s.mean(), 3.5);
-  EXPECT_EQ(s.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(s.min(), 3.5);
-  EXPECT_DOUBLE_EQ(s.max(), 3.5);
 }
 
 TEST(SampleSet, QuantilesInterpolate) {

@@ -376,10 +376,12 @@ TEST(ConvEngines, ForwardAndWeightGradMatchSerialDotBitwise) {
 }
 
 // --- golden end-to-end runs -------------------------------------------------
-// One worker, so the only inputs to the final loss are the seed and the
-// kernels' float order.  The constants were recorded before FullyConnected
-// and the conv weight gradient moved onto the tiled engine: any change in
-// any output element's summation order shows up here.
+// One worker (or one synchronous group), so the only inputs to the final
+// loss are the seed and the kernels' float order.  The one-worker constants
+// were recorded before FullyConnected and the conv weight gradient moved
+// onto the tiled engine, the hybrid one before the trainer's exchange moved
+// into core/exchange: any change in any output element's summation order
+// shows up here.
 
 core::DistTrainOptions one_worker_run(const char* model, int side, int batch) {
   core::DistTrainOptions options;
@@ -411,6 +413,20 @@ TEST(GoldenRun, OneWorkerMiniVggFinalLossIsUnchanged) {
   parallel::set_thread_count(4);
   const core::TrainResult result = core::train_shmcaffe(one_worker_run("mini_vgg", 12, 9));
   EXPECT_EQ(result.final_loss, 0.21864684919516245);
+}
+
+// Two workers in one hybrid group: the root exchanges with the SMB, the
+// member follows through the allreduce and the broadcast.  The master's
+// criterion fixes the stop iteration; under kAverageIterations it would
+// depend on whether the member's report lands before the root's vote.
+TEST(GoldenRun, TwoWorkerHybridMlpFinalLossIsUnchanged) {
+  parallel::set_thread_count(4);
+  core::DistTrainOptions options = one_worker_run("mlp", 11, 13);
+  options.workers = 2;
+  options.group_size = 2;
+  options.termination = core::TerminationCriterion::kMasterFinishes;
+  const core::TrainResult result = core::train_shmcaffe(options);
+  EXPECT_EQ(result.final_loss, 0.88776616255442298);
 }
 
 }  // namespace

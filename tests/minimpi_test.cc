@@ -198,19 +198,6 @@ TEST(MiniMpi, ReduceSumOnlyAtRoot) {
   });
 }
 
-TEST(MiniMpi, GatherOrdersByRank) {
-  run_world(3, [](Endpoint ep) {
-    const std::vector<float> mine{static_cast<float>(ep.rank()),
-                                  static_cast<float>(ep.rank()) + 0.5F};
-    const std::vector<float> all = ep.gather(0, mine);
-    if (ep.rank() == 0) {
-      EXPECT_EQ(all, (std::vector<float>{0, 0.5F, 1, 1.5F, 2, 2.5F}));
-    } else {
-      EXPECT_TRUE(all.empty());
-    }
-  });
-}
-
 // --- simulated-time group ops ---
 
 struct SimRig {
@@ -231,15 +218,6 @@ struct SimRig {
     return SimGroupOps(sim, fabric, std::move(eps));
   }
 };
-
-TEST(SimGroupOps, StarGatherScatterBottlenecksAtRoot) {
-  SimRig rig;
-  SimGroupOps group = rig.make_group(5, 1e9);
-  rig.sim.spawn(group.star_gather_scatter(0, 1'000'000));
-  rig.sim.run();
-  // 4 slaves x 1 MB into root rx (4 ms) + 4 x 1 MB out of root tx (4 ms).
-  EXPECT_NEAR(static_cast<double>(rig.sim.now()), 8.0 * kMillisecond, 50'000.0);
-}
 
 TEST(SimGroupOps, RingAllreduceScalesWithTwoNMinusOneOverN) {
   // Ring time ~= 2(N-1)/N * bytes / bw for large buffers.

@@ -8,13 +8,16 @@
 // over everything the suite drove.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstring>
+#include <mutex>
 #include <numeric>
 #include <set>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/ordered_mutex.h"
@@ -56,11 +59,14 @@ TEST(ChunkCount, PureInRangeAndGrain) {
 TEST(ParallelFor, ChunkBoundariesNeverDependOnThreadCount) {
   for (const int threads : {1, 2, 4}) {
     parallel::set_thread_count(threads);
-    std::vector<std::pair<std::size_t, std::size_t>> chunks(parallel::chunk_count(103, 10));
-    parallel::parallel_for_indexed(
-        103, 10, [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-          chunks[chunk] = {begin, end};
-        });
+    std::vector<std::pair<std::size_t, std::size_t>> chunks;
+    std::mutex mutex;
+    parallel::parallel_for(103, 10, [&](std::size_t begin, std::size_t end) {
+      const std::scoped_lock lock(mutex);
+      chunks.emplace_back(begin, end);
+    });
+    std::sort(chunks.begin(), chunks.end());
+    ASSERT_EQ(chunks.size(), parallel::chunk_count(103, 10)) << "threads=" << threads;
     for (std::size_t c = 0; c < chunks.size(); ++c) {
       EXPECT_EQ(chunks[c].first, c * 10) << "threads=" << threads;
       EXPECT_EQ(chunks[c].second, std::min<std::size_t>(c * 10 + 10, 103));
@@ -144,8 +150,8 @@ void spin(int iterations) {
 /// Distinct threads that ran the chunks of one 64-chunk job.
 std::set<std::thread::id> executors_of_one_job() {
   std::vector<std::thread::id> ran_on(64);
-  parallel::parallel_for_indexed(64, 1, [&](std::size_t chunk, std::size_t, std::size_t) {
-    ran_on[chunk] = std::this_thread::get_id();
+  parallel::parallel_for(64, 1, [&](std::size_t begin, std::size_t) {
+    ran_on[begin] = std::this_thread::get_id();
     spin(20000);
   });
   return {ran_on.begin(), ran_on.end()};
@@ -182,12 +188,11 @@ TEST(Pool, ConcurrentSubmittersKeepTheirOwnJobs) {
         const bool throws = s == 0 && call % 50 == 49;
         std::vector<std::atomic<int>> hits(range);
         try {
-          parallel::parallel_for_indexed(
-              range, 3, [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-                if (throws && chunk == 7) throw std::runtime_error("submitter 0");
-                spin(5000);
-                for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-              });
+          parallel::parallel_for(range, 3, [&](std::size_t begin, std::size_t end) {
+            if (throws && begin / 3 == 7) throw std::runtime_error("submitter 0");
+            spin(5000);
+            for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+          });
         } catch (const std::runtime_error&) {
           ++caught[static_cast<std::size_t>(s)];
           continue;
@@ -225,14 +230,6 @@ TEST(SeasgdParallel, MatchesScalarKernelsBitwiseAtEveryWidth) {
 
   for (const int threads : {1, 2, 4}) {
     parallel::set_thread_count(threads);
-
-    std::vector<float> delta(n);
-    core::weight_increment_parallel(local0, global, 0.3F, delta);
-    EXPECT_TRUE(same_bits(delta, delta_ref)) << "threads=" << threads;
-
-    std::vector<float> local = local0;
-    core::apply_increment_locally_parallel(local, delta);
-    EXPECT_TRUE(same_bits(local, local_ref)) << "threads=" << threads;
 
     std::vector<float> fused_local = local0;
     std::vector<float> fused_delta(n);

@@ -1,17 +1,19 @@
 // Tests for the zero-copy epoch-pinned SMB read path: pinned views vs copy
 // reads, copy-on-write around a pin, pin accounting (bytes_pinned,
 // balance-at-release), verify-at-pin-time integrity, and the pinned path
-// through ReplicatedSmb, ShardedBuffer, and the trainer's T1/T2 exchange.
+// through ReplicatedSmb, ShardedBuffer, and the trainer's exchange unit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
 #include <numeric>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "core/exchange.h"
 #include "core/seasgd_math.h"
 #include "core/sharded_buffer.h"
 #include "recovery/replicated_smb.h"
@@ -228,15 +230,18 @@ TEST(SmbPinnedRead, ShardedViewsCoverTheLogicalBuffer) {
   }
 }
 
-// --- the trainer's T1/T2 ---------------------------------------------------
+// --- the trainer's exchange ------------------------------------------------
 
 TEST(SmbPinnedRead, TrainerZeroCopyPathIsBitwiseIdenticalToCopyPath) {
-  // T1/T2 as the trainer's seasgd_exchange runs them: pinned per-shard views
-  // of W_g, and elastic_exchange_parallel on each shard at its offset.  The
-  // reference is a staged read, a copy of the whole buffer followed by the
-  // scalar elastic_exchange: same floats, same rounding, for any start shard
-  // and pool width.  The split is uneven (33335, 33334, 33334 floats) and
-  // every shard spans more than one pool chunk.
+  // The trainer's Fig. 6 exchange unit, driven on one thread: exchange()
+  // runs T1/T2 against pinned per-shard views of W_g and hands the
+  // increment over, then serve() after stop() runs the flush (T.A1-T.A4)
+  // and returns.  The reference is a staged read, a copy of the whole
+  // buffer followed by the scalar elastic_exchange: same floats, same
+  // rounding, for any start shard and pool width.  The split is uneven
+  // (33335, 33334, 33334 floats) and every shard spans more than one pool
+  // chunk.  T1/T2's pins must be gone by the flush: an accumulate into a
+  // still-pinned W_g epoch clones it, so no server may count a COW clone.
   constexpr std::size_t kTotal = 100'003;
   static_assert(kTotal / 3 > core::kSeasgdGrain);
   SmbServer s0;
@@ -245,6 +250,8 @@ TEST(SmbPinnedRead, TrainerZeroCopyPathIsBitwiseIdenticalToCopyPath) {
   std::vector<smb::SmbServer*> servers = {&s0, &s1, &s2};
   core::ShardedBuffer global =
       core::ShardedBuffer::create(std::span<smb::SmbServer* const>(servers), 7, kTotal);
+  core::ShardedBuffer increments =
+      core::ShardedBuffer::create(std::span<smb::SmbServer* const>(servers), 8, kTotal);
   common::Rng rng(0x7e57);
   std::vector<float> weights(kTotal);
   std::vector<float> start_local(kTotal);
@@ -254,31 +261,44 @@ TEST(SmbPinnedRead, TrainerZeroCopyPathIsBitwiseIdenticalToCopyPath) {
   }
   global.write(weights);
   const float alpha = 0.2F;
+  const auto cow_clones = [&] {
+    return s0.stats().cow_clones + s1.stats().cow_clones + s2.stats().cow_clones;
+  };
 
   for (const int threads : {1, 2, 4}) {
     common::parallel::set_thread_count(threads);
     for (const std::size_t start_shard : {0U, 1U, 2U}) {
-      std::vector<float> copy(kTotal);
-      global.read(copy, start_shard);
+      std::vector<float> before(kTotal);
+      global.read(before, start_shard);
       std::vector<float> want_local = start_local;
       std::vector<float> want_delta(kTotal);
-      core::elastic_exchange(want_local, copy, alpha, want_delta);
+      core::elastic_exchange(want_local, before, alpha, want_delta);
 
-      std::vector<float> local = start_local;
-      std::vector<float> delta(kTotal);
-      {
-        std::vector<core::ShardedBuffer::PinnedShard> pins = global.read_pinned(start_shard);
-        for (core::ShardedBuffer::PinnedShard& shard : pins) {
-          core::elastic_exchange_parallel(
-              std::span<float>(local.data() + shard.offset, shard.view.size()),
-              shard.view.span(), alpha,
-              std::span<float>(delta.data() + shard.offset, shard.view.size()));
-        }
-      }
+      core::Exchange exchange(
+          global, increments, [start_shard] { return start_shard; }, alpha,
+          /*verify_on_read=*/false);
+      std::vector<float> local(kTotal);
+      exchange.exchange(local, [&](std::span<float> params) {
+        std::copy(start_local.begin(), start_local.end(), params.begin());
+      });
+      exchange.stop();
+      exchange.serve();
+
+      const std::string where =
+          "start_shard " + std::to_string(start_shard) + " at width " + std::to_string(threads);
       EXPECT_EQ(std::memcmp(local.data(), want_local.data(), kTotal * sizeof(float)), 0)
-          << "local, start_shard " << start_shard << " at width " << threads;
-      EXPECT_EQ(std::memcmp(delta.data(), want_delta.data(), kTotal * sizeof(float)), 0)
-          << "delta, start_shard " << start_shard << " at width " << threads;
+          << "local, " << where;
+      std::vector<float> flushed(kTotal);
+      increments.read(flushed);
+      EXPECT_EQ(std::memcmp(flushed.data(), want_delta.data(), kTotal * sizeof(float)), 0)
+          << "delta segment, " << where;
+      std::vector<float> want_global(kTotal);
+      for (std::size_t i = 0; i < kTotal; ++i) want_global[i] = before[i] + want_delta[i];
+      std::vector<float> after(kTotal);
+      global.read(after);
+      EXPECT_EQ(std::memcmp(after.data(), want_global.data(), kTotal * sizeof(float)), 0)
+          << "W_g after the flush, " << where;
+      EXPECT_EQ(cow_clones(), 0U) << where;
     }
   }
   common::parallel::shutdown();

@@ -38,7 +38,8 @@
 #                             # to the scalar cores, build to build
 #   tools/check.sh stress [N] # the functional end-to-end suites
 #                             # (ElasticEndToEnd, RecoveryEndToEnd,
-#                             # IntegrityEndToEnd, TrainerDegradation*)
+#                             # IntegrityEndToEnd, TrainerDegradation*) and
+#                             # the bitwise GoldenRun final losses,
 #                             # repeated N times (default 10) in three modes:
 #                             # full width, pinned to one core (taskset -c 0),
 #                             # and next to `nproc` busy-loop processes; prints
@@ -297,7 +298,8 @@ snapshot_gate() {
 # in-process N times (--gtest_repeat) per mode; a pass is an "[ OK ]" line,
 # so a crashed binary shows up as missing passes.
 STRESS_SUITES=("elastic_test:ElasticEndToEnd.*" "recovery_test:RecoveryEndToEnd.*"
-               "integrity_test:IntegrityEndToEnd.*" "fault_test:*TrainerDegradation*")
+               "integrity_test:IntegrityEndToEnd.*" "fault_test:*TrainerDegradation*"
+               "conv_engine_test:GoldenRun.*")
 HOGS=()
 stop_hogs() {
   if (( ${#HOGS[@]} > 0 )); then kill "${HOGS[@]}" 2>/dev/null || true; fi
@@ -309,7 +311,8 @@ stress_stage() {
   local repeats=$1
   echo "==> [stress] configure + build (build)"
   cmake -B build -S . >/dev/null
-  cmake --build build -j "$JOBS" --target elastic_test recovery_test integrity_test fault_test
+  cmake --build build -j "$JOBS" --target elastic_test recovery_test integrity_test fault_test \
+      conv_engine_test
   local failed=0 mode suite log
   for mode in full pinned loaded; do
     local prefix=()
