@@ -36,52 +36,61 @@ void Exchange::wait_for_flush(std::unique_lock<std::mutex>& lock) SHMCAFFE_REQUI
   cv_.wait(lock, [this] { return !pending_ || stopping_; });
 }
 
-void Exchange::exchange(std::span<float> local, const LoadLocal& load_local) {
+void Exchange::exchange(std::span<float> params) {
   // T1/T2 must be mutually exclusive with the update thread's T.A1-T.A4:
   // block here until the previous increment has been flushed.
   std::unique_lock lock(mutex_);
   wait_for_flush(lock);
   if (stopping_) throw smb::SmbUnavailable("SMB lost during exchange");
-  load_local(local);
-  update_from_global(local, load_local);
+  update_from_global(params);
   pending_ = true;  // T3: hand the increment to the update thread
   lock.unlock();
   cv_.notify_all();
 }
 
-void Exchange::update_from_global(std::span<float> local, const LoadLocal& load_local)
-    SHMCAFFE_REQUIRES(mutex_) {
+void Exchange::update_from_global(std::span<float> params) SHMCAFFE_REQUIRES(mutex_) {
   // T1 zero-copy: pin per-shard views of W_g (checksums verified at pin
-  // time) and run T2 directly against SMB storage — no staging copy of the
-  // global weights at all.  Per-shard chunking changes nothing numerically:
-  // eqs. (5)+(6) are elementwise, so the floats match a staged copy read
-  // followed by the scalar elastic_exchange bitwise, for any shard split or
-  // pool width.  T1/T2 run under mutex_ by design (mutual exclusion with the
-  // update thread, which is parked on the cv here).  The pins are locals of
-  // this function, so they are dropped before exchange() wakes the update
-  // thread at T3, whose accumulate would clone a still-pinned epoch.
+  // time) and run T2 directly against SMB storage and in place on the
+  // worker's parameters — no staging copy of either.  Per-shard chunking
+  // changes nothing numerically: eqs. (5)+(6) are elementwise, so the floats
+  // match a staged copy read followed by the scalar elastic_exchange
+  // bitwise, for any shard split or pool width.  T1/T2 run under mutex_ by
+  // design (mutual exclusion with the update thread, which is parked on the
+  // cv here).  The pins are locals of this function, so they are dropped
+  // before exchange() wakes the update thread at T3, whose accumulate would
+  // clone a still-pinned epoch.
   // lint:allow-next-line(no-blocking-under-lock,pin-lifetime)
   std::vector<ShardedBuffer::PinnedShard> pins = global_.read_pinned(home_shard_());
-  for (;;) {
+  const auto slice = [](std::span<float> all, const ShardedBuffer::PinnedShard& shard) {
+    return all.subspan(shard.offset, shard.view.size());
+  };
+  if (!verify_on_read_) {
     for (ShardedBuffer::PinnedShard& shard : pins) {
       // lint:allow-next-line(no-blocking-under-lock) pool fan-out inside
       elastic_exchange_parallel(                      // the T1/T2 window
-          local.subspan(shard.offset, shard.view.size()), shard.view.span(), alpha_,
-          delta_.span().subspan(shard.offset, shard.view.size()));
+          slice(params, shard), shard.view.span(), alpha_, slice(delta_.span(), shard));
     }
-    if (!verify_on_read_) return;
-    // A bit flip does not respect pins: one landing in the pinned epoch
-    // after its pin-time verification would reach local and the delta
-    // unverified.  Re-pinning verifies the live epoch again (and read-
-    // repairs it through the replica vote).  If every shard still pins the
-    // epoch T2 read, that epoch verified clean after T2, so the increment
-    // stands; otherwise drop it and redo T1/T2 from the fresh pins.
+    return;
+  }
+  // A bit flip does not respect pins: one landing in the pinned epoch after
+  // its pin-time verification would reach the delta unverified.  So eq. (5)
+  // runs alone first, and re-pinning verifies the live epoch again (and
+  // read-repairs it through the replica vote).  If every shard still pins
+  // the epoch eq. (5) read, that epoch verified clean after it, and eq. (6)
+  // applies the increment; otherwise redo eq. (5) from the fresh pins, on
+  // the W'_x nothing has touched yet.  The split kernels do the fused one's
+  // operations in its order, so the bits are the same.
+  for (;;) {
+    for (ShardedBuffer::PinnedShard& shard : pins) {
+      weight_increment(slice(params, shard), shard.view.span(), alpha_,
+                       slice(delta_.span(), shard));
+    }
     // lint:allow-next-line(no-blocking-under-lock,pin-lifetime)
     std::vector<ShardedBuffer::PinnedShard> fresh = global_.read_pinned(home_shard_());
-    if (same_epochs(pins, fresh)) return;
+    if (same_epochs(pins, fresh)) break;
     pins = std::move(fresh);
-    load_local(local);
   }
+  apply_increment_locally(params, delta_.span());
 }
 
 void Exchange::read_global(std::span<float> dst) {

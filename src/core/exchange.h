@@ -4,8 +4,9 @@
 // from two threads that take turns (§III-C, Fig. 6):
 //
 //  * T1/T2, on the main thread at an iteration start: read W_g and run
-//    eqs. (5)+(6): the weight increment dW_x lands in a staging buffer and
-//    the local weights W'_x become W''_x.  T3 hands dW_x over.
+//    eqs. (5)+(6) in place on the worker's parameters (the net's value
+//    store, dl/net.h): the weight increment dW_x lands in a staging buffer
+//    and W'_x becomes W''_x.  T3 hands dW_x over.
 //  * T.A1-T.A4, on the update thread, overlapped with the minibatch: write
 //    dW_x into this root's increment segment, then the server-side
 //    accumulate W_g += dW_x (eq. 7).  T.A5 wakes a main thread blocked at
@@ -37,8 +38,6 @@ class Exchange {
   /// membership service moves a worker's home shard on joins, drains and
   /// evictions.
   using HomeShard = std::function<std::size_t()>;
-  /// Fills its argument with the worker's current weights W'_x.
-  using LoadLocal = std::function<void(std::span<float>)>;
 
   /// `global` is W_g and `increments` this root's dW_x segments, sharded
   /// alike; both outlive the exchange.  `alpha` is the moving rate of
@@ -48,12 +47,12 @@ class Exchange {
   Exchange(const Exchange&) = delete;  // the update thread holds its address
   Exchange& operator=(const Exchange&) = delete;
 
-  /// Waits for the previous increment to land, loads W'_x into `local`,
-  /// runs T1/T2 (leaving W''_x in `local`) and hands the new increment to
-  /// the update thread.  Throws smb::SmbUnavailable once the update thread
-  /// has stopped, and smb::SmbCorruption when W_g cannot be read clean (no
-  /// increment is handed over then).
-  void exchange(std::span<float> local, const LoadLocal& load_local);
+  /// Waits for the previous increment to land, runs T1/T2 in place on
+  /// `params` (W'_x in, W''_x out) and hands the new increment to the update
+  /// thread.  Throws smb::SmbUnavailable once the update thread has stopped,
+  /// and smb::SmbCorruption when W_g cannot be read clean: `params` is then
+  /// untouched and no increment is handed over.
+  void exchange(std::span<float> params);
 
   /// Reads W_g into `dst` with no flush in flight: a consistent checkpoint
   /// snapshot.  Throws smb::SmbUnavailable once the update thread has
@@ -72,8 +71,7 @@ class Exchange {
   /// Blocks on `lock` until no flush is pending or serve() has stopped.
   void wait_for_flush(std::unique_lock<std::mutex>& lock) SHMCAFFE_REQUIRES(mutex_);
   /// T1/T2: eqs. (5)+(6) against pinned views of W_g.
-  void update_from_global(std::span<float> local, const LoadLocal& load_local)
-      SHMCAFFE_REQUIRES(mutex_);
+  void update_from_global(std::span<float> params) SHMCAFFE_REQUIRES(mutex_);
   /// T.A1-T.A4: writes the increment, then accumulates it into W_g.
   void flush() SHMCAFFE_REQUIRES(mutex_);
 

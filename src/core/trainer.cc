@@ -13,14 +13,12 @@
 #include <vector>
 
 #include "coll/nccl.h"
-#include "common/arena.h"
 #include "common/parallel.h"
 #include "core/evaluate.h"
 #include "core/exchange.h"
 #include "core/progress_board.h"
 #include "core/sharded_buffer.h"
 #include "data/loader.h"
-#include "dl/param_vector.h"
 #include "elastic/membership.h"
 #include "fault/injector.h"
 #include "fault/journal.h"
@@ -211,10 +209,10 @@ class Worker {
 
  private:
   [[nodiscard]] std::size_t home_shard() const;
-  void adopt_global(std::span<float> local);
-  std::optional<WorkerOutcome> train(std::span<float> local);
-  bool step(std::span<float> local, bool quarantined);
-  void exchange(std::span<float> local);
+  void adopt_global();
+  std::optional<WorkerOutcome> train();
+  bool step(bool quarantined);
+  void exchange();
   template <typename Access>
   void or_roll_back(Access access);
   void integrity_rollback();
@@ -252,7 +250,6 @@ class Worker {
   const std::int64_t drain_at_;
   /// Periodic crash-consistent checkpoints (the owner worker only).
   const bool checkpointing_;
-  std::vector<float> grads_;
   std::vector<float> vote_;
 
   ShardedBuffer global_;
@@ -285,7 +282,6 @@ Worker::Worker(Run& run, int worker, WorkerLife life, std::int64_t incarnation)
                                                : -1),
       checkpointing_(run.checkpoint_store.has_value() && worker == 0 &&
                      options_.checkpoint.interval_iterations > 0),
-      grads_(options_.group_size > 1 ? param_count_ : 0),
       vote_(1) {
   // Cold-join slots sit beyond the MPI world and the device groups (both
   // are sized for the initial ranks); elastic runs are pure SEASGD
@@ -314,17 +310,13 @@ Worker::Worker(Run& run, int worker, WorkerLife life, std::int64_t incarnation)
     if (options_.membership_policy.straggler_detection) {
       board_->watch_stragglers(options_.membership_policy);
     }
-    common::arena::Buffer init{"trainer.init"};
-    init.assign(param_count_, 0.0F);
     if (resume_ != nullptr) {
-      // W_g exactly as checkpointed
-      std::copy(resume_->global_weights.begin(), resume_->global_weights.end(), init.data());
+      global_.write(resume_->global_weights);  // W_g exactly as checkpointed
     } else {
       common::Rng init_rng(options_.seed);
       net_.init_params(init_rng);
-      dl::copy_params_to(net_, init.span());
+      global_.write(net_.param_values());
     }
-    global_.write(init.span());
     signal_supervisor(run, [&run] { run.global_ready = true; });
   }
   if (!late_) mpi.broadcast_value(0, shm_key);
@@ -366,30 +358,31 @@ std::size_t Worker::home_shard() const {
              : 0;
 }
 
-/// Everyone adopts the initial global weights before training; the resumed
-/// owner restores its exact checkpointed parameters instead (they lag W_g
-/// by the elastic difference).
-void Worker::adopt_global(std::span<float> local) {
+/// Everyone adopts the initial global weights before training, read
+/// straight into the net's parameters; the resumed owner restores its exact
+/// checkpointed parameters instead (they lag W_g by the elastic
+/// difference).
+void Worker::adopt_global() {
+  const std::span<float> params = net_.param_values();
   try {
-    global_.read(local, home_shard());
+    global_.read(params, home_shard());
   } catch (const smb::SmbCorruption&) {
     // W_g is corrupt before this life's first read and nothing below us
     // could repair it.  Adopt freshly initialised parameters instead; the
     // first exchange surfaces the corruption again and rolls back properly.
     common::Rng init_rng(options_.seed);
     net_.init_params(init_rng);
-    dl::copy_params_to(net_, local);
   }
-  dl::copy_params_from(net_, local);
   if (resume_ != nullptr && worker_ == 0) {
-    dl::copy_params_from(net_, resume_->owner_params);
+    if (resume_->owner_params.size() != params.size()) {
+      throw std::invalid_argument("checkpoint owner parameters do not match the model");
+    }
+    std::copy(resume_->owner_params.begin(), resume_->owner_params.end(), params.begin());
   }
 }
 
 void Worker::run() {
-  common::arena::Buffer local{"trainer.local"};
-  local.assign(param_count_, 0.0F);
-  adopt_global(local.span());
+  adopt_global();
 
   dl::SolverOptions solver_options = options_.solver;
   solver_options.step_size = run_.lr_step_iterations;
@@ -417,7 +410,7 @@ void Worker::run() {
     update_thread = std::thread([this] { exchange_->serve(); });
   }
 
-  const std::optional<WorkerOutcome> ended = train(local.span());
+  const std::optional<WorkerOutcome> ended = train();
   run_.final_iterations[static_cast<std::size_t>(worker_)] = iteration_;
   stats_.iterations = iteration_;
   const WorkerOutcome outcome = ended.has_value() ? *ended : recorded_outcome();
@@ -441,7 +434,7 @@ void Worker::run() {
 /// The step loop.  Returns the life's outcome when the loop decides it (a
 /// crash, a drain, an eviction), or nullopt when the board's record of the
 /// slot decides it (a stop vote, or fenced while stalled).
-std::optional<WorkerOutcome> Worker::train(std::span<float> local) {
+std::optional<WorkerOutcome> Worker::train() {
   try {
     for (;;) {
       if (faults_ != nullptr) {
@@ -487,7 +480,7 @@ std::optional<WorkerOutcome> Worker::train(std::span<float> local) {
       }
       // Quarantined: keep training toward readmission, but contribute
       // nothing — no SEASGD exchange until the supervisor readmits it.
-      if (step(local, state == ProgressBoard::WorkerState::kQuarantined)) return std::nullopt;
+      if (step(state == ProgressBoard::WorkerState::kQuarantined)) return std::nullopt;
     }
   } catch (const smb::SmbUnavailable&) {
     // The SMB backing this worker is permanently gone (no replica left to
@@ -502,7 +495,7 @@ std::optional<WorkerOutcome> Worker::train(std::span<float> local) {
 
 /// One iteration, from the exchange at its start to the termination vote
 /// at its end.  Returns true when the group votes to stop.
-bool Worker::step(std::span<float> local, bool quarantined) {
+bool Worker::step(bool quarantined) {
   const bool sharing = iteration_ % options_.update_interval == 0;
   SegmentTimer timer;
 
@@ -510,7 +503,7 @@ bool Worker::step(std::span<float> local, bool quarantined) {
   // the paper deliberately does not hide T_rgw behind computation, to
   // avoid training on stale parameters.
   if (is_async_ && sharing && !quarantined) {
-    or_roll_back([&] { exchange(local); });
+    or_roll_back([this] { exchange(); });
     timer.charge(stats_.exchange_seconds);
   }
 
@@ -523,10 +516,9 @@ bool Worker::step(std::span<float> local, bool quarantined) {
   timer.charge(stats_.train_seconds);
 
   if (options_.group_size > 1) {
-    // Hybrid: intra-group synchronous SGD (ncclAllReduce of gradients).
-    dl::copy_grads_to(net_, grads_);
-    comm_.all_reduce_mean(grads_);
-    dl::copy_grads_from(net_, grads_);
+    // Hybrid: intra-group synchronous SGD (ncclAllReduce of gradients), in
+    // place on the net's gradient store.
+    comm_.all_reduce_mean(net_.param_grads());
     timer.charge(stats_.collective_seconds);
   }
   solver_->step();  // eq. (2)
@@ -534,14 +526,12 @@ bool Worker::step(std::span<float> local, bool quarantined) {
 
   if (!is_async_ && sharing) {
     // Hybrid §III-D: the root exchanges with the SMB server, then
-    // broadcasts the refreshed weights to its group.
+    // broadcasts the refreshed weights to its group, store to store.
     if (is_root_) {
-      or_roll_back([&] { exchange(local); });
-      dl::copy_params_to(net_, local);
+      or_roll_back([this] { exchange(); });
       timer.charge(stats_.exchange_seconds);
     }
-    comm_.broadcast(0, local);
-    if (!is_root_) dl::copy_params_from(net_, local);
+    comm_.broadcast(0, net_.param_values());
     timer.charge(stats_.collective_seconds);
   }
 
@@ -564,10 +554,9 @@ bool Worker::step(std::span<float> local, bool quarantined) {
   return decision == ProgressBoard::Vote::kStop;
 }
 
-void Worker::exchange(std::span<float> local) {
+void Worker::exchange() {
   ++stats_.exchanges;
-  exchange_->exchange(local, [this](std::span<float> params) { dl::copy_params_to(net_, params); });
-  dl::copy_params_from(net_, local);
+  exchange_->exchange(net_.param_values());
 }
 
 /// Runs an access to W_g (an exchange or a checkpoint).  Unrepairable
@@ -586,23 +575,19 @@ void Worker::or_roll_back(Access access) {
 /// full rewrite refreshes the segment checksums, healing every replica.
 void Worker::integrity_rollback() {
   run_.integrity_rollbacks.fetch_add(1, std::memory_order_relaxed);
-  std::vector<float> restore;
+  std::optional<recovery::TrainCheckpoint> rollback;
   if (run_.checkpoint_store.has_value()) {
-    std::optional<recovery::TrainCheckpoint> rollback;
     try {
       rollback = run_.checkpoint_store->load_latest();
     } catch (const std::exception&) {
       // unreadable store: fall through to the local-parameter restore
     }
-    if (rollback.has_value() && rollback->global_weights.size() == param_count_) {
-      restore = std::move(rollback->global_weights);
-    }
   }
-  if (restore.empty()) {
-    restore.resize(param_count_);
-    dl::copy_params_to(net_, restore);
+  if (rollback.has_value() && rollback->global_weights.size() == param_count_) {
+    global_.write(rollback->global_weights, home_shard());
+  } else {
+    global_.write(net_.param_values(), home_shard());
   }
-  global_.write(restore, home_shard());
 }
 
 /// A crash-consistent checkpoint: W_g read with no flush in flight, the
@@ -620,8 +605,8 @@ void Worker::save_checkpoint() {
   }
   checkpoint.global_weights.resize(param_count_);
   exchange_->read_global(checkpoint.global_weights);
-  checkpoint.owner_params.resize(param_count_);
-  dl::copy_params_to(net_, checkpoint.owner_params);
+  const std::span<const float> params = net_.param_values();
+  checkpoint.owner_params.assign(params.begin(), params.end());
   checkpoint.owner_momentum = solver_->momentum_state();
   run_.checkpoint_store->save(checkpoint);
   run_.checkpoints_taken.fetch_add(1, std::memory_order_relaxed);
@@ -737,7 +722,6 @@ class Supervisor {
   bool attached_ = false;
   std::optional<ProgressBoard> board_;  // attached with W_g once it is initialised
   ShardedBuffer global_;
-  std::vector<float> snapshot_;
   std::vector<char> recovered_;
   std::size_t next_fault_ = 0;
   std::size_t next_join_ = 0;
@@ -912,7 +896,6 @@ std::optional<Clock::time_point> Supervisor::control(const std::vector<int>& exi
       board_.emplace(*run_.services.front(), run_.base_key + kProgressKeyOffset,
                      options_.workers, /*create=*/false);
       global_ = ShardedBuffer::attach(run_.services, run_.base_key, eval_net_.param_count());
-      snapshot_.resize(global_.size());
     }
     if (!board_.has_value()) return std::nullopt;
     for (const int w : exited) {
@@ -983,7 +966,7 @@ void Supervisor::catch_up_evals() {
   while (next_epoch_ < options_.epochs &&
          done >= static_cast<std::int64_t>(next_epoch_) * per_epoch_total_) {
     try {
-      global_.read(snapshot_);
+      global_.read(eval_net_.param_values());
     } catch (const smb::SmbUnavailable&) {
       return;  // SMB permanently gone mid-run; keep the curve so far
     } catch (const smb::SmbCorruption&) {
@@ -991,7 +974,6 @@ void Supervisor::catch_up_evals() {
       // and retry, after a worker's rollback has rewritten it.
       return;
     }
-    dl::copy_params_from(eval_net_, snapshot_);
     const EvalResult eval = evaluate(eval_net_, test_set_);
     result_.curve.push_back(EpochMetrics{next_epoch_, eval.loss, eval.accuracy});
     ++next_epoch_;
@@ -1014,8 +996,7 @@ void Supervisor::final_evaluation() {
 
   if (global_.valid()) {
     try {
-      global_.read(snapshot_);
-      dl::copy_params_from(eval_net_, snapshot_);
+      global_.read(eval_net_.param_values());
       const EvalResult final_eval = evaluate(eval_net_, test_set_);
       result_.final_accuracy = final_eval.accuracy;
       result_.final_loss = final_eval.loss;

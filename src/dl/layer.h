@@ -2,7 +2,11 @@
 //
 // A layer consumes one or more bottom tensors and produces exactly one top
 // tensor.  Learnable parameters live in ParamBlobs (value + gradient pair)
-// owned by the layer.  Backward-pass contract:
+// owned by the layer.  A layer's constructor records each blob's shape and
+// allocates nothing: a Net binds every blob to its slice of the net's two
+// parameter stores (dl/net.h) before any blob is touched, and a layer used
+// on its own allocates its blobs at its first setup() or init_params().
+// Backward-pass contract:
 //
 //   * the net zeroes all activation gradients before backward;
 //   * backward() ACCUMULATES (+=) into bottom gradients, so a blob consumed
@@ -12,6 +16,8 @@
 #pragma once
 
 #include <memory>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -25,13 +31,27 @@ namespace shmcaffe::dl {
 /// serialised with the model but never touched by the solver.
 struct ParamBlob {
   std::string name;
+  /// Recorded by the layer's constructor; `value` and `grad` stay empty
+  /// until bind() or allocate().
+  std::vector<int> shape;
   Tensor value;
   Tensor grad;
   bool learnable = true;
 
-  void reshape(std::vector<int> shape) {
+  [[nodiscard]] std::size_t count() const { return Tensor::element_count(shape); }
+
+  /// Views `values` and `grads` (count() floats each), a net's store slices.
+  void bind(std::span<float> values, std::span<float> grads) {
+    if (!value.empty()) throw std::logic_error("parameter blob already has storage: " + name);
+    value = Tensor::view(shape, values);
+    grad = Tensor::view(shape, grads);
+  }
+
+  /// Gives a blob no net has bound zeroed storage of its own.
+  void allocate() {
+    if (!value.empty()) return;
     value.reshape(shape);
-    grad.reshape(std::move(shape));
+    grad.reshape(shape);
   }
 };
 
@@ -64,6 +84,13 @@ class Layer {
 
   /// Initialises parameters (no-op for stateless layers).
   virtual void init_params(common::Rng& /*rng*/) {}
+
+ protected:
+  /// Allocates the blobs no net has bound: a layer with parameters calls
+  /// this first in setup() and init_params().
+  void allocate_params() {
+    for (ParamBlob* blob : params()) blob->allocate();
+  }
 
  private:
   std::string name_;

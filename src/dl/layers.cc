@@ -138,12 +138,13 @@ Conv2d::Conv2d(std::string name, int in_channels, int out_channels, int kernel, 
   check(in_channels > 0 && out_channels > 0 && kernel > 0 && stride > 0 && pad >= 0,
         "Conv2d: invalid geometry");
   weight_.name = Layer::name() + ".weight";
-  weight_.reshape({out_channels_, in_channels_, kernel_, kernel_});
+  weight_.shape = {out_channels_, in_channels_, kernel_, kernel_};
   bias_.name = Layer::name() + ".bias";
-  bias_.reshape({out_channels_});
+  bias_.shape = {out_channels_};
 }
 
 void Conv2d::setup(const std::vector<const Tensor*>& bottoms, Tensor& top) {
+  allocate_params();
   check(bottoms.size() == 1, "Conv2d: expects one bottom");
   const Tensor& x = *bottoms[0];
   check(x.rank() == 4, "Conv2d: bottom must be NCHW");
@@ -155,6 +156,7 @@ void Conv2d::setup(const std::vector<const Tensor*>& bottoms, Tensor& top) {
 }
 
 void Conv2d::init_params(common::Rng& rng) {
+  allocate_params();
   msra_fill(weight_.value,
             static_cast<std::size_t>(in_channels_) * kernel_ * kernel_, rng);
   if (init_scale_ != 1.0) {
@@ -441,12 +443,13 @@ FullyConnected::FullyConnected(std::string name, int in_features, int out_featur
     : Layer(std::move(name)), in_features_(in_features), out_features_(out_features) {
   check(in_features > 0 && out_features > 0, "FullyConnected: invalid sizes");
   weight_.name = Layer::name() + ".weight";
-  weight_.reshape({out_features_, in_features_});
+  weight_.shape = {out_features_, in_features_};
   bias_.name = Layer::name() + ".bias";
-  bias_.reshape({out_features_});
+  bias_.shape = {out_features_};
 }
 
 void FullyConnected::setup(const std::vector<const Tensor*>& bottoms, Tensor& top) {
+  allocate_params();
   check(bottoms.size() == 1, "FullyConnected: expects one bottom");
   const Tensor& x = *bottoms[0];
   check(x.rank() >= 2, "FullyConnected: bottom needs a batch axis");
@@ -456,6 +459,7 @@ void FullyConnected::setup(const std::vector<const Tensor*>& bottoms, Tensor& to
 }
 
 void FullyConnected::init_params(common::Rng& rng) {
+  allocate_params();
   msra_fill(weight_.value, static_cast<std::size_t>(in_features_), rng);
   bias_.value.zero();
 }

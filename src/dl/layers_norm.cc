@@ -22,18 +22,19 @@ BatchNorm::BatchNorm(std::string name, int channels, double momentum, double eps
   check(momentum >= 0.0 && momentum < 1.0, "BatchNorm: momentum in [0,1)");
   check(epsilon > 0.0, "BatchNorm: epsilon must be positive");
   scale_.name = Layer::name() + ".scale";
-  scale_.reshape({channels_});
+  scale_.shape = {channels_};
   shift_.name = Layer::name() + ".shift";
-  shift_.reshape({channels_});
+  shift_.shape = {channels_};
   running_mean_.name = Layer::name() + ".running_mean";
-  running_mean_.reshape({channels_});
+  running_mean_.shape = {channels_};
   running_mean_.learnable = false;
   running_var_.name = Layer::name() + ".running_var";
-  running_var_.reshape({channels_});
+  running_var_.shape = {channels_};
   running_var_.learnable = false;
 }
 
 void BatchNorm::init_params(common::Rng& /*rng*/) {
+  allocate_params();
   scale_.value.fill(1.0F);
   shift_.value.zero();
   running_mean_.value.zero();
@@ -41,6 +42,7 @@ void BatchNorm::init_params(common::Rng& /*rng*/) {
 }
 
 void BatchNorm::setup(const std::vector<const Tensor*>& bottoms, Tensor& top) {
+  allocate_params();
   check(bottoms.size() == 1, "BatchNorm: expects one bottom");
   const Tensor& x = *bottoms[0];
   check(x.rank() == 4, "BatchNorm: bottom must be NCHW");

@@ -15,6 +15,7 @@ void Net::add_input(const std::string& blob_name) {
 Layer& Net::add(std::unique_ptr<Layer> layer, std::vector<std::string> inputs,
                 std::string output) {
   if (layer == nullptr) throw std::invalid_argument("null layer");
+  if (bound_) throw std::logic_error("add after the parameter stores exist: " + layer->name());
   for (const std::string& in : inputs) {
     if (!blobs_.contains(in)) {
       throw std::invalid_argument("layer '" + layer->name() + "' reads unknown blob: " + in);
@@ -56,6 +57,7 @@ const Tensor& Net::blob(const std::string& blob_name) const {
 
 const Tensor& Net::forward(bool train) {
   if (entries_.empty()) throw std::logic_error("forward on an empty net");
+  bind_params();
   for (Entry& entry : entries_) {
     std::vector<const Tensor*> bottoms;
     bottoms.reserve(entry.inputs.size());
@@ -110,7 +112,25 @@ void Net::backward() {
   }
 }
 
+void Net::bind_params() {
+  if (bound_) return;
+  bound_ = true;
+  const std::size_t total = param_count();
+  values_.assign(total, 0.0F);
+  grads_.assign(total, 0.0F);
+  std::size_t offset = 0;
+  for (Entry& entry : entries_) {
+    for (ParamBlob* blob : entry.layer->params()) {
+      const std::size_t count = blob->count();
+      blob->bind(std::span(values_).subspan(offset, count),
+                 std::span(grads_).subspan(offset, count));
+      offset += count;
+    }
+  }
+}
+
 std::vector<ParamBlob*> Net::params() {
+  bind_params();
   std::vector<ParamBlob*> result;
   for (Entry& entry : entries_) {
     for (ParamBlob* blob : entry.layer->params()) result.push_back(blob);
@@ -118,18 +138,32 @@ std::vector<ParamBlob*> Net::params() {
   return result;
 }
 
-std::size_t Net::param_count() {
+std::size_t Net::param_count() const {
   std::size_t total = 0;
-  for (ParamBlob* blob : params()) total += blob->value.size();
+  for (const Entry& entry : entries_) {
+    for (const ParamBlob* blob : entry.layer->params()) total += blob->count();
+  }
   return total;
 }
 
+std::span<float> Net::param_values() {
+  bind_params();
+  return values_;
+}
+
+std::span<float> Net::param_grads() {
+  bind_params();
+  return grads_;
+}
+
 void Net::init_params(common::Rng& rng) {
+  bind_params();
   for (Entry& entry : entries_) entry.layer->init_params(rng);
 }
 
 void Net::zero_param_grads() {
-  for (ParamBlob* blob : params()) blob->grad.zero();
+  bind_params();
+  std::fill(grads_.begin(), grads_.end(), 0.0F);
 }
 
 std::vector<int> argmax_rows(const Tensor& logits) {

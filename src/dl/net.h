@@ -18,10 +18,19 @@
 //
 // Shapes are inferred lazily: the first forward (and any forward after an
 // input shape change) re-runs layer setup.
+//
+// Parameters live in two stores owned by the net, one of values and one of
+// gradients, each contiguous in params() order: the layout of the SMB weight
+// segments, so the trainers exchange, all-reduce and broadcast them in
+// place.  Each ParamBlob views its slice.  The net allocates both stores
+// and binds every blob before any blob is touched — at its first params(),
+// init_params(), forward(), zero_param_grads() or store access — and add()
+// throws after that.  A moved net keeps its stores and its blobs' views.
 #pragma once
 
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -44,8 +53,9 @@ class Net {
   /// Declares an externally-fed blob (data, labels).
   void add_input(const std::string& blob_name);
 
-  /// Adds a layer; `inputs` must already exist, `output` must be new.
-  /// Returns a reference to the stored layer.
+  /// Adds a layer; `inputs` must already exist, `output` must be new, and
+  /// the parameter stores must not exist yet.  Returns a reference to the
+  /// stored layer.
   Layer& add(std::unique_ptr<Layer> layer, std::vector<std::string> inputs,
              std::string output);
 
@@ -65,8 +75,13 @@ class Net {
   /// All learnable parameters, in deterministic (layer insertion) order.
   [[nodiscard]] std::vector<ParamBlob*> params();
 
-  /// Total learnable scalar count.
-  [[nodiscard]] std::size_t param_count();
+  /// Scalar count of every parameter blob; needs no storage.
+  [[nodiscard]] std::size_t param_count() const;
+
+  /// Every parameter value (gradient), in params() order: the stores the
+  /// blobs view.
+  [[nodiscard]] std::span<float> param_values();
+  [[nodiscard]] std::span<float> param_grads();
 
   /// Initialises every layer's parameters from `rng`.
   void init_params(common::Rng& rng);
@@ -90,10 +105,15 @@ class Net {
 
   BlobRec& blob_rec(const std::string& blob_name);
   [[nodiscard]] const BlobRec& blob_rec(const std::string& blob_name) const;
+  /// Allocates the two stores and binds every blob to its slice, once.
+  void bind_params();
 
   std::string name_;
   std::map<std::string, BlobRec> blobs_;
   std::vector<Entry> entries_;
+  bool bound_ = false;
+  std::vector<float> values_;  // parameter store, built by bind_params()
+  std::vector<float> grads_;   // gradient store, same layout
 };
 
 /// Index of the most probable class per sample, from a [N,K] logits tensor.

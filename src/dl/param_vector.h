@@ -1,89 +1,57 @@
-// Flat-vector views over a net's parameters and gradients.
+// Flat copies of a net's parameters and gradients.
 //
-// The distributed trainers treat the whole parameter set as one contiguous
-// float buffer (the layout of the SMB weight segments); these helpers copy
-// between that layout and the net's per-layer ParamBlobs in deterministic
-// (layer-insertion) order.
+// A Net keeps every parameter value in one contiguous store and every
+// gradient in another (dl/net.h), in the layout of the SMB weight segments,
+// so the ShmCaffe trainer works on Net::param_values() and
+// Net::param_grads() in place.  These helpers are for callers that keep a
+// flat buffer of their own (the baselines, the benchmark's replay): each is
+// one copy over a store.
 #pragma once
 
 #include <algorithm>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "dl/net.h"
 
 namespace shmcaffe::dl {
 
+namespace detail {
+/// Copies `src` into `dst`, which must be as long; `what` names the caller.
+inline void copy_exact(std::span<const float> src, std::span<float> dst, const char* what) {
+  if (src.size() != dst.size()) {
+    throw std::invalid_argument(std::string(what) + ": size mismatch");
+  }
+  std::copy(src.begin(), src.end(), dst.begin());
+}
+}  // namespace detail
+
 /// Copies every parameter value into `dst` (dst.size() == net.param_count()).
 inline void copy_params_to(Net& net, std::span<float> dst) {
-  std::size_t offset = 0;
-  for (ParamBlob* blob : net.params()) {
-    const auto src = blob->value.span();
-    if (offset + src.size() > dst.size()) {
-      throw std::invalid_argument("copy_params_to: destination too small");
-    }
-    std::copy(src.begin(), src.end(), dst.begin() + static_cast<std::ptrdiff_t>(offset));
-    offset += src.size();
-  }
-  if (offset != dst.size()) {
-    throw std::invalid_argument("copy_params_to: destination size mismatch");
-  }
+  detail::copy_exact(net.param_values(), dst, "copy_params_to");
 }
 
 /// Overwrites every parameter value from `src`.
 inline void copy_params_from(Net& net, std::span<const float> src) {
-  std::size_t offset = 0;
-  for (ParamBlob* blob : net.params()) {
-    auto dst = blob->value.span();
-    if (offset + dst.size() > src.size()) {
-      throw std::invalid_argument("copy_params_from: source too small");
-    }
-    std::copy_n(src.begin() + static_cast<std::ptrdiff_t>(offset), dst.size(), dst.begin());
-    offset += dst.size();
-  }
-  if (offset != src.size()) {
-    throw std::invalid_argument("copy_params_from: source size mismatch");
-  }
+  detail::copy_exact(src, net.param_values(), "copy_params_from");
 }
 
 /// Copies every parameter gradient into `dst`.
 inline void copy_grads_to(Net& net, std::span<float> dst) {
-  std::size_t offset = 0;
-  for (ParamBlob* blob : net.params()) {
-    const auto src = blob->grad.span();
-    if (offset + src.size() > dst.size()) {
-      throw std::invalid_argument("copy_grads_to: destination too small");
-    }
-    std::copy(src.begin(), src.end(), dst.begin() + static_cast<std::ptrdiff_t>(offset));
-    offset += src.size();
-  }
-  if (offset != dst.size()) {
-    throw std::invalid_argument("copy_grads_to: destination size mismatch");
-  }
+  detail::copy_exact(net.param_grads(), dst, "copy_grads_to");
 }
 
 /// Overwrites every parameter gradient from `src`.
 inline void copy_grads_from(Net& net, std::span<const float> src) {
-  std::size_t offset = 0;
-  for (ParamBlob* blob : net.params()) {
-    auto dst = blob->grad.span();
-    if (offset + dst.size() > src.size()) {
-      throw std::invalid_argument("copy_grads_from: source too small");
-    }
-    std::copy_n(src.begin() + static_cast<std::ptrdiff_t>(offset), dst.size(), dst.begin());
-    offset += dst.size();
-  }
-  if (offset != src.size()) {
-    throw std::invalid_argument("copy_grads_from: source size mismatch");
-  }
+  detail::copy_exact(src, net.param_grads(), "copy_grads_from");
 }
 
 /// Snapshot of all parameters as a fresh vector.
 inline std::vector<float> params_snapshot(Net& net) {
-  std::vector<float> flat(net.param_count());
-  copy_params_to(net, flat);
-  return flat;
+  const std::span<const float> values = net.param_values();
+  return {values.begin(), values.end()};
 }
 
 }  // namespace shmcaffe::dl

@@ -1,12 +1,17 @@
 // Dense float tensor (NCHW for images), the data type of the mini-Caffe
-// library.  Contiguous row-major storage, explicit shapes, no view/stride
-// machinery — layers index directly.
+// library.  Contiguous row-major storage, explicit shapes, no stride
+// machinery — layers index directly.  A tensor owns its floats, except a
+// parameter blob's, which views its slice of the net's parameter store
+// (Tensor::view, dl/net.h); a copy of a view owns a copy of its floats.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <numeric>
 #include <span>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace shmcaffe::dl {
@@ -15,23 +20,64 @@ class Tensor {
  public:
   Tensor() = default;
   explicit Tensor(std::vector<int> shape) { reshape(std::move(shape)); }
-
-  void reshape(std::vector<int> shape) {
-    shape_ = std::move(shape);
-    std::size_t total = 1;
-    for (int d : shape_) {
-      assert(d > 0);
-      total *= static_cast<std::size_t>(d);
+  Tensor(const Tensor& other)
+      : shape_(other.shape_), owned_(other.data_.begin(), other.data_.end()), data_(owned_) {}
+  Tensor& operator=(const Tensor& other) {
+    if (this != &other) {
+      shape_ = other.shape_;
+      owned_.assign(other.data_.begin(), other.data_.end());
+      data_ = owned_;
     }
-    data_.assign(shape_.empty() ? 0 : total, 0.0F);
+    return *this;
+  }
+  // A moved vector keeps its buffer, so data_ stays valid in the new home.
+  Tensor(Tensor&& other) noexcept
+      : shape_(std::move(other.shape_)),
+        owned_(std::move(other.owned_)),
+        data_(std::exchange(other.data_, {})) {}
+  Tensor& operator=(Tensor&& other) noexcept {
+    if (this != &other) {
+      shape_ = std::move(other.shape_);
+      owned_ = std::move(other.owned_);
+      data_ = std::exchange(other.data_, {});
+    }
+    return *this;
+  }
+
+  /// A non-owning tensor of `shape` over `storage`, which must hold exactly
+  /// as many floats and outlive it.
+  [[nodiscard]] static Tensor view(std::vector<int> shape, std::span<float> storage) {
+    Tensor t;
+    t.shape_ = std::move(shape);
+    if (element_count(t.shape_) != storage.size()) {
+      throw std::invalid_argument("Tensor::view: storage size does not match the shape");
+    }
+    t.data_ = storage;
+    return t;
+  }
+
+  /// Reshapes to zeros; a view cannot change its storage.
+  void reshape(std::vector<int> shape) {
+    if (is_view()) throw std::logic_error("reshape of a tensor view");
+    shape_ = std::move(shape);
+    owned_.assign(element_count(shape_), 0.0F);
+    data_ = owned_;
   }
 
   /// Reshape preserving contents; the element count must match.
   void reshape_keep(std::vector<int> shape) {
-    std::size_t total = 1;
-    for (int d : shape) total *= static_cast<std::size_t>(d);
-    assert(total == data_.size());
+    assert(element_count(shape) == data_.size());
     shape_ = std::move(shape);
+  }
+
+  /// Elements of a tensor of `shape` (0 for rank 0).
+  [[nodiscard]] static std::size_t element_count(const std::vector<int>& shape) {
+    std::size_t total = 1;
+    for (int d : shape) {
+      assert(d > 0);
+      total *= static_cast<std::size_t>(d);
+    }
+    return shape.empty() ? 0 : total;
   }
 
   [[nodiscard]] const std::vector<int>& shape() const { return shape_; }
@@ -42,6 +88,8 @@ class Tensor {
   [[nodiscard]] std::size_t rank() const { return shape_.size(); }
   [[nodiscard]] std::size_t size() const { return data_.size(); }
   [[nodiscard]] bool empty() const { return data_.empty(); }
+  /// True for a tensor made by view(): its floats belong to someone else.
+  [[nodiscard]] bool is_view() const { return !data_.empty() && owned_.empty(); }
 
   // NCHW accessors (valid for rank-4 tensors).
   [[nodiscard]] int n() const { return dim(0); }
@@ -90,7 +138,8 @@ class Tensor {
   }
 
   std::vector<int> shape_;
-  std::vector<float> data_;
+  std::vector<float> owned_;  // empty for a view
+  std::span<float> data_;     // owned_, or the viewed storage
 };
 
 }  // namespace shmcaffe::dl

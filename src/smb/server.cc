@@ -249,9 +249,7 @@ PinnedFloats SmbServer::read_pinned(Handle handle, std::size_t count,
     if (options_.integrity.verify_on_read) {
       verify_chunks_locked(*segment, offset, count);
     }
-    epoch = segment->storage;
-    epoch->pins.fetch_add(1, std::memory_order_relaxed);
-    segment->pins_issued.fetch_add(1, std::memory_order_relaxed);
+    epoch = pin_live_locked(*segment);
     if (flip.has_value()) {
       flipped = flip_bits_locked(*segment, flip->marker, flip->bit_flips) > 0;
     }
@@ -263,13 +261,23 @@ PinnedFloats SmbServer::read_pinned(Handle handle, std::size_t count,
     if (flipped) pinned_flipped_.push_back(flip->marker);
   }
   const std::span<const float> view{epoch->data.data() + offset, count};
-  return PinnedFloats(view, [segment, epoch = std::move(epoch)] {
-    // The decrement happens under the data mutex, so the reader's last use
-    // of the view happens-before a writer that then mutates in place.
-    std::scoped_lock lock(segment->data_mutex);
-    epoch->pins.fetch_sub(1, std::memory_order_relaxed);
-    segment->pins_released.fetch_add(1, std::memory_order_relaxed);
-  });
+  return PinnedFloats(view, [segment, epoch = std::move(epoch)] { unpin(*segment, *epoch); });
+}
+
+std::shared_ptr<SmbServer::SegmentStorage> SmbServer::pin_live_locked(Segment& segment)
+    SHMCAFFE_REQUIRES(segment.data_mutex) {
+  SHMCAFFE_ASSERT_HELD(segment.data_mutex);
+  segment.storage->pins.fetch_add(1, std::memory_order_relaxed);
+  segment.pins_issued.fetch_add(1, std::memory_order_relaxed);
+  return segment.storage;
+}
+
+void SmbServer::unpin(Segment& segment, SegmentStorage& epoch) {
+  // The decrement happens under the data mutex, so the reader's last use
+  // of the view happens-before a writer that then mutates in place.
+  std::scoped_lock lock(segment.data_mutex);
+  epoch.pins.fetch_sub(1, std::memory_order_relaxed);
+  segment.pins_released.fetch_add(1, std::memory_order_relaxed);
 }
 
 void SmbServer::prepare_write_locked(Segment& segment) SHMCAFFE_REQUIRES(segment.data_mutex) {
@@ -386,28 +394,28 @@ void SmbServer::accumulate_tagged(Handle src, Handle dst, OpTag tag) {
   if (src == dst) throw SmbError("accumulate requires distinct segments");
   const std::shared_ptr<Segment> s = find(src, Kind::kFloats);
   const std::shared_ptr<Segment> d = find(dst, Kind::kFloats);
-  // Snapshot the source under its own lock, then add under the destination
-  // lock alone, in parallel chunks on the work pool (segment lock rank 200 <
-  // pool rank 500, see common/ordered_mutex.h).  Splitting the two-lock
-  // scoped_lock is sound for the SEASGD protocol: a delta segment has
-  // exactly one writer (its worker's update thread, §III-G T.A1-T.A4), and
-  // that writer never overlaps its own accumulate, so the snapshot cannot
-  // race the increment it carries.  The thread-local arena scratch keeps
-  // the hot path allocation-free after the first accumulate of a given
-  // size class.
-  static thread_local common::arena::Buffer scratch{"smb.accumulate.scratch"};
+  // Pin the source's live epoch under its own lock, then add from it under
+  // the destination lock alone, in parallel chunks on the work pool (segment
+  // lock rank 200 < pool rank 500, see common/ordered_mutex.h).  Holding
+  // the epoch is as sound as copying it: a delta segment has exactly one
+  // writer (its worker's update thread, §III-G T.A1-T.A4), and that writer
+  // never overlaps its own accumulate; a scrub that rewrites the source
+  // mid-add clones the pinned epoch, as for any pin.  The pin is internal,
+  // not a client read: it takes no pinned-read ordinal (fault plans keyed on
+  // those stay put) and is not counted in pinned_reads or bytes_pinned.
+  std::shared_ptr<SegmentStorage> epoch;
   {
     std::scoped_lock lock(s->data_mutex);
     if (options_.integrity.verify_on_read) {
       verify_chunks_locked(*s, 0, s->storage->data.size());
     }
-    scratch.ensure(s->storage->data.size());
-    std::memcpy(scratch.data(), s->storage->data.data(),
-                scratch.size() * sizeof(float));
+    epoch = pin_live_locked(*s);
   }
+  // Unpins under the source's lock however the add below ends.
+  const PinnedFloats source(epoch->data.span(), [&s, &epoch] { unpin(*s, *epoch); });
   {
     std::scoped_lock lock(d->data_mutex);
-    if (scratch.size() != d->storage->data.size()) {
+    if (source.size() != d->storage->data.size()) {
       throw SmbError("accumulate requires equal segment sizes");
     }
     // Verify the destination BEFORE touching it: an accumulate into a
@@ -424,7 +432,7 @@ void SmbServer::accumulate_tagged(Handle src, Handle dst, OpTag tag) {
     }
     prepare_write_locked(*d);
     float* out = d->storage->data.data();
-    const float* in = scratch.data();
+    const float* in = source.data();
     // The accumulate is served *inside* the destination's write lock by
     // design (the server-side op IS the critical section), and the pool
     // rank (kParallelPool, 500) sits above every lock its workers could

@@ -66,7 +66,7 @@ struct SmbIntegrityOptions {
   /// Maintain per-chunk FNV-1a checksums, updated incrementally by every
   /// write / accumulate to a float segment, and verify the checksums of the
   /// touched range before serving a read and before accumulating into (or
-  /// snapshotting from) a segment, throwing SmbCorruption on mismatch.
+  /// from) a segment, throwing SmbCorruption on mismatch.
   /// Verifying *before* the accumulate matters: an unverified accumulate
   /// would recompute the checksum over corrupted data and launder the
   /// corruption.
@@ -98,7 +98,8 @@ struct SmbServerStats {
   std::uint64_t corruptions_detected = 0;
   /// Armed torn writes that actually fired.
   std::uint64_t torn_writes_applied = 0;
-  /// Zero-copy pinned reads served (read_pinned).
+  /// Zero-copy pinned reads served (read_pinned).  Accumulate's internal
+  /// pin of its source is not a read and is not counted.
   std::uint64_t pinned_reads = 0;
   /// Storage epochs cloned because a writer hit an outstanding pin.
   std::uint64_t cow_clones = 0;
@@ -158,10 +159,11 @@ class SmbServer final : public SmbService {
 
   /// Server-side accumulate: dst[i] += src[i] for the full (equal) lengths.
   /// Requests against the same destination are processed exclusively
-  /// (paper §III-G, step T.A3).  The source is snapshotted under its own
-  /// lock, then the add runs in parallel chunks on the shared work pool
-  /// while only the destination lock is held — bitwise identical for any
-  /// pool width (see common/parallel.h).
+  /// (paper §III-G, step T.A3).  The source's live epoch is pinned under
+  /// its own lock (an internal pin: counted in the segment's pin balance,
+  /// not as a pinned read), then the add reads it in place, in parallel
+  /// chunks on the shared work pool, while only the destination lock is
+  /// held — bitwise identical for any pool width (see common/parallel.h).
   void accumulate(Handle src, Handle dst) override;
 
   // --- tagged (idempotent) mutations -------------------------------------
@@ -321,8 +323,8 @@ class SmbServer final : public SmbService {
     std::unordered_map<std::uint64_t, std::uint64_t> applied_tags
         SHMCAFFE_GUARDED_BY(data_mutex);
     /// Guards floats + version.  All segments share one lock rank, and the
-    /// server never holds two at once (accumulate snapshots the source
-    /// under its lock, then applies under the destination's).
+    /// server never holds two at once (accumulate pins the source under its
+    /// lock, then adds under the destination's).
     mutable common::OrderedMutex data_mutex{"smb.server.segment",
                                             common::lockrank::kSmbSegment};
     mutable std::condition_variable_any version_cv;
@@ -342,6 +344,12 @@ class SmbServer final : public SmbService {
   /// `segment`; records it otherwise.
   bool replayed_locked(Segment& segment, OpTag tag)
       SHMCAFFE_REQUIRES(segment.data_mutex);
+  /// Pins `segment`'s live epoch and returns it; unpin() drops the pin.
+  static std::shared_ptr<SegmentStorage> pin_live_locked(Segment& segment)
+      SHMCAFFE_REQUIRES(segment.data_mutex);
+  /// Drops one pin of `epoch`, a pinned epoch of `segment`, under the
+  /// segment's data_mutex.
+  static void unpin(Segment& segment, SegmentStorage& epoch);
   /// Copy-on-write before a mutation of `segment`'s floats: with pins
   /// outstanding, swaps in a fresh storage epoch (the retired one stays
   /// alive and immutable via the pinned views' refs).

@@ -159,6 +159,9 @@ class SmbService {
 
   virtual void write(Handle handle, std::span<const float> src, std::size_t offset) = 0;
   /// Server-side accumulate: dst[i] += src[i] for the full (equal) lengths.
+  /// The source is read in place, not copied, so no one may write it while
+  /// the accumulate runs: a SEASGD delta segment's one writer never overlaps
+  /// its own accumulate (§III-G T.A1-T.A4).
   virtual void accumulate(Handle src, Handle dst) = 0;
 
   // --- counter segment ops -----------------------------------------------

@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <functional>
 #include <memory>
 #include <ostream>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -41,6 +44,24 @@ TEST(Tensor, ReshapeKeepPreservesData) {
   t.reshape_keep({3, 4});
   EXPECT_EQ(t.dim(0), 3);
   EXPECT_FLOAT_EQ(t[7], 7.0F);
+}
+
+TEST(Tensor, ViewAliasesItsStorageAndACopyOwnsItsFloats) {
+  std::vector<float> storage(6, 1.0F);
+  Tensor view = Tensor::view({2, 3}, storage);
+  EXPECT_TRUE(view.is_view());
+  EXPECT_EQ(view.data(), storage.data());
+  view[4] = 5.0F;
+  EXPECT_EQ(storage[4], 5.0F);
+  const Tensor copy = view;
+  EXPECT_FALSE(copy.is_view());
+  EXPECT_NE(copy.data(), storage.data());
+  EXPECT_EQ(copy[4], 5.0F);
+  const Tensor moved = std::move(view);
+  EXPECT_EQ(moved.data(), storage.data());
+  Tensor other = Tensor::view({6}, storage);
+  EXPECT_THROW(other.reshape({3}), std::logic_error);
+  EXPECT_THROW((void)Tensor::view({4}, storage), std::invalid_argument);
 }
 
 // --- layer forward semantics ---
@@ -398,6 +419,101 @@ TEST(ParamVector, SizeMismatchThrows) {
   std::vector<float> wrong(net.param_count() + 1);
   EXPECT_THROW(copy_params_from(net, wrong), std::invalid_argument);
   EXPECT_THROW(copy_params_to(net, wrong), std::invalid_argument);
+}
+
+// --- parameter store ---
+
+TEST(ParamStore, EveryBlobViewsItsSliceAtTheRunningOffset) {
+  const std::vector<std::function<Net()>> builders = {
+      build_conv_pool_fc, [] { return make_model("mini_inception_resnet", ModelInputSpec{}); }};
+  for (const std::function<Net()>& build : builders) {
+    Net net = build();
+    const std::span<float> values = net.param_values();
+    const std::span<float> grads = net.param_grads();
+    ASSERT_EQ(values.size(), net.param_count()) << net.name();
+    ASSERT_EQ(grads.size(), net.param_count()) << net.name();
+    std::size_t offset = 0;
+    for (ParamBlob* blob : net.params()) {
+      EXPECT_TRUE(blob->value.is_view()) << blob->name;
+      EXPECT_EQ(blob->value.shape(), blob->shape) << blob->name;
+      EXPECT_EQ(blob->value.data(), values.data() + offset) << blob->name;
+      EXPECT_EQ(blob->grad.data(), grads.data() + offset) << blob->name;
+      offset += blob->count();
+    }
+    EXPECT_EQ(offset, net.param_count()) << net.name();
+  }
+}
+
+TEST(ParamStore, ParamCountNeedsNoStorage) {
+  Net net("lazy");
+  net.add_input("data");
+  Layer& fc = net.add(std::make_unique<FullyConnected>("fc", 6, 4), {"data"}, "fc");
+  EXPECT_EQ(net.param_count(), 6U * 4U + 4U);
+  EXPECT_TRUE(fc.params()[0]->value.empty());
+  (void)net.params();
+  EXPECT_TRUE(fc.params()[0]->value.is_view());
+}
+
+TEST(ParamStore, MovedNetStillViewsItsOwnStore) {
+  common::Rng rng(11);
+  Net net = build_mlp_flat();
+  net.init_params(rng);
+  const float* values = net.param_values().data();
+  const float* grads = net.param_grads().data();
+  Net moved = std::move(net);
+  EXPECT_EQ(moved.param_values().data(), values);
+  EXPECT_EQ(moved.param_grads().data(), grads);
+  Net assigned("assigned");
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.param_values().data(), values);
+  EXPECT_EQ(assigned.params().front()->value.data(), values);
+  // Training writes the moved net's own gradient store.
+  assigned.input("data").reshape({2, 6});
+  assigned.input("data").fill(0.5F);
+  assigned.input("label").reshape({2});
+  (void)assigned.forward(true);
+  assigned.backward();
+  double norm = 0.0;
+  for (const float g : assigned.param_grads()) norm += static_cast<double>(g) * g;
+  EXPECT_GT(norm, 0.0);
+}
+
+TEST(ParamStore, AddAfterTheStoreExistsThrows) {
+  Net net = build_mlp_flat();
+  (void)net.param_values();
+  EXPECT_THROW(net.add(std::make_unique<Relu>("late"), {"logits"}, "late"), std::logic_error);
+}
+
+TEST(ParamStore, CopyParamsToEqualsTheStoreBitwise) {
+  common::Rng rng(13);
+  Net net = build_conv_pool_fc();
+  net.init_params(rng);
+  std::vector<float> flat(net.param_count());
+  copy_params_to(net, flat);
+  const std::span<const float> values = net.param_values();
+  ASSERT_EQ(flat.size(), values.size());
+  EXPECT_EQ(std::memcmp(flat.data(), values.data(), flat.size() * sizeof(float)), 0);
+}
+
+TEST(ParamStore, StandaloneLayerAllocatesAtSetupOrInitParams) {
+  FullyConnected fc("fc", 3, 2);
+  EXPECT_TRUE(fc.params()[0]->value.empty());
+  Tensor x({1, 3});
+  Tensor top;
+  fc.setup({&x}, top);
+  for (ParamBlob* blob : fc.params()) {
+    EXPECT_FALSE(blob->value.is_view()) << blob->name;
+    EXPECT_EQ(blob->value.size(), blob->count()) << blob->name;
+    EXPECT_EQ(blob->grad.size(), blob->count()) << blob->name;
+  }
+  Conv2d conv("conv", 2, 3, 3);
+  EXPECT_TRUE(conv.params()[0]->value.empty());
+  common::Rng rng(17);
+  conv.init_params(rng);
+  for (ParamBlob* blob : conv.params()) {
+    EXPECT_FALSE(blob->value.is_view()) << blob->name;
+    EXPECT_EQ(blob->value.size(), blob->count()) << blob->name;
+  }
 }
 
 TEST(ParamVector, GradsRoundTrip) {

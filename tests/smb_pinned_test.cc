@@ -179,6 +179,54 @@ TEST(SmbPinnedRead, ChecksumsVerifiedOnceAtPinTime) {
   EXPECT_NE(std::find(markers.begin(), markers.end(), kMarker), markers.end());
 }
 
+TEST(SmbPinnedRead, AccumulateReadsItsSourceThroughAnInternalPin) {
+  // accumulate() reads its source in place through a pin of the live epoch.
+  // That pin is no client read: it takes no pinned-read ordinal, so a flip
+  // armed on the first pinned read waits for the first read_pinned, and it
+  // moves no read statistics.  The source is still verified once, so an
+  // accumulate verifies as many chunks as a copying one would.
+  SmbServerOptions options;
+  options.integrity.verify_on_read = true;
+  options.integrity.chunk_floats = 64;
+  SmbServer server(options);
+  const Handle src = server.create_floats(1, 256);
+  const Handle dst = server.create_floats(2, 256);
+  const std::vector<float> delta = iota_floats(256, 0.5F);
+  const std::vector<float> base = iota_floats(256, -3.0F);
+  server.write(src, delta);
+  server.write(dst, base);
+  constexpr std::uint64_t kMarker = 0x52;
+  server.arm_pinned_corruption(/*ordinal=*/1, kMarker, /*bit_flips=*/2);
+
+  const smb::SmbServerStats before = server.stats();
+  constexpr int kAccumulates = 3;
+  for (int i = 0; i < kAccumulates; ++i) server.accumulate(src, dst);
+  const smb::SmbServerStats after = server.stats();
+  EXPECT_TRUE(server.pinned_corruption_markers().empty());
+  EXPECT_EQ(after.accumulates - before.accumulates, static_cast<std::uint64_t>(kAccumulates));
+  EXPECT_EQ(after.pinned_reads, before.pinned_reads);
+  EXPECT_EQ(after.bytes_pinned, before.bytes_pinned);
+  EXPECT_EQ(after.bytes_read, before.bytes_read);
+  EXPECT_EQ(after.cow_clones, before.cow_clones);
+  // Source and destination, 4 chunks each, once per accumulate.
+  EXPECT_EQ(after.chunks_verified - before.chunks_verified,
+            static_cast<std::uint64_t>(kAccumulates * 2 * 4));
+  std::vector<float> sum(256);
+  server.read(dst, sum);
+  for (std::size_t i = 0; i < sum.size(); ++i) {
+    ASSERT_EQ(sum[i], ((base[i] + delta[i]) + delta[i]) + delta[i]) << "element " << i;
+  }
+
+  // The first client pin is ordinal 1: the armed flip fires there.
+  {
+    const PinnedFloats view = server.read_pinned(src, 256);
+    EXPECT_EQ(server.pinned_corruption_markers(), std::vector<std::uint64_t>{kMarker});
+  }
+  // Every pin, the accumulates' included, was released.
+  EXPECT_NO_THROW(server.release(src));
+  EXPECT_NO_THROW(server.release(dst));
+}
+
 // --- replicated ensemble ------------------------------------------------------
 
 TEST(SmbPinnedRead, ReplicatedViewSurvivesPrimaryFailStop) {
@@ -234,24 +282,19 @@ TEST(SmbPinnedRead, ShardedViewsCoverTheLogicalBuffer) {
 
 TEST(SmbPinnedRead, TrainerZeroCopyPathIsBitwiseIdenticalToCopyPath) {
   // The trainer's Fig. 6 exchange unit, driven on one thread: exchange()
-  // runs T1/T2 against pinned per-shard views of W_g and hands the
-  // increment over, then serve() after stop() runs the flush (T.A1-T.A4)
-  // and returns.  The reference is a staged read, a copy of the whole
-  // buffer followed by the scalar elastic_exchange: same floats, same
-  // rounding, for any start shard and pool width.  The split is uneven
-  // (33335, 33334, 33334 floats) and every shard spans more than one pool
-  // chunk.  T1/T2's pins must be gone by the flush: an accumulate into a
-  // still-pinned W_g epoch clones it, so no server may count a COW clone.
+  // runs T1/T2 against pinned per-shard views of W_g, in place on the
+  // parameters it is handed, and hands the increment over; then serve()
+  // after stop() runs the flush (T.A1-T.A4) and returns.  The reference is
+  // a staged read, a copy of the whole buffer followed by the scalar
+  // elastic_exchange: same floats, same rounding, for any start shard and
+  // pool width.  With verify_on_read the exchange runs eq. (5), re-pins,
+  // then eq. (6): the same bits again.  The split is uneven (33335, 33334,
+  // 33334 floats) and every shard spans more than one pool chunk.  T1/T2's
+  // pins must be gone by the flush: an accumulate into a still-pinned W_g
+  // epoch clones it, so no server may count a COW clone.  The accumulate
+  // reads its source through an internal pin, which is no pinned read.
   constexpr std::size_t kTotal = 100'003;
   static_assert(kTotal / 3 > core::kSeasgdGrain);
-  SmbServer s0;
-  SmbServer s1;
-  SmbServer s2;
-  std::vector<smb::SmbServer*> servers = {&s0, &s1, &s2};
-  core::ShardedBuffer global =
-      core::ShardedBuffer::create(std::span<smb::SmbServer* const>(servers), 7, kTotal);
-  core::ShardedBuffer increments =
-      core::ShardedBuffer::create(std::span<smb::SmbServer* const>(servers), 8, kTotal);
   common::Rng rng(0x7e57);
   std::vector<float> weights(kTotal);
   std::vector<float> start_local(kTotal);
@@ -259,47 +302,64 @@ TEST(SmbPinnedRead, TrainerZeroCopyPathIsBitwiseIdenticalToCopyPath) {
     weights[i] = static_cast<float>(rng.normal());
     start_local[i] = weights[i] + static_cast<float>(0.01 * rng.normal());
   }
-  global.write(weights);
   const float alpha = 0.2F;
-  const auto cow_clones = [&] {
-    return s0.stats().cow_clones + s1.stats().cow_clones + s2.stats().cow_clones;
-  };
 
-  for (const int threads : {1, 2, 4}) {
-    common::parallel::set_thread_count(threads);
-    for (const std::size_t start_shard : {0U, 1U, 2U}) {
-      std::vector<float> before(kTotal);
-      global.read(before, start_shard);
-      std::vector<float> want_local = start_local;
-      std::vector<float> want_delta(kTotal);
-      core::elastic_exchange(want_local, before, alpha, want_delta);
+  for (const bool verify : {false, true}) {
+    SmbServerOptions options;
+    options.integrity.verify_on_read = verify;
+    SmbServer s0(options);
+    SmbServer s1(options);
+    SmbServer s2(options);
+    std::vector<smb::SmbServer*> servers = {&s0, &s1, &s2};
+    core::ShardedBuffer global =
+        core::ShardedBuffer::create(std::span<smb::SmbServer* const>(servers), 7, kTotal);
+    core::ShardedBuffer increments =
+        core::ShardedBuffer::create(std::span<smb::SmbServer* const>(servers), 8, kTotal);
+    global.write(weights);
+    const auto total = [&](auto stat) {
+      return stat(s0.stats()) + stat(s1.stats()) + stat(s2.stats());
+    };
+    const auto cow_clones = [](const smb::SmbServerStats& st) { return st.cow_clones; };
+    const auto pinned_reads = [](const smb::SmbServerStats& st) { return st.pinned_reads; };
 
-      core::Exchange exchange(
-          global, increments, [start_shard] { return start_shard; }, alpha,
-          /*verify_on_read=*/false);
-      std::vector<float> local(kTotal);
-      exchange.exchange(local, [&](std::span<float> params) {
-        std::copy(start_local.begin(), start_local.end(), params.begin());
-      });
-      exchange.stop();
-      exchange.serve();
+    for (const int threads : {1, 2, 4}) {
+      common::parallel::set_thread_count(threads);
+      for (const std::size_t start_shard : {0U, 1U, 2U}) {
+        std::vector<float> before(kTotal);
+        global.read(before, start_shard);
+        std::vector<float> want_local = start_local;
+        std::vector<float> want_delta(kTotal);
+        core::elastic_exchange(want_local, before, alpha, want_delta);
 
-      const std::string where =
-          "start_shard " + std::to_string(start_shard) + " at width " + std::to_string(threads);
-      EXPECT_EQ(std::memcmp(local.data(), want_local.data(), kTotal * sizeof(float)), 0)
-          << "local, " << where;
-      std::vector<float> flushed(kTotal);
-      increments.read(flushed);
-      EXPECT_EQ(std::memcmp(flushed.data(), want_delta.data(), kTotal * sizeof(float)), 0)
-          << "delta segment, " << where;
-      std::vector<float> want_global(kTotal);
-      for (std::size_t i = 0; i < kTotal; ++i) want_global[i] = before[i] + want_delta[i];
-      std::vector<float> after(kTotal);
-      global.read(after);
-      EXPECT_EQ(std::memcmp(after.data(), want_global.data(), kTotal * sizeof(float)), 0)
-          << "W_g after the flush, " << where;
-      EXPECT_EQ(cow_clones(), 0U) << where;
+        core::Exchange exchange(
+            global, increments, [start_shard] { return start_shard; }, alpha, verify);
+        std::vector<float> params = start_local;
+        exchange.exchange(params);
+        const std::uint64_t pinned_before_flush = total(pinned_reads);
+        exchange.stop();
+        exchange.serve();
+
+        const std::string where = std::string(verify ? "verify_on_read, " : "") +
+                                  "start_shard " + std::to_string(start_shard) + " at width " +
+                                  std::to_string(threads);
+        EXPECT_EQ(total(pinned_reads), pinned_before_flush) << "the flush pinned, " << where;
+        EXPECT_EQ(std::memcmp(params.data(), want_local.data(), kTotal * sizeof(float)), 0)
+            << "params, " << where;
+        std::vector<float> flushed(kTotal);
+        increments.read(flushed);
+        EXPECT_EQ(std::memcmp(flushed.data(), want_delta.data(), kTotal * sizeof(float)), 0)
+            << "delta segment, " << where;
+        std::vector<float> want_global(kTotal);
+        for (std::size_t i = 0; i < kTotal; ++i) want_global[i] = before[i] + want_delta[i];
+        std::vector<float> after(kTotal);
+        global.read(after);
+        EXPECT_EQ(std::memcmp(after.data(), want_global.data(), kTotal * sizeof(float)), 0)
+            << "W_g after the flush, " << where;
+        EXPECT_EQ(total(cow_clones), 0U) << where;
+      }
     }
+    global.release();
+    increments.release();
   }
   common::parallel::shutdown();
 }

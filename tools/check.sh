@@ -54,8 +54,12 @@
 #                             # is also given
 #
 # Each configuration builds into its own tree (build/, build-tsan/,
-# build-asan/, build-bench/, build-perfbench/) so incremental reruns are
-# cheap.  Exits non-zero on the first failing stage.
+# build-asan/, build-scalar/, build-bench/, build-perfbench/) so incremental
+# reruns are cheap.  `plain` and `asan` build every target, so the benches
+# and examples still compile in the plain and ASan trees; the stages that
+# run a ctest label (tsan, lint, recovery, elastic, integrity, simd and its
+# scalar tree) build only the gtest binaries (the `shm_tests` target), plus
+# shmcaffe-lint in `lint`.  Exits non-zero on the first failing stage.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -73,11 +77,15 @@ done
 STAGES=("${ARGS[@]:-plain tsan asan}")
 STAGES=(${STAGES[@]})  # re-split when the default multi-word string is used
 
+# run_stage <name> <build dir> <sanitizer> <ctest args> [targets...]: builds
+# the named targets (every target when none is given), then runs ctest.
 run_stage() {
   local name=$1 build_dir=$2 sanitize=$3 ctest_args=$4
-  echo "==> [$name] configure + build ($build_dir)"
+  local build_args=()
+  (( $# > 4 )) && build_args=(--target "${@:5}")
+  echo "==> [$name] configure + build ($build_dir${5:+: ${*:5}})"
   cmake -B "$build_dir" -S . -DSHMCAFFE_SANITIZE="$sanitize" >/dev/null
-  cmake --build "$build_dir" -j "$JOBS"
+  cmake --build "$build_dir" -j "$JOBS" "${build_args[@]}"
   echo "==> [$name] ctest $ctest_args"
   (cd "$build_dir" && ctest --output-on-failure -j "$JOBS" $ctest_args)
 }
@@ -366,7 +374,7 @@ for stage in "${STAGES[@]}"; do
     tsan)
       # Data-race + (via the LockOrder guard tests) deadlock-potential pass
       # over the suites that drive real threads.
-      run_stage tsan build-tsan thread "-L tsan"
+      run_stage tsan build-tsan thread "-L tsan" shm_tests
       ;;
     asan)
       # Heap/stack/UB pass over the full suite; `address` also enables UBSan.
@@ -375,7 +383,7 @@ for stage in "${STAGES[@]}"; do
     lint)
       # Static half (`ctest -L lint`: the repo scan + rule unit tests), then
       # the lock-coverage snapshot gate.
-      run_stage lint build "" "-L lint"
+      run_stage lint build "" "-L lint" shm_tests shmcaffe-lint
       lint_coverage_gate build
       ;;
     recovery)
@@ -383,8 +391,8 @@ for stage in "${STAGES[@]}"; do
       # checkpoints, re-admission): its suite in the plain tree, then the
       # same tests under ThreadSanitizer — failover and re-admission are
       # concurrency hot spots.
-      run_stage recovery-plain build "" "-L recovery"
-      run_stage recovery-tsan build-tsan thread "-L recovery"
+      run_stage recovery-plain build "" "-L recovery" shm_tests
+      run_stage recovery-tsan build-tsan thread "-L recovery" shm_tests
       ;;
     elastic)
       # Focused gate for the elastic membership layer (live join/drain,
@@ -394,8 +402,8 @@ for stage in "${STAGES[@]}"; do
       # snapshotted against the committed baseline.  The bench quantities
       # are simulated (deterministic, build-type independent), so the 20%
       # throughput fence catches modelling regressions, not machine noise.
-      run_stage elastic-plain build "" "-L elastic"
-      run_stage elastic-tsan build-tsan thread "-L elastic"
+      run_stage elastic-plain build "" "-L elastic" shm_tests
+      run_stage elastic-tsan build-tsan thread "-L elastic" shm_tests
       snapshot_gate elastic bench_ext_elastic BENCH_elastic.json
       ;;
     integrity)
@@ -408,8 +416,8 @@ for stage in "${STAGES[@]}"; do
       # baseline.  The bench quantities are simulated (deterministic,
       # build-type independent), so the 20% throughput fence catches
       # modelling regressions, not machine noise.
-      run_stage integrity-plain build "" "-L integrity"
-      run_stage integrity-asan build-asan address "-L integrity"
+      run_stage integrity-plain build "" "-L integrity" shm_tests
+      run_stage integrity-asan build-asan address "-L integrity" shm_tests
       snapshot_gate integrity bench_ext_integrity BENCH_integrity.json
       ;;
     simd)
@@ -420,10 +428,10 @@ for stage in "${STAGES[@]}"; do
       # kernel outputs, and those hashes must agree between the two builds
       # (each build asserts its own invariance; the shared expectations in
       # the tests pin the cross-build equality).
-      run_stage simd-on build "" "-L simd"
-      echo "==> [simd] configure + build (build-scalar, SIMD tier off)"
+      run_stage simd-on build "" "-L simd" shm_tests
+      echo "==> [simd] configure + build (build-scalar, SIMD tier off: shm_tests)"
       cmake -B build-scalar -S . -DSHMCAFFE_SIMD=OFF >/dev/null
-      cmake --build build-scalar -j "$JOBS"
+      cmake --build build-scalar -j "$JOBS" --target shm_tests
       echo "==> [simd] ctest -L simd (scalar cores)"
       (cd build-scalar && ctest --output-on-failure -j "$JOBS" -L simd)
       ;;
