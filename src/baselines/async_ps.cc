@@ -1,7 +1,8 @@
 #include "baselines/async_ps.h"
 
-#include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 
@@ -53,9 +54,15 @@ struct DownpourShared {
   const DownpourOptions* downpour = nullptr;
   const data::SynthImageDataset* train_set = nullptr;
   ParameterServer* server = nullptr;
-  std::int64_t target_iterations = 0;
-  int lr_step_iterations = 0;
-  std::atomic<std::int64_t> total_iterations{0};
+  core::IterationTargets targets;
+  /// Total iterations across all workers per epoch.
+  std::int64_t per_epoch_total = 1;
+  /// Epoch crossings and worker exits wake the evaluator (train_downpour's
+  /// calling thread) through `wake`.
+  std::mutex mutex;
+  std::condition_variable wake;
+  std::int64_t total_iterations = 0;  // under mutex
+  int running = 0;                    // under mutex: workers not yet exited
 };
 
 void run_downpour_worker(DownpourShared& shared, int worker) {
@@ -71,7 +78,7 @@ void run_downpour_worker(DownpourShared& shared, int worker) {
   dl::copy_params_from(net, weights);
 
   dl::SolverOptions solver_options = options.solver;
-  solver_options.step_size = shared.lr_step_iterations;
+  solver_options.step_size = shared.targets.lr_step;
   // The local replica steps with plain SGD; the authoritative update
   // happens at the server (Downpour keeps optimiser state server-side).
   dl::SgdSolver solver(net, solver_options);
@@ -85,7 +92,7 @@ void run_downpour_worker(DownpourShared& shared, int worker) {
   std::vector<float> accumulated(param_count, 0.0F);
   int since_push = 0;
 
-  for (std::int64_t iteration = 0; iteration < shared.target_iterations; ++iteration) {
+  for (std::int64_t iteration = 0; iteration < shared.targets.per_worker; ++iteration) {
     if (iteration % downpour.fetch_interval == 0) {
       shared.server->pull(weights);
       dl::copy_params_from(net, weights);
@@ -107,8 +114,12 @@ void run_downpour_worker(DownpourShared& shared, int worker) {
     }
     // The local replica also steps so training continues between fetches.
     solver.step();
-    shared.total_iterations.fetch_add(1, std::memory_order_relaxed);
+    std::scoped_lock lock(shared.mutex);
+    if (++shared.total_iterations % shared.per_epoch_total == 0) shared.wake.notify_one();
   }
+  std::scoped_lock lock(shared.mutex);
+  --shared.running;
+  shared.wake.notify_one();
 }
 
 }  // namespace
@@ -138,13 +149,10 @@ core::TrainResult train_downpour(const core::DistTrainOptions& options,
   shared.downpour = &downpour;
   shared.train_set = &train_set;
   shared.server = &server;
-  const std::int64_t iters_per_epoch_total =
-      std::max<std::int64_t>(1, static_cast<std::int64_t>(train_set.size()) /
-                                    options.batch_size);
-  const std::int64_t per_worker_per_epoch =
-      std::max<std::int64_t>(1, iters_per_epoch_total / options.workers);
-  shared.target_iterations = per_worker_per_epoch * options.epochs;
-  shared.lr_step_iterations = std::max<int>(1, static_cast<int>(per_worker_per_epoch) * 4);
+  shared.targets = core::iteration_targets(options);
+  shared.per_epoch_total = std::max<std::int64_t>(
+      1, shared.targets.per_worker * static_cast<std::int64_t>(options.workers) / options.epochs);
+  shared.running = options.workers;
 
   const auto wall_start = std::chrono::steady_clock::now();
   // One thread per Downpour worker (rank model, not compute parallelism).
@@ -153,34 +161,30 @@ core::TrainResult train_downpour(const core::DistTrainOptions& options,
     threads.emplace_back([&shared, w] { run_downpour_worker(shared, w); });
   }
 
-  // Orchestrator: evaluate the *server's* weights at epoch boundaries.
+  // Orchestrator: evaluate the *server's* weights at each epoch boundary
+  // the workers cross while they run.
   core::TrainResult result;
   dl::Net eval_net = dl::make_model(options.model_family, options.input);
   std::vector<float> snapshot(init_net.param_count());
-  const std::int64_t total_target =
-      shared.target_iterations * static_cast<std::int64_t>(options.workers);
-  const std::int64_t per_epoch_total =
-      std::max<std::int64_t>(1, total_target / options.epochs);
-  std::atomic<bool> joined{false};
-  std::thread joiner([&threads, &joined] {  // lint:allow(no-raw-thread)
-    for (auto& t : threads) t.join();
-    joined = true;
-  });
   int next_epoch = 1;
-  while (!joined.load(std::memory_order_acquire)) {
-    const std::int64_t done = shared.total_iterations.load(std::memory_order_relaxed);
-    if (next_epoch < options.epochs &&
-        done >= static_cast<std::int64_t>(next_epoch) * per_epoch_total) {
-      server.pull(snapshot);
-      dl::copy_params_from(eval_net, snapshot);
-      const core::EvalResult eval = core::evaluate(eval_net, test_set);
-      result.curve.push_back(core::EpochMetrics{next_epoch, eval.loss, eval.accuracy});
-      ++next_epoch;
-    } else {
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
+  const auto epoch_due = [&] {
+    return next_epoch < options.epochs &&
+           shared.total_iterations >= static_cast<std::int64_t>(next_epoch) * shared.per_epoch_total;
+  };
+  std::unique_lock lock(shared.mutex);
+  for (;;) {
+    shared.wake.wait(lock, [&] { return shared.running == 0 || epoch_due(); });
+    if (shared.running == 0) break;
+    lock.unlock();
+    server.pull(snapshot);
+    dl::copy_params_from(eval_net, snapshot);
+    const core::EvalResult eval = core::evaluate(eval_net, test_set);
+    result.curve.push_back(core::EpochMetrics{next_epoch, eval.loss, eval.accuracy});
+    ++next_epoch;
+    lock.lock();
   }
-  joiner.join();
+  lock.unlock();
+  for (auto& t : threads) t.join();
 
   server.pull(snapshot);
   dl::copy_params_from(eval_net, snapshot);
@@ -190,7 +194,7 @@ core::TrainResult train_downpour(const core::DistTrainOptions& options,
   result.curve.push_back(
       core::EpochMetrics{options.epochs, final_eval.loss, final_eval.accuracy});
   result.iterations_per_worker.assign(static_cast<std::size_t>(options.workers),
-                                      shared.target_iterations);
+                                      shared.targets.per_worker);
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
   return result;

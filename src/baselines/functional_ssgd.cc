@@ -28,9 +28,7 @@ struct SsgdShared {
   const data::SynthImageDataset* test_set = nullptr;
   minimpi::Context* mpi = nullptr;
   coll::DeviceGroup* group = nullptr;
-  std::int64_t target_iterations = 0;
-  int lr_step_iterations = 0;
-  std::int64_t iters_per_epoch = 0;
+  core::IterationTargets targets;
   std::mutex curve_mutex;
   std::vector<core::EpochMetrics> curve;
 };
@@ -56,7 +54,7 @@ void run_rank(SsgdShared& shared, int rank) {
   dl::copy_params_from(net, flat);
 
   dl::SolverOptions solver_options = options.solver;
-  solver_options.step_size = shared.lr_step_iterations;
+  solver_options.step_size = shared.targets.lr_step;
   dl::SgdSolver solver(net, solver_options);
 
   data::Prefetcher prefetcher(
@@ -67,7 +65,7 @@ void run_rank(SsgdShared& shared, int rank) {
   std::vector<float> grads(param_count);
   std::vector<float> incoming(param_count);
 
-  for (std::int64_t iteration = 0; iteration < shared.target_iterations; ++iteration) {
+  for (std::int64_t iteration = 0; iteration < shared.targets.per_worker; ++iteration) {
     data::Batch batch = prefetcher.next();
     net.input("data") = std::move(batch.data);
     net.input("label") = std::move(batch.labels);
@@ -117,8 +115,8 @@ void run_rank(SsgdShared& shared, int rank) {
     }
 
     // Rank 0 evaluates the (identical) model at epoch boundaries.
-    if (rank == 0 && (iteration + 1) % shared.iters_per_epoch == 0) {
-      const int epoch = static_cast<int>((iteration + 1) / shared.iters_per_epoch);
+    if (rank == 0 && (iteration + 1) % shared.targets.per_worker_per_epoch == 0) {
+      const int epoch = static_cast<int>((iteration + 1) / shared.targets.per_worker_per_epoch);
       const core::EvalResult eval = core::evaluate(net, *shared.test_set);
       std::scoped_lock lock(shared.curve_mutex);
       shared.curve.push_back(core::EpochMetrics{epoch, eval.loss, eval.accuracy});
@@ -145,14 +143,7 @@ core::TrainResult train_ssgd(const core::DistTrainOptions& options, SsgdTranspor
   shared.mpi = &mpi;
   shared.group = &group;
 
-  const std::int64_t iters_per_epoch_total =
-      std::max<std::int64_t>(1, static_cast<std::int64_t>(train_set.size()) /
-                                    options.batch_size);
-  shared.iters_per_epoch =
-      std::max<std::int64_t>(1, iters_per_epoch_total / options.workers);
-  shared.target_iterations = shared.iters_per_epoch * options.epochs;
-  shared.lr_step_iterations =
-      std::max<int>(1, static_cast<int>(shared.iters_per_epoch) * 4);
+  shared.targets = core::iteration_targets(options);
 
   const auto wall_start = std::chrono::steady_clock::now();
   // One thread per distributed rank (worker lifecycle, not compute).
@@ -170,7 +161,7 @@ core::TrainResult train_ssgd(const core::DistTrainOptions& options, SsgdTranspor
     result.final_loss = result.curve.back().test_loss;
   }
   result.iterations_per_worker.assign(static_cast<std::size_t>(options.workers),
-                                      shared.target_iterations);
+                                      shared.targets.per_worker);
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
   return result;

@@ -226,15 +226,12 @@ cluster::PlatformTiming simulate_caffe_mpi(const SimPlatformOptions& options) {
   cluster::PlatformTiming timing = acc.finish(options.iterations, sim.now());
   if (acc.rounds < options.iterations) timing.crashed_workers = 1;
   if (membership.has_value()) {
-    timing.joined_workers = membership->joined();
-    timing.drained_workers = membership->drained();
-    timing.rebalances = membership->rebalances();
-    timing.quarantine_events = membership->quarantine_events();
+    std::vector<fault::ControlEvent> observed;
+    membership->report(timing, observed);
     // Planned joins/drains only (no straggler detection in a synchronous
     // star), filtered by what the run reached before any crash truncation.
     timing.journal = fault::executed(
-        elastic::plan_control_events(nullptr, {}, {}, options.membership, {}, k),
-        membership->journal());
+        elastic::plan_control_events(nullptr, {}, {}, options.membership, {}, k), observed);
   }
   return timing;
 }

@@ -2,20 +2,21 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "common/units.h"
 #include "fault/journal.h"
 
 namespace shmcaffe::cluster {
 
-/// Per-iteration timing breakdown averaged over workers and iterations.
+/// Per-iteration timing breakdown averaged over workers and iterations,
+/// plus the control outcomes (fault::ControlReport) the model executed,
+/// comparable with the functional trainer's.
 /// `comm` is the non-hidden communication time — everything in an iteration
 /// that is not the worker's own minibatch computation (transfer time,
 /// blocked-on-lock time, and synchronous waiting for peers), exactly how the
 /// paper measures "communication time ... not overlapped with the
 /// computation time" (§IV-E).
-struct PlatformTiming {
+struct PlatformTiming : fault::ControlReport {
   SimTime mean_comp = 0;
   SimTime mean_comm = 0;
   [[nodiscard]] SimTime mean_iteration() const { return mean_comp + mean_comm; }
@@ -31,39 +32,16 @@ struct PlatformTiming {
   std::int64_t completed_worker_iterations = 0;
   /// Workers removed mid-run by an injected fail-stop crash.
   int crashed_workers = 0;
-  /// Worker slots re-admitted mid-run by the recovery layer, ascending (a
-  /// worker can be both crashed and recovered: first life died, the slot
-  /// finished under a replacement).
-  std::vector<int> recovered_workers;
-  /// SMB primary failovers the model executed.
-  std::int64_t smb_failovers = 0;
-  /// Elastic membership: workers that cold-joined / voluntarily drained
-  /// mid-run, ascending; shard-map rebalances executed; straggler
-  /// quarantine demotions.
-  std::vector<int> joined_workers;
-  std::vector<int> drained_workers;
-  std::int64_t rebalances = 0;
-  std::int64_t quarantine_events = 0;
   /// Simulated iterations observed running further behind the cohort
   /// maximum than the policy staleness bound (a heterogeneity health
   /// metric; see bench_ext_elastic).
   std::int64_t staleness_violations = 0;
-  /// Data integrity: distinct corruption markers the model expects checksum
-  /// verification to catch, replica copies the read-repair vote rewrites,
-  /// and scrub passes the run performs; comparable with TrainResult's.
-  std::int64_t corruptions_detected = 0;
-  std::int64_t integrity_repairs = 0;
-  std::int64_t scrub_passes = 0;
   /// Mean injection-to-detection latency (next sharing block, or the final
   /// scrub for corruptions landing after the last exchange).
   SimTime detection_latency = 0;
   /// Total modelled repair cost charged into the makespan
   /// (IntegrityPolicy::sim_repair_seconds per rewritten copy).
   SimTime repair_time = 0;
-  /// The planned control events (elastic::plan_control_events) the model
-  /// executed, in planned order (fault/journal.h); comparable with
-  /// TrainResult's.
-  std::vector<fault::ControlEvent> journal;
 };
 
 }  // namespace shmcaffe::cluster

@@ -2,21 +2,17 @@
 // (ShmCaffe and the baseline platforms).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <vector>
 
+#include "core/run_plan.h"
 #include "data/synth_dataset.h"
 #include "dl/models.h"
 #include "dl/solver.h"
-#include "elastic/membership.h"
 #include "fault/journal.h"
 #include "recovery/checkpoint.h"
-#include "recovery/integrity.h"
-#include "recovery/schedule.h"
-
-namespace shmcaffe::fault {
-class FaultInjector;
-}  // namespace shmcaffe::fault
 
 namespace shmcaffe::core {
 
@@ -27,11 +23,10 @@ enum class TerminationCriterion {
   kAverageIterations,   ///< stop when the mean iteration count reaches the target
 };
 
-struct DistTrainOptions {
-  int workers = 4;
-  /// Workers per node group for hybrid SGD; 1 means every worker is its own
-  /// group (pure SEASGD).
-  int group_size = 1;
+/// The functional trainers' options: the run plan both ShmCaffe stacks
+/// share (core/run_plan.h) plus the training setup only a functional run
+/// has.
+struct DistTrainOptions : RunPlan {
   int batch_size = 32;
   int epochs = 6;  ///< data-parallel epochs over the whole training set
 
@@ -41,16 +36,8 @@ struct DistTrainOptions {
   data::SynthDatasetOptions test_data;
 
   dl::SolverOptions solver;
-  /// ShmCaffe hyper-parameters (§III-A): the paper's defaults.
+  /// ShmCaffe hyper-parameter (§III-A): the paper's default.
   double moving_rate = 0.2;
-  int update_interval = 1;
-  /// Number of SMB servers sharding the global buffer (the paper's future
-  /// work §V); 1 = the paper's evaluated configuration.
-  int smb_servers = 1;
-  /// Replicas per SMB shard.  1 = the paper's single passive server (no
-  /// redundancy); >= 2 wraps each shard in a ReplicatedSmb ensemble that
-  /// mirrors mutations and fails over when the primary fail-stops.
-  int smb_replicas = 1;
 
   TerminationCriterion termination = TerminationCriterion::kAverageIterations;
   /// Bound on how many iterations a worker may run ahead of the slowest one
@@ -64,9 +51,6 @@ struct DistTrainOptions {
   /// Prefetch queue depth (the paper prefetches 10 minibatches).
   std::size_t prefetch_depth = 4;
 
-  /// Optional fault injection (crashes, stalls, SMB freezes); not owned,
-  /// must outlive the run.  nullptr = fault-free.
-  const fault::FaultInjector* faults = nullptr;
   /// A worker whose heartbeat is older than this is declared dead and
   /// excluded from termination and pacing (graceful degradation).  Must
   /// exceed the worst-case gap between a live worker's reports — an
@@ -75,27 +59,12 @@ struct DistTrainOptions {
   /// behaviour).
   double heartbeat_timeout_seconds = 2.0;
 
-  /// What the run does about injected failures (failover / re-admission).
-  /// Defaults preserve the degrade-only behaviour.
-  recovery::RecoveryPolicy recovery;
   /// Crash-consistent checkpointing + resume; disabled unless a directory
   /// is set.
   recovery::CheckpointConfig checkpoint;
-  /// Data-integrity policy: segment checksums, verification, read-repair,
-  /// scrubbing.  Defaults keep the checksum-free pre-integrity behaviour.
-  recovery::IntegrityPolicy integrity;
-
-  /// Optional elastic-membership plan (cold joins and voluntary drains at
-  /// planned iterations); not owned, must outlive the run.  nullptr = the
-  /// fixed-membership behaviour.  Requires group_size == 1: elastic workers
-  /// run pure SEASGD (a hybrid group cannot shrink mid-collective).
-  const elastic::MembershipPlan* membership = nullptr;
-  /// Straggler detection/quarantine policy; the detector runs only when
-  /// membership_policy.straggler_detection is set (which also requires
-  /// group_size == 1).
-  elastic::MembershipPolicy membership_policy;
 
   DistTrainOptions() {
+    workers = 4;
     train_data.size = 2048;
     test_data.size = 512;
     test_data.seed = 0x7e57;
@@ -106,6 +75,24 @@ struct DistTrainOptions {
     solver.step_size = 1 << 30;  // trainers overwrite with 4-epoch steps
   }
 };
+
+/// The iteration budget every functional trainer derives from its options:
+/// an epoch is one pass over the training set, split across the workers.
+struct IterationTargets {
+  std::int64_t per_worker_per_epoch = 1;
+  std::int64_t per_worker = 1;  ///< the run's per-worker iteration target
+  int lr_step = 1;              ///< the step LR policy's step: 4 epochs
+};
+
+[[nodiscard]] inline IterationTargets iteration_targets(const DistTrainOptions& options) {
+  const std::int64_t per_epoch_total = std::max<std::int64_t>(
+      1, static_cast<std::int64_t>(options.train_data.size) / options.batch_size);
+  IterationTargets targets;
+  targets.per_worker_per_epoch = std::max<std::int64_t>(1, per_epoch_total / options.workers);
+  targets.per_worker = targets.per_worker_per_epoch * options.epochs;
+  targets.lr_step = std::max<int>(1, static_cast<int>(targets.per_worker_per_epoch) * 4);
+  return targets;
+}
 
 /// One point of a training curve (evaluated on the shared/global weights).
 struct EpochMetrics {
@@ -136,7 +123,10 @@ enum class WorkerOutcome : std::uint8_t {
   kNeverJoined = 5, ///< a reserved join slot whose worker never joined
 };
 
-struct TrainResult {
+/// A functional run's outcome: the control report both stacks share
+/// (fault::ControlReport, comparable with the simulated twin's
+/// cluster::PlatformTiming) plus what only a functional run measures.
+struct TrainResult : fault::ControlReport {
   std::vector<EpochMetrics> curve;
   double final_accuracy = 0.0;
   double final_loss = 0.0;
@@ -147,34 +137,12 @@ struct TrainResult {
   std::vector<WorkerOutcome> worker_outcomes;
   /// Workers that did not finish (crashed or fenced), ascending.
   std::vector<int> dead_workers;
-  /// Workers whose slot was re-admitted mid-run (respawned replacement or
-  /// recovered fenced worker), ascending.  A worker can appear in both
-  /// lists: its first life died, its slot finished under a new incarnation.
-  std::vector<int> recovered_workers;
-  /// SMB primary failovers executed across all shard ensembles.
-  std::int64_t smb_failovers = 0;
   /// Checkpoints written during the run, and the iteration sum restored
   /// from a checkpoint at start (0 for a fresh run).
   std::int64_t checkpoints_taken = 0;
   std::int64_t resumed_iterations = 0;
-  /// Elastic membership: workers that cold-joined / voluntarily drained
-  /// mid-run, ascending; shard-map rebalances executed; straggler
-  /// quarantine demotions observed.
-  std::vector<int> joined_workers;
-  std::vector<int> drained_workers;
-  std::int64_t rebalances = 0;
-  std::int64_t quarantine_events = 0;
-  /// Data integrity: distinct corruption markers caught by checksum
-  /// verification, replica copies rewritten by read-repair, scrub passes
-  /// completed, and checkpoint rollbacks forced by unrepairable segments.
-  std::int64_t corruptions_detected = 0;
-  std::int64_t integrity_repairs = 0;
-  std::int64_t scrub_passes = 0;
+  /// Checkpoint rollbacks forced by unrepairable segments.
   std::int64_t integrity_rollbacks = 0;
-  /// The planned control events (elastic::plan_control_events) this run
-  /// executed, in planned order (fault/journal.h); comparable with the
-  /// simulated stack's PlatformTiming::journal.
-  std::vector<fault::ControlEvent> journal;
   double wall_seconds = 0.0;
 };
 

@@ -5,7 +5,6 @@
 #include <limits>
 #include <memory>
 #include <optional>
-#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -77,7 +76,8 @@ struct SimRecoveryContext {
   /// Earliest instant some shard has no live replica left; an exchange at
   /// or after this time fail-stops the worker (mirrors SmbUnavailable).
   SimTime smb_dead_at = std::numeric_limits<SimTime>::max();
-  /// Re-admission enabled (policy.respawn_crashed, async only).
+  /// Re-admission enabled (policy.respawn_crashed; the plan allows it only
+  /// in async runs).
   bool readmit = false;
 };
 
@@ -336,32 +336,10 @@ sim::Task<void> join_worker(sim::Simulation& sim, const SimShmCaffeOptions& opti
 }  // namespace
 
 cluster::PlatformTiming simulate_shmcaffe(const SimShmCaffeOptions& options) {
-  if (options.workers < 1 || options.group_size < 1 ||
-      options.workers % options.group_size != 0) {
-    throw std::invalid_argument("workers must be a multiple of group_size");
-  }
-  if (options.smb_servers < 1) throw std::invalid_argument("smb_servers must be >= 1");
-  if (options.smb_replicas < 1) throw std::invalid_argument("smb_replicas must be >= 1");
-  if (options.recovery.respawn_crashed && options.group_size != 1) {
-    // Mirrors the functional trainer: a replacement cannot rejoin a hybrid
-    // group mid-collective.
-    throw std::invalid_argument("respawn_crashed requires group_size == 1");
-  }
+  options.validate();
   const int groups = options.workers / options.group_size;
   const bool elastic_run =
       options.membership != nullptr || options.membership_policy.straggler_detection;
-  if (elastic_run && options.group_size != 1) {
-    // Mirrors the functional trainer: membership changes cannot resize a
-    // hybrid group mid-collective.
-    throw std::invalid_argument("elastic membership requires group_size == 1");
-  }
-  if (options.membership != nullptr) {
-    for (const elastic::MembershipEvent& ev : options.membership->joins()) {
-      if (ev.worker < groups) {
-        throw std::invalid_argument("join slots must be >= the initial worker count");
-      }
-    }
-  }
   // Cold joins occupy slots [groups, capacity); without a plan the cohort
   // is exactly the initial one.
   const int capacity =
@@ -458,55 +436,44 @@ cluster::PlatformTiming simulate_shmcaffe(const SimShmCaffeOptions& options) {
     fabric.set_dropped_transfers(options.faults->dropped_sequences());
   }
 
-  // Replay the plan's SMB fail-stops against the replica topology (replica
-  // r of shard s = physical server s * smb_replicas + r, the functional
-  // trainer's layout).  An active replica's death is a failover: it pauses
-  // service for the detection + promotion latency and is logged; a backup's
-  // death is invisible; the last replica's death kills the shard.
+  // Replay the plan's SMB fail-stops against the replica topology (the
+  // functional trainer's, RunPlan::physical_server), one shard at a time.
+  // An active replica's death is a failover: it pauses service for the
+  // detection + promotion latency and is logged; a backup's death is
+  // invisible; the last replica's death kills the shard.
   SimRecoveryContext recovery_ctx;
-  recovery_ctx.readmit = options.recovery.respawn_crashed && options.group_size == 1;
+  recovery_ctx.readmit = options.recovery.respawn_crashed;
   std::vector<std::vector<int>> failed_active(static_cast<std::size_t>(nservers));
   if (options.faults != nullptr) {
     const int replicas = options.smb_replicas;
-    std::vector<fault::FaultEvent> stops;
-    for (int n = 0; n < nservers * replicas; ++n) {
-      for (const fault::FaultEvent& ev : options.faults->server_fail_stops(n)) {
-        stops.push_back(ev);
-      }
-    }
-    std::sort(stops.begin(), stops.end(),
-              [](const fault::FaultEvent& a, const fault::FaultEvent& b) {
-                return a.start_seconds != b.start_seconds ? a.start_seconds < b.start_seconds
-                                                          : a.target < b.target;
-              });
-    std::vector<std::vector<char>> live(static_cast<std::size_t>(nservers),
-                                        std::vector<char>(static_cast<std::size_t>(replicas), 1));
-    std::vector<int> active(static_cast<std::size_t>(nservers), 0);
-    for (const fault::FaultEvent& ev : stops) {
-      const int shard = ev.target / replicas;
-      const int replica = ev.target % replicas;
-      if (shard < 0 || shard >= nservers) continue;
-      auto& shard_live = live[static_cast<std::size_t>(shard)];
-      if (!shard_live[static_cast<std::size_t>(replica)]) continue;
-      shard_live[static_cast<std::size_t>(replica)] = 0;
-      if (replica != active[static_cast<std::size_t>(shard)]) continue;  // backup died
-      int next = -1;
-      for (int r = 0; r < replicas; ++r) {
-        if (shard_live[static_cast<std::size_t>(r)]) {
-          next = r;
-          break;
+    for (int shard = 0; shard < nservers; ++shard) {
+      std::vector<std::pair<double, int>> stops;  // (start_seconds, replica)
+      for (int replica = 0; replica < replicas; ++replica) {
+        for (const fault::FaultEvent& ev :
+             options.faults->server_fail_stops(options.physical_server(shard, replica))) {
+          stops.emplace_back(ev.start_seconds, replica);
         }
       }
-      const SimTime at = start + units::from_seconds(ev.start_seconds);
-      if (next < 0) {
-        recovery_ctx.smb_dead_at = std::min(recovery_ctx.smb_dead_at, at);
-        continue;
+      std::sort(stops.begin(), stops.end());
+      std::vector<char> live(static_cast<std::size_t>(replicas), 1);
+      int active = 0;
+      for (const auto& [start_seconds, replica] : stops) {
+        if (!live[static_cast<std::size_t>(replica)]) continue;
+        live[static_cast<std::size_t>(replica)] = 0;
+        if (replica != active) continue;  // backup died
+        const auto next = std::find(live.begin(), live.end(), 1);
+        const SimTime at = start + units::from_seconds(start_seconds);
+        if (next == live.end()) {
+          recovery_ctx.smb_dead_at = std::min(recovery_ctx.smb_dead_at, at);
+          continue;
+        }
+        active = static_cast<int>(next - live.begin());
+        failed_active[static_cast<std::size_t>(shard)].push_back(replica);
+        recovery_ctx.pauses.emplace_back(
+            at, at + units::from_seconds(options.recovery.failover_seconds));
       }
-      active[static_cast<std::size_t>(shard)] = next;
-      failed_active[static_cast<std::size_t>(shard)].push_back(replica);
-      recovery_ctx.pauses.emplace_back(
-          at, at + units::from_seconds(options.recovery.failover_seconds));
     }
+    std::sort(recovery_ctx.pauses.begin(), recovery_ctx.pauses.end());
   }
 
   std::vector<GroupStats> stats(static_cast<std::size_t>(capacity));
@@ -575,7 +542,7 @@ cluster::PlatformTiming simulate_shmcaffe(const SimShmCaffeOptions& options) {
     for (const int replica : failed_active[static_cast<std::size_t>(shard)]) {
       result.smb_failovers += 1;
       fault::record(observed, fault::ControlAction::kSmbFailover,
-                    shard * options.smb_replicas + replica);
+                    options.physical_server(shard, replica));
     }
   }
 
@@ -659,23 +626,14 @@ cluster::PlatformTiming simulate_shmcaffe(const SimShmCaffeOptions& options) {
   }
 
   if (membership_service.has_value()) {
-    result.joined_workers = membership_service->joined();
-    result.drained_workers = membership_service->drained();
-    result.rebalances = membership_service->rebalances();
-    result.quarantine_events = membership_service->quarantine_events();
+    membership_service->report(result, observed);
     result.staleness_violations = elastic_state.staleness_violations;
-    const std::vector<fault::ControlEvent> changes = membership_service->journal();
-    observed.insert(observed.end(), changes.begin(), changes.end());
   }
 
   // The executed journal, filtered from the same plan the functional
   // trainer filters: a join whose trigger was never reached, or a
   // quarantine chain cut short by a crash, drops out on both stacks.
-  result.journal = fault::executed(
-      elastic::plan_control_events(
-          options.faults != nullptr ? &options.faults->plan() : nullptr, options.recovery,
-          options.integrity, options.membership, options.membership_policy, groups),
-      observed);
+  result.journal = fault::executed(options.planned_journal(), observed);
   return result;
 }
 

@@ -42,12 +42,16 @@ constexpr auto kParkPoll = std::chrono::microseconds(50);
 /// and the supervisor's wake-up state.
 struct Run {
   Run(const DistTrainOptions& options, std::size_t param_count);
+  /// Flips bits of W_g on physical server `server` (a wall-clock
+  /// kSegmentCorruption).  A replicated shard takes the flip through its
+  /// ensemble, so it never lands inside a read-repair vote.
+  std::size_t corrupt_global(int server, std::uint64_t marker, int bit_flips);
 
   const DistTrainOptions& options;
   const data::SynthImageDataset train_set;
   /// Physical server topology: smb_servers shards × smb_replicas replicas,
-  /// replica r of shard s at physical index s * smb_replicas + r.  Fault
-  /// plans target physical indices.  With replication each shard is wrapped
+  /// at the indices RunPlan::physical_server gives them.  Fault plans
+  /// target physical indices.  With replication each shard is wrapped
   /// in a ReplicatedSmb ensemble.  Workers only ever see `services`, one
   /// per shard (the raw SmbServer or the shard's ensemble), so the Fig. 6
   /// protocol is identical either way.
@@ -60,12 +64,11 @@ struct Run {
   /// Worker slots including reserved join capacity (== workers when the run
   /// is not elastic); final_iterations/worker_stats/outcomes are this long.
   const int capacity;
+  const IterationTargets targets;
   std::optional<elastic::MembershipService> membership;  // elastic runs only
   std::optional<recovery::CheckpointStore> checkpoint_store;
   std::optional<recovery::TrainCheckpoint> resume;  // validated
   std::int64_t resumed_total = 0;  // iterations the resumed checkpoint covers
-  std::int64_t target_iterations = 0;
-  int lr_step_iterations = 0;
   std::atomic<std::int64_t> total_iterations{0};
   std::atomic<std::int64_t> checkpoints_taken{0};
   std::atomic<std::uint64_t> checkpoint_sequence{0};
@@ -85,13 +88,23 @@ struct Run {
   bool hold_at_start = false;
 };
 
+std::size_t Run::corrupt_global(int server, std::uint64_t marker, int bit_flips) {
+  if (ensembles.empty()) {
+    return servers[static_cast<std::size_t>(server)]->corrupt_floats(base_key, marker, bit_flips);
+  }
+  const int replicas = options.smb_replicas;
+  return ensembles[static_cast<std::size_t>(server / replicas)]->inject_corruption(
+      static_cast<std::size_t>(server % replicas), base_key, marker, bit_flips);
+}
+
 Run::Run(const DistTrainOptions& options, std::size_t param_count)
     : options(options),
       train_set(options.train_data),
       mpi(options.workers),
       base_key((options.seed | 1) & 0x7fffffff),
       capacity(options.membership != nullptr ? options.membership->capacity(options.workers)
-                                             : options.workers) {
+                                             : options.workers),
+      targets(iteration_targets(options)) {
   smb::SmbServerOptions server_options;
   server_options.integrity.verify_on_read = options.integrity.verify_on_read;
   for (int n = 0; n < options.smb_servers * options.smb_replicas; ++n) {
@@ -101,7 +114,7 @@ Run::Run(const DistTrainOptions& options, std::size_t param_count)
     for (int s = 0; s < options.smb_servers; ++s) {
       std::vector<smb::SmbServer*> members;
       for (int r = 0; r < options.smb_replicas; ++r) {
-        members.push_back(servers[static_cast<std::size_t>(s * options.smb_replicas + r)].get());
+        members.push_back(servers[static_cast<std::size_t>(options.physical_server(s, r))].get());
       }
       ensembles.push_back(std::make_unique<recovery::ReplicatedSmb>(
           std::move(members), options.integrity.read_repair));
@@ -142,15 +155,6 @@ Run::Run(const DistTrainOptions& options, std::size_t param_count)
       total_iterations.store(resumed_total, std::memory_order_relaxed);
     }
   }
-
-  const std::int64_t iters_per_epoch_total =
-      std::max<std::int64_t>(1, static_cast<std::int64_t>(train_set.size()) /
-                                    options.batch_size);
-  const std::int64_t per_worker_per_epoch =
-      std::max<std::int64_t>(1, iters_per_epoch_total / options.workers);
-  target_iterations = per_worker_per_epoch * options.epochs;
-  lr_step_iterations =
-      std::max<int>(1, static_cast<int>(per_worker_per_epoch) * 4);  // 4-epoch LR steps
 }
 
 /// Applies `update` to the supervisor's wake-up state and wakes it.
@@ -285,7 +289,7 @@ Worker::Worker(Run& run, int worker, WorkerLife life, std::int64_t incarnation)
       vote_(1) {
   // Cold-join slots sit beyond the MPI world and the device groups (both
   // are sized for the initial ranks); elastic runs are pure SEASGD
-  // (group_size == 1, validated by train_shmcaffe), so a joiner never
+  // (group_size == 1, validated by RunPlan::validate), so a joiner never
   // touches either handle.
   minimpi::Endpoint mpi;
   if (life != WorkerLife::kColdJoin) {
@@ -385,7 +389,7 @@ void Worker::run() {
   adopt_global();
 
   dl::SolverOptions solver_options = options_.solver;
-  solver_options.step_size = run_.lr_step_iterations;
+  solver_options.step_size = run_.targets.lr_step;
   solver_.emplace(net_, solver_options);
   if (resume_ != nullptr) {
     solver_->set_iteration(static_cast<int>(
@@ -624,7 +628,7 @@ void Worker::save_checkpoint() {
 ProgressBoard::Vote Worker::cast_vote() {
   if (is_root_) {
     vote_[0] = static_cast<float>(board_->vote(options_.termination, worker_, iteration_,
-                                               run_.target_iterations, incarnation_));
+                                               run_.targets.per_worker, incarnation_));
   } else {
     board_->report(worker_, iteration_, incarnation_);
   }
@@ -646,37 +650,6 @@ WorkerOutcome Worker::recorded_outcome() const {
 }
 
 // --- the run supervisor ------------------------------------------------------
-
-void validate(const DistTrainOptions& options) {
-  if (options.workers < 1) throw std::invalid_argument("workers must be >= 1");
-  if (options.group_size < 1 || options.workers % options.group_size != 0) {
-    throw std::invalid_argument("group_size must divide workers");
-  }
-  if (options.update_interval < 1) throw std::invalid_argument("update_interval must be >= 1");
-  if (options.smb_servers < 1) throw std::invalid_argument("smb_servers must be >= 1");
-  if (options.smb_replicas < 1) throw std::invalid_argument("smb_replicas must be >= 1");
-  if (options.recovery.respawn_crashed && options.group_size != 1) {
-    // A replacement cannot rejoin a hybrid group mid-collective.
-    throw std::invalid_argument("respawn_crashed requires group_size == 1");
-  }
-  const bool elastic_run =
-      options.membership != nullptr || options.membership_policy.straggler_detection;
-  if (elastic_run && options.group_size != 1) {
-    // Elastic workers run pure SEASGD: a hybrid group cannot shrink or grow
-    // mid-collective.
-    throw std::invalid_argument("elastic membership requires group_size == 1");
-  }
-  if (options.membership != nullptr) {
-    for (const elastic::MembershipEvent& event : options.membership->events()) {
-      if (event.kind == elastic::MembershipEventKind::kJoin &&
-          event.worker < options.workers) {
-        // A cold join never reuses an initial rank's slot — that is the
-        // recovery layer's re-admission path.
-        throw std::invalid_argument("join slots must be >= the initial worker count");
-      }
-    }
-  }
-}
 
 /// The run supervisor, train_shmcaffe's calling thread: the run's only
 /// control-plane actor.  It starts and reaps every worker life, fires the
@@ -768,9 +741,7 @@ Supervisor::Supervisor(const DistTrainOptions& options)
   run_.hold_at_start = !server_faults_.empty();
   held_ = run_.hold_at_start;
 
-  planned_ = elastic::plan_control_events(
-      options.faults != nullptr ? &options.faults->plan() : nullptr, options.recovery,
-      options.integrity, options.membership, options.membership_policy, options.workers);
+  planned_ = options.planned_journal();
   respawn_.assign(static_cast<std::size_t>(options.workers), 0);
   for (const fault::ControlEvent& event : planned_) {
     if (event.action == fault::ControlAction::kWorkerReadmit && event.target >= 0 &&
@@ -786,7 +757,7 @@ Supervisor::Supervisor(const DistTrainOptions& options)
   // across all workers) the run has crossed.  A resumed run's curve
   // continues after the epochs the interrupted run already covered.
   const std::int64_t total_target =
-      run_.target_iterations * static_cast<std::int64_t>(options.workers);
+      run_.targets.per_worker * static_cast<std::int64_t>(options.workers);
   per_epoch_total_ = std::max<std::int64_t>(1, total_target / options.epochs);
   next_epoch_ = 1 + static_cast<int>(run_.resumed_total / per_epoch_total_);
 }
@@ -869,8 +840,8 @@ void Supervisor::fire_due_faults(bool global_initialised) {
     } else if (event.kind == fault::FaultKind::kSegmentCorruption) {
       if (!global_initialised) return;
       try {
-        if (target.corrupt_floats(run_.base_key, event.sequence,
-                                  std::max(1, static_cast<int>(event.severity))) > 0) {
+        if (run_.corrupt_global(event.target, event.sequence,
+                                std::max(1, static_cast<int>(event.severity))) > 0) {
           observed_.push_back(
               {fault::ControlAction::kCorruptionInjected, event.target, event.sequence});
         }
@@ -1035,19 +1006,12 @@ TrainResult Supervisor::report() {
       fault::record(observed_, fault::ControlAction::kWorkerReadmit, w);
     }
   }
-  if (run_.membership.has_value()) {
-    result.joined_workers = run_.membership->joined();
-    result.drained_workers = run_.membership->drained();
-    result.rebalances = run_.membership->rebalances();
-    result.quarantine_events = run_.membership->quarantine_events();
-    const std::vector<fault::ControlEvent> changes = run_.membership->journal();
-    observed_.insert(observed_.end(), changes.begin(), changes.end());
-  }
+  if (run_.membership.has_value()) run_.membership->report(result, observed_);
   result.checkpoints_taken = run_.checkpoints_taken.load(std::memory_order_relaxed);
   result.resumed_iterations = run_.resumed_total;
 
-  // Recovery and integrity observability.  Replica r of shard s is physical
-  // server s * smb_replicas + r.  A failover names the replica that died
+  // Recovery and integrity observability, on physical server indices
+  // (RunPlan::physical_server).  A failover names the replica that died
   // while active; detections and torn writes come from each physical
   // server; the ensembles report repairs without the replica they rewrote,
   // so each repaired marker is attributed to the replica of its shard whose
@@ -1057,7 +1021,7 @@ TrainResult Supervisor::report() {
     result.smb_failovers += static_cast<std::int64_t>(ensembles[s]->failover_count());
     for (const int replica : ensembles[s]->failover_log()) {
       fault::record(observed_, fault::ControlAction::kSmbFailover,
-                    static_cast<int>(s) * options_.smb_replicas + replica);
+                    options_.physical_server(static_cast<int>(s), replica));
     }
   }
   std::vector<std::uint64_t> detected;  // distinct markers across the servers
@@ -1081,7 +1045,7 @@ TrainResult Supervisor::report() {
     result.scrub_passes += static_cast<std::int64_t>(ensembles[s]->scrub_passes());
     for (const std::uint64_t marker : ensembles[s]->repaired_markers()) {
       for (int r = 0; r < options_.smb_replicas; ++r) {
-        const int n = static_cast<int>(s) * options_.smb_replicas + r;
+        const int n = options_.physical_server(static_cast<int>(s), r);
         const fault::ControlEvent detection{fault::ControlAction::kCorruptionDetected, n, marker};
         if (std::find(observed_.begin(), observed_.end(), detection) != observed_.end()) {
           observed_.push_back({fault::ControlAction::kCorruptionRepaired, n, marker});
@@ -1102,7 +1066,7 @@ TrainResult Supervisor::report() {
 }  // namespace
 
 TrainResult train_shmcaffe(const DistTrainOptions& options) {
-  validate(options);
+  options.validate();
   return Supervisor(options).run();
 }
 

@@ -295,34 +295,21 @@ std::vector<int> MembershipService::targets_locked(fault::ControlAction action) 
   return out;
 }
 
-std::vector<int> MembershipService::joined() const {
+void MembershipService::report(fault::ControlReport& report,
+                               std::vector<fault::ControlEvent>& observed) const {
   std::scoped_lock lock(mutex_);
-  return targets_locked(fault::ControlAction::kWorkerJoin);
-}
-
-std::vector<int> MembershipService::drained() const {
-  std::scoped_lock lock(mutex_);
-  return targets_locked(fault::ControlAction::kWorkerDrain);
-}
-
-std::int64_t MembershipService::rebalances() const {
-  std::scoped_lock lock(mutex_);
-  return static_cast<std::int64_t>(targets_locked(fault::ControlAction::kShardRebalance).size());
+  report.joined_workers = targets_locked(fault::ControlAction::kWorkerJoin);
+  report.drained_workers = targets_locked(fault::ControlAction::kWorkerDrain);
+  report.rebalances =
+      static_cast<std::int64_t>(targets_locked(fault::ControlAction::kShardRebalance).size());
+  report.quarantine_events =
+      static_cast<std::int64_t>(targets_locked(fault::ControlAction::kQuarantine).size());
+  observed.insert(observed.end(), journal_.begin(), journal_.end());
 }
 
 std::int64_t MembershipService::reassignments() const {
   std::scoped_lock lock(mutex_);
   return reassignments_;
-}
-
-std::int64_t MembershipService::quarantine_events() const {
-  std::scoped_lock lock(mutex_);
-  return static_cast<std::int64_t>(targets_locked(fault::ControlAction::kQuarantine).size());
-}
-
-std::vector<fault::ControlEvent> MembershipService::journal() const {
-  std::scoped_lock lock(mutex_);
-  return journal_;
 }
 
 }  // namespace shmcaffe::elastic

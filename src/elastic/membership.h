@@ -160,7 +160,7 @@ plan_control_events(const fault::FaultPlan* faults, const recovery::RecoveryPoli
 /// Thread-safe membership registry both stacks drive as changes execute.
 /// Owns the membership epoch, the home-shard map (rebalanced on every
 /// membership change), and the journal of the membership events it
-/// executed, from which the result counters derive.  All transitions are
+/// executed, from which the report's counters derive.  All transitions are
 /// idempotent per (worker, state): joining an active worker or draining a
 /// drained one is a no-op.
 class MembershipService {
@@ -185,16 +185,15 @@ class MembershipService {
   /// workers outside the member set).
   [[nodiscard]] int home_shard(int worker) const;
 
-  // --- result counters, derived from the journal ----------------------------
-  [[nodiscard]] std::vector<int> joined() const;   ///< ascending
-  [[nodiscard]] std::vector<int> drained() const;  ///< ascending
-  /// Home-shard map recomputations (one per membership change).
-  [[nodiscard]] std::int64_t rebalances() const;
+  /// The membership part of a run's report, derived from the journal:
+  /// fills `report`'s joined and drained workers (ascending), its
+  /// rebalances (one home-shard map recomputation per membership change)
+  /// and quarantine demotions, and appends every membership event executed
+  /// so far to `observed`, in execution order.  Both stacks and the
+  /// elastic baseline star report through it.
+  void report(fault::ControlReport& report, std::vector<fault::ControlEvent>& observed) const;
   /// Worker->shard assignments that changed across all rebalances.
   [[nodiscard]] std::int64_t reassignments() const;
-  [[nodiscard]] std::int64_t quarantine_events() const;
-  /// Every membership event executed so far, in execution order.
-  [[nodiscard]] std::vector<fault::ControlEvent> journal() const;
 
  private:
   enum class Status : std::uint8_t { kAbsent, kActive, kDrained, kEvicted };

@@ -5,11 +5,11 @@
 // (membership).
 //
 // Both training stacks — the functional thread trainer and the discrete-
-// event simulator — derive the same planned journal from the same plans
-// (elastic::plan_control_events), append every control event they observe
-// to a plain list, and keep the planned events they observed (executed()).
-// Equal executed journals mean the two stacks took the same control actions;
-// a mismatch prints the events themselves.
+// event simulator — derive the same planned journal from one run plan
+// (core::RunPlan::planned_journal), append every control event they observe
+// to a plain list, and keep the planned events they observed (executed())
+// in one ControlReport.  Equal executed journals mean the two stacks took
+// the same control actions; a mismatch prints the events themselves.
 #pragma once
 
 #include <cstdint>
@@ -58,6 +58,35 @@ struct ControlEvent {
   std::uint64_t key = 0;
 
   friend bool operator==(const ControlEvent&, const ControlEvent&) = default;
+};
+
+/// What a run did about its faults and its membership, as both training
+/// stacks report it: core::TrainResult and cluster::PlatformTiming derive
+/// from it, so the functional and simulated counters compare field for
+/// field.
+struct ControlReport {
+  /// Worker slots re-admitted mid-run by the recovery layer, ascending (a
+  /// worker can be both crashed and recovered: its first life died, the
+  /// slot finished under a replacement).
+  std::vector<int> recovered_workers;
+  /// SMB primary failovers executed across all shard ensembles.
+  std::int64_t smb_failovers = 0;
+  /// Elastic membership: workers that cold-joined / voluntarily drained
+  /// mid-run, ascending; shard-map rebalances executed; straggler
+  /// quarantine demotions.
+  std::vector<int> joined_workers;
+  std::vector<int> drained_workers;
+  std::int64_t rebalances = 0;
+  std::int64_t quarantine_events = 0;
+  /// Data integrity: distinct corruption markers caught by checksum
+  /// verification, replica copies rewritten by read-repair, and scrub
+  /// passes completed.
+  std::int64_t corruptions_detected = 0;
+  std::int64_t integrity_repairs = 0;
+  std::int64_t scrub_passes = 0;
+  /// The planned control events the run executed, in planned order
+  /// (executed() over the run plan's planned journal).
+  std::vector<ControlEvent> journal;
 };
 
 /// Appends (action, target), keyed by its ordinal among the journal's

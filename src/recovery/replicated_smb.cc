@@ -584,10 +584,10 @@ std::uint64_t ReplicatedSmb::scrub() {
   return repaired;
 }
 
-std::size_t ReplicatedSmb::inject_corruption(ShmKey key, std::uint64_t marker, int bit_flips) {
+std::size_t ReplicatedSmb::inject_corruption(std::size_t replica, ShmKey key,
+                                             std::uint64_t marker, int bit_flips) {
   std::scoped_lock lock(mirror_mutex_);
-  require_live_locked();
-  return replicas_[active_]->corrupt_floats(key, marker, bit_flips);
+  return replicas_.at(replica)->corrupt_floats(key, marker, bit_flips);
 }
 
 std::vector<std::uint64_t> ReplicatedSmb::detected_markers() const {

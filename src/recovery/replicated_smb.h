@@ -118,10 +118,14 @@ class ReplicatedSmb final : public smb::SmbService {
   /// reads and rewrites whole replica segments under the ensemble mutex.
   SHMCAFFE_BLOCKS std::uint64_t scrub();
 
-  /// Injects a silent corruption into the *active* replica's copy of the
-  /// float segment under `key` (the kSegmentCorruption fault hook).
-  /// Returns the number of chunks poisoned.
-  std::size_t inject_corruption(smb::ShmKey key, std::uint64_t marker, int bit_flips);
+  /// Injects a silent corruption into replica `replica`'s copy of the float
+  /// segment under `key` (the kSegmentCorruption fault hook), under the
+  /// mirror mutex: the flip lands between two ensemble operations, never
+  /// between a read-repair vote's verification and its rewrite, where the
+  /// rewrite would erase it undetected.  Returns the number of chunks
+  /// poisoned; throws SmbUnavailable when that replica has fail-stopped.
+  std::size_t inject_corruption(std::size_t replica, smb::ShmKey key, std::uint64_t marker,
+                                int bit_flips);
 
   /// Distinct corruption markers detected anywhere in the ensemble.
   [[nodiscard]] std::vector<std::uint64_t> detected_markers() const;

@@ -1,9 +1,12 @@
 // Tests for the core module: SEASGD algebra, progress board / termination
 // alignment, evaluation, the eq. (8) analytic model, the timed ShmCaffe
-// simulator, and the functional distributed trainer end to end.
+// simulator, the run plan both stacks validate alike, and the functional
+// distributed trainer end to end.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -17,6 +20,7 @@
 #include "core/seasgd_math.h"
 #include "core/sim_shmcaffe.h"
 #include "core/trainer.h"
+#include "elastic/membership.h"
 
 namespace shmcaffe::core {
 namespace {
@@ -319,16 +323,6 @@ TEST(SimShmCaffe, MatchesAnalyticModelWithoutContention) {
               static_cast<double>(analytic.iteration()) * 0.05);
 }
 
-TEST(TrainShmCaffe, RejectsInvalidOptions) {
-  DistTrainOptions options;
-  options.workers = 4;
-  options.group_size = 3;  // does not divide 4
-  EXPECT_THROW(train_shmcaffe(options), std::invalid_argument);
-  options.group_size = 1;
-  options.update_interval = 0;
-  EXPECT_THROW(train_shmcaffe(options), std::invalid_argument);
-}
-
 // --- functional trainer end-to-end ---
 
 DistTrainOptions small_train_options(int workers, int group_size) {
@@ -349,6 +343,59 @@ DistTrainOptions small_train_options(int workers, int group_size) {
   options.batch_size = 16;
   options.epochs = 5;
   return options;
+}
+
+// --- the run plan: one rule set for both stacks ---
+
+TEST(RunPlan, BothStacksRejectEveryInvalidPlan) {
+  elastic::MembershipPlan join_above;  // a valid cold join for 4 initial workers
+  join_above.add({elastic::MembershipEventKind::kJoin, 4, 5});
+  elastic::MembershipPlan join_onto_live_rank;
+  join_onto_live_rank.add({elastic::MembershipEventKind::kJoin, 1, 5});
+  struct Row {
+    const char* name;
+    std::function<void(RunPlan&)> make_invalid;
+  };
+  const std::vector<Row> rows = {
+      {"no workers", [](RunPlan& p) { p.workers = 0; }},
+      {"group_size does not divide workers", [](RunPlan& p) { p.group_size = 3; }},
+      {"update_interval 0", [](RunPlan& p) { p.update_interval = 0; }},
+      {"no SMB servers", [](RunPlan& p) { p.smb_servers = 0; }},
+      {"no SMB replicas", [](RunPlan& p) { p.smb_replicas = 0; }},
+      {"respawn in hybrid groups",
+       [](RunPlan& p) {
+         p.group_size = 2;
+         p.recovery.respawn_crashed = true;
+       }},
+      {"membership plan in hybrid groups",
+       [&](RunPlan& p) {
+         p.group_size = 2;
+         p.membership = &join_above;
+       }},
+      {"straggler detection in hybrid groups",
+       [](RunPlan& p) {
+         p.group_size = 2;
+         p.membership_policy.straggler_detection = true;
+       }},
+      {"join slot of an initial rank", [&](RunPlan& p) { p.membership = &join_onto_live_rank; }},
+  };
+  for (const Row& row : rows) {
+    DistTrainOptions functional = small_train_options(4, 1);
+    row.make_invalid(functional);
+    EXPECT_THROW((void)train_shmcaffe(functional), std::invalid_argument) << row.name;
+    const SimShmCaffeOptions simulated(functional);
+    EXPECT_THROW((void)simulate_shmcaffe(simulated), std::invalid_argument) << row.name;
+  }
+}
+
+TEST(TrainShmCaffe, RejectsInvalidOptions) {
+  DistTrainOptions options;
+  options.workers = 4;
+  options.group_size = 3;  // does not divide 4
+  EXPECT_THROW(train_shmcaffe(options), std::invalid_argument);
+  options.group_size = 1;
+  options.update_interval = 0;
+  EXPECT_THROW(train_shmcaffe(options), std::invalid_argument);
 }
 
 TEST(TrainShmCaffe, SingleWorkerLearns) {

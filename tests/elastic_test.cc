@@ -159,6 +159,14 @@ TEST(MembershipPlan, CapacityAndDrainLookup) {
   EXPECT_EQ(joins[1].worker, 6);
 }
 
+/// The registry's report (MembershipService::report), with the membership
+/// events it executed as its journal.
+fault::ControlReport report_of(const MembershipService& service) {
+  fault::ControlReport report;
+  service.report(report, report.journal);
+  return report;
+}
+
 // --- executed-change filtering --------------------------------------------
 
 TEST(FilterExecuted, KeepsExecutedChangesAndTheirRebalances) {
@@ -187,7 +195,7 @@ TEST(FilterExecuted, KeepsExecutedChangesAndTheirRebalances) {
       {ControlAction::kWorkerJoin, 4, 1},
       {ControlAction::kShardRebalance, 4, 1},
   };
-  EXPECT_EQ(fault::executed(planned, service.journal()), expected);
+  EXPECT_EQ(fault::executed(planned, report_of(service).journal), expected);
 }
 
 // --- straggler rule --------------------------------------------------------
@@ -228,27 +236,27 @@ TEST(MembershipService, EpochBumpsOnMembershipChangesOnly) {
 
   const elastic::MembershipEpoch after_join = service.join(3);
   EXPECT_GT(after_join, initial);
-  EXPECT_EQ(service.joined(), std::vector<int>{3});
+  EXPECT_EQ(report_of(service).joined_workers, std::vector<int>{3});
 
   // Quarantine demotes without changing the member set: no epoch bump.
   service.quarantine(1);
   EXPECT_EQ(service.epoch(), after_join);
-  EXPECT_EQ(service.quarantine_events(), 1);
+  EXPECT_EQ(report_of(service).quarantine_events, 1);
   service.readmit_contributor(1);
   EXPECT_EQ(service.epoch(), after_join);
 
   const elastic::MembershipEpoch after_drain = service.drain(1);
   EXPECT_GT(after_drain, after_join);
-  EXPECT_EQ(service.drained(), std::vector<int>{1});
+  EXPECT_EQ(report_of(service).drained_workers, std::vector<int>{1});
   const elastic::MembershipEpoch after_evict = service.evict(2);
   EXPECT_GT(after_evict, after_drain);
-  EXPECT_EQ(service.rebalances(), 3);  // join + drain + evict
+  EXPECT_EQ(report_of(service).rebalances, 3);  // join + drain + evict
 
   // Transitions are idempotent: replaying one changes nothing.
   EXPECT_EQ(service.join(3), after_evict);
   EXPECT_EQ(service.drain(1), after_evict);
-  EXPECT_EQ(service.rebalances(), 3);
-  EXPECT_EQ(service.joined(), std::vector<int>{3});
+  EXPECT_EQ(report_of(service).rebalances, 3);
+  EXPECT_EQ(report_of(service).joined_workers, std::vector<int>{3});
 
   // The journal holds every executed change in order, each member-set
   // change trailed by the rebalance it triggered.
@@ -258,7 +266,7 @@ TEST(MembershipService, EpochBumpsOnMembershipChangesOnly) {
       {ControlAction::kWorkerDrain, 1, 1}, {ControlAction::kShardRebalance, 1, 1},
       {ControlAction::kEvict, 2, 1},       {ControlAction::kShardRebalance, 2, 1},
   };
-  EXPECT_EQ(service.journal(), expected);
+  EXPECT_EQ(report_of(service).journal, expected);
 }
 
 TEST(MembershipService, HomeShardsSpreadAndRebalance) {
@@ -403,7 +411,7 @@ TEST(SimElastic, JoinsAndDrainsAreDeterministicAndFingerprinted) {
             static_cast<std::int64_t>(8) * options.iterations);
 
   // Everything planned executed, so the journal is the whole plan.
-  EXPECT_EQ(timing.journal, elastic::plan_control_events(nullptr, {}, {}, &plan, {}, 8));
+  EXPECT_EQ(timing.journal, options.planned_journal());
 
   const cluster::PlatformTiming again = core::simulate_shmcaffe(options);
   EXPECT_EQ(again.makespan, timing.makespan);
@@ -437,8 +445,7 @@ TEST(SimElastic, StallChainsQuarantineThenEvict) {
   EXPECT_EQ(timing.quarantine_events, 1);
   EXPECT_LT(timing.completed_worker_iterations,
             static_cast<std::int64_t>(4) * options.iterations);
-  EXPECT_EQ(timing.journal, elastic::plan_control_events(&faults, {}, {}, nullptr,
-                                                         options.membership_policy, 4));
+  EXPECT_EQ(timing.journal, options.planned_journal());
 }
 
 TEST(SimElastic, HeterogeneityslowsTheCohortAndViolatesStaleness) {
@@ -587,13 +594,10 @@ TEST(ElasticEndToEnd, JoinAndDrainReportedFromBothStacks) {
   EXPECT_EQ(result.worker_outcomes[3], core::WorkerOutcome::kFinished);
   EXPECT_GT(result.final_accuracy, 0.4);
 
-  // The simulated twin consumes the identical plan and executes the same
+  // The simulated twin runs the identical plan and executes the same
   // membership events.
-  core::SimShmCaffeOptions sim;
-  sim.workers = 3;
-  sim.group_size = 1;
+  core::SimShmCaffeOptions sim(options);
   sim.iterations = 96;
-  sim.membership = &plan;
   const cluster::PlatformTiming timing = core::simulate_shmcaffe(sim);
   EXPECT_EQ(membership_events(timing.journal), membership_events(result.journal));
   EXPECT_FALSE(membership_events(result.journal).empty());
@@ -626,13 +630,8 @@ TEST(ElasticEndToEnd, JoinDuringFailover) {
   EXPECT_EQ(result.joined_workers, std::vector<int>{3});
   EXPECT_EQ(result.worker_outcomes[3], core::WorkerOutcome::kFinished);
 
-  core::SimShmCaffeOptions sim;
-  sim.workers = 3;
-  sim.group_size = 1;
+  core::SimShmCaffeOptions sim(options);
   sim.iterations = 96;
-  sim.smb_replicas = 2;
-  sim.membership = &plan;
-  sim.faults = &injector;
   const cluster::PlatformTiming timing = core::simulate_shmcaffe(sim);
   EXPECT_EQ(timing.journal, result.journal);
   EXPECT_EQ(timing.smb_failovers, result.smb_failovers);
@@ -659,7 +658,7 @@ TEST(ElasticEndToEnd, DrainWhileCheckpointing) {
   EXPECT_EQ(result.drained_workers, std::vector<int>{1});
   EXPECT_EQ(result.worker_outcomes[0], core::WorkerOutcome::kFinished);
   EXPECT_EQ(result.worker_outcomes[1], core::WorkerOutcome::kDrained);
-  EXPECT_EQ(result.journal, elastic::plan_control_events(nullptr, {}, {}, &plan, {}, 2));
+  EXPECT_EQ(result.journal, options.planned_journal());
 }
 
 /// Policy used by the straggler end-to-end runs: a stall of at least
@@ -702,12 +701,8 @@ TEST(ElasticEndToEnd, QuarantineCatchUpReadmit) {
         << "worker " << w;
   }
 
-  core::SimShmCaffeOptions sim;
-  sim.workers = 3;
-  sim.group_size = 1;
+  core::SimShmCaffeOptions sim(options);
   sim.iterations = 480;
-  sim.membership_policy = options.membership_policy;
-  sim.faults = &injector;
   const cluster::PlatformTiming timing = core::simulate_shmcaffe(sim);
   EXPECT_EQ(timing.quarantine_events, result.quarantine_events);
   EXPECT_EQ(membership_events(timing.journal), membership_events(result.journal));
@@ -766,15 +761,8 @@ TEST(ElasticEndToEnd, AcceptanceJoinDrainQuarantineCrashInOneRun) {
   EXPECT_EQ(result.worker_outcomes[2], core::WorkerOutcome::kFinished);
   EXPECT_EQ(result.worker_outcomes[4], core::WorkerOutcome::kFinished);
 
-  core::SimShmCaffeOptions sim;
-  sim.workers = 4;
-  sim.group_size = 1;
+  core::SimShmCaffeOptions sim(options);
   sim.iterations = 360;
-  sim.smb_replicas = 2;
-  sim.recovery = options.recovery;
-  sim.membership = &plan;
-  sim.membership_policy = options.membership_policy;
-  sim.faults = &injector;
   const cluster::PlatformTiming timing = core::simulate_shmcaffe(sim);
   EXPECT_EQ(timing.journal, result.journal);
   EXPECT_FALSE(result.journal.empty());

@@ -19,7 +19,6 @@
 #include "core/config.h"
 #include "core/sim_shmcaffe.h"
 #include "core/trainer.h"
-#include "elastic/membership.h"
 #include "fault/fault_plan.h"
 #include "fault/injector.h"
 #include "fault/journal.h"
@@ -219,7 +218,8 @@ TEST(ReadRepair, PoisonedActiveReplicaIsHealedFromThePeer) {
   Ensemble e;
   const smb::Handle g = e.replicated.create_floats(11, 8);
   e.replicated.write(g, std::vector<float>(8, 4.0f));
-  ASSERT_GT(e.replicated.inject_corruption(11, /*marker=*/0x77, /*bit_flips=*/3), 0u);
+  ASSERT_GT(e.replicated.inject_corruption(/*replica=*/0, 11, /*marker=*/0x77,
+                                            /*bit_flips=*/3), 0u);
 
   // The read detects the mismatch, votes among the replicas (the backup is
   // clean), rewrites the active copy, and serves the repaired data.
@@ -267,7 +267,7 @@ TEST(ReadRepair, DisabledRepairSurfacesTheCorruption) {
   Ensemble e(/*read_repair=*/false);
   const smb::Handle g = e.replicated.create_floats(13, 4);
   e.replicated.write(g, std::vector<float>(4, 1.0f));
-  ASSERT_GT(e.replicated.inject_corruption(13, 0x5a, 2), 0u);
+  ASSERT_GT(e.replicated.inject_corruption(/*replica=*/0, 13, 0x5a, 2), 0u);
   std::vector<float> seen(4);
   EXPECT_THROW(e.replicated.read(g, seen), smb::SmbCorruption);
   EXPECT_EQ(e.replicated.repairs(), 0u);
@@ -474,13 +474,6 @@ IntegrityPolicy full_integrity() {
   return policy;
 }
 
-/// The control events a run with `options` plans (elastic::plan_control_events).
-std::vector<ControlEvent> planned_journal(const core::DistTrainOptions& options) {
-  return elastic::plan_control_events(&options.faults->plan(), options.recovery,
-                                      options.integrity, options.membership,
-                                      options.membership_policy, options.workers);
-}
-
 /// The plans below fire corruption at wall-clock offsets of up to 0.2 s,
 /// and a burst that lands after a run's last SMB access is never detected.
 /// So the end-to-end runs train long enough to outlast the latest burst
@@ -542,7 +535,7 @@ TEST(IntegrityEndToEnd, CorruptionIsDetectedRepairedAndHarmless) {
   EXPECT_EQ(result.final_loss, baseline.final_loss);
 
   // Everything planned executed: the journal is the whole plan.
-  EXPECT_EQ(result.journal, planned_journal(options));
+  EXPECT_EQ(result.journal, options.planned_journal());
   EXPECT_FALSE(result.journal.empty());
 }
 
@@ -577,7 +570,7 @@ TEST(IntegrityEndToEnd, FlipWhilePinnedIsDetectedRepairedAndHarmless) {
   EXPECT_EQ(result.corruptions_detected, 1);
   EXPECT_GE(result.integrity_repairs, 1);
   EXPECT_EQ(result.integrity_rollbacks, 0);
-  EXPECT_EQ(result.journal, planned_journal(options));
+  EXPECT_EQ(result.journal, options.planned_journal());
 
   core::DistTrainOptions clean = small_train_options();
   clean.smb_replicas = 3;
@@ -605,13 +598,8 @@ TEST(IntegrityEndToEnd, FunctionalAndSimulatedFingerprintsAgree) {
   functional.faults = &injector;
   const core::TrainResult result = core::train_shmcaffe(functional);
 
-  core::SimShmCaffeOptions sim;
-  sim.workers = 4;
-  sim.group_size = 1;
+  core::SimShmCaffeOptions sim(functional);
   sim.iterations = 60;
-  sim.smb_replicas = 3;
-  sim.integrity = full_integrity();
-  sim.faults = &injector;
   const cluster::PlatformTiming timing = core::simulate_shmcaffe(sim);
 
   EXPECT_EQ(integrity_events(timing.journal), integrity_events(result.journal));
@@ -666,7 +654,7 @@ TEST(IntegrityEndToEnd, WithoutRepairDetectionDegradesToRollback) {
 
   // The executed journal (inject + detect, no repair) is the whole plan
   // under this policy.
-  EXPECT_EQ(result.journal, planned_journal(options));
+  EXPECT_EQ(result.journal, options.planned_journal());
 }
 
 TEST(IntegrityEndToEnd, UnreadableGlobalWeightsSkipEpochEvaluations) {
@@ -706,7 +694,7 @@ TEST(IntegrityEndToEnd, CorruptionAtStartFiresAfterTheInitialWrite) {
 
   EXPECT_EQ(result.corruptions_detected, 1);
   EXPECT_EQ(result.integrity_rollbacks, 0);
-  EXPECT_EQ(result.journal, planned_journal(options));
+  EXPECT_EQ(result.journal, options.planned_journal());
 }
 
 TEST(IntegrityEndToEnd, RunOutlastsItsLastPlannedCorruption) {
@@ -734,7 +722,7 @@ TEST(IntegrityEndToEnd, RunOutlastsItsLastPlannedCorruption) {
 
   EXPECT_GE(result.wall_seconds, 0.4);
   EXPECT_EQ(result.corruptions_detected, 1);
-  EXPECT_EQ(result.journal, planned_journal(options));
+  EXPECT_EQ(result.journal, options.planned_journal());
 }
 
 TEST(IntegrityEndToEnd, GeneratedPlanRunsDeterministically) {

@@ -19,7 +19,6 @@
 #include "core/progress_board.h"
 #include "core/sim_shmcaffe.h"
 #include "core/trainer.h"
-#include "elastic/membership.h"
 #include "fault/fault_plan.h"
 #include "fault/injector.h"
 #include "fault/journal.h"
@@ -470,21 +469,12 @@ TEST(RecoveryEndToEnd, TrainingSurvivesPrimaryFailStopAndWorkerCrash) {
   EXPECT_NEAR(result.final_accuracy, baseline.final_accuracy, 0.25);
 
   // The executed journal is exactly the planned one.
-  RecoveryPolicy policy = options.recovery;
-  const std::vector<ControlEvent> planned =
-      elastic::plan_control_events(&plan, policy, {}, nullptr, {}, options.workers);
-  EXPECT_EQ(result.journal, planned);
+  EXPECT_EQ(result.journal, options.planned_journal());
   EXPECT_FALSE(result.journal.empty());
 
   // The sim twin executes the identical journal from the same plan.
-  core::SimShmCaffeOptions sim;
-  sim.workers = 4;
-  sim.group_size = 1;
+  core::SimShmCaffeOptions sim(options);
   sim.iterations = 96;
-  sim.smb_servers = 1;
-  sim.smb_replicas = 2;
-  sim.recovery = policy;
-  sim.faults = &injector;
   const cluster::PlatformTiming timing = core::simulate_shmcaffe(sim);
   EXPECT_EQ(timing.journal, result.journal);
   EXPECT_EQ(timing.recovered_workers, result.recovered_workers);

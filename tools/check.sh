@@ -22,16 +22,15 @@
 #                             # (--force overrides)
 #   tools/check.sh recovery   # `ctest -L recovery` in the plain AND TSan trees
 #   tools/check.sh elastic    # `ctest -L elastic` in the plain AND TSan trees,
-#                             # then the Release bench_ext_elastic snapshot into
-#                             # BENCH_elastic.json; refuses to overwrite the
-#                             # baseline on a >20% throughput regression unless
-#                             # --force is also given
+#                             # then bench_ext_elastic from the plain tree,
+#                             # whose output must match BENCH_elastic.json
+#                             # byte for byte (--force re-records it)
 #   tools/check.sh integrity  # `ctest -L integrity` in the plain AND ASan
 #                             # trees (checksum/repair paths are memory hot
-#                             # spots), then the Release bench_ext_integrity
-#                             # snapshot into BENCH_integrity.json; refuses to
-#                             # overwrite the baseline on a >20% throughput
-#                             # regression unless --force is also given
+#                             # spots), then bench_ext_integrity from the
+#                             # plain tree, whose output must match
+#                             # BENCH_integrity.json byte for byte (--force
+#                             # re-records it)
 #   tools/check.sh simd       # the `simd`-labelled kernel-equivalence tests in
 #                             # the AVX2 tree AND a -DSHMCAFFE_SIMD=OFF scalar
 #                             # tree: the SIMD tier must be bitwise identical
@@ -241,17 +240,40 @@ median_snapshot() {
     }' "$@"
 }
 
-# Bench snapshot gate: Release build of bench target $2, $5 runs (default
-# 1; more than one snapshots their per-row median), then a guarded
-# overwrite of the committed baseline $3.  Every row present in both the old
-# and the new snapshot must stay within 20% of its recorded throughput, or
-# the stage fails and keeps the baseline (override with --force after an
-# intentional change).  With a fourth argument `host`, the fence also
-# refuses a baseline whose host line (nproc, SIMD tier) differs from this
-# machine's: that throughput was measured on another kind of machine.
-snapshot_gate() {
-  local stage=$1 target=$2 json=$3 host=${4:-} runs=${5:-1}
-  echo "==> [$stage] configure + build (build-bench, Release)"
+# Simulated-bench snapshot gate: bench target $2 built in the plain tree
+# must print exactly the committed $3.  Its quantities are simulated
+# (deterministic and build-type independent), so any difference is a
+# modelling change: the stage fails and keeps the baseline unless --force
+# is given, which re-records it.
+exact_snapshot_gate() {
+  local stage=$1 target=$2 json=$3
+  echo "==> [$stage] build $target (build)"
+  cmake --build build -j "$JOBS" --target "$target"
+  local new_json
+  new_json=$(mktemp)
+  "./build/bench/$target" > "$new_json"
+  if [[ -f "$json" && "$FORCE" != 1 ]] && ! cmp -s "$json" "$new_json"; then
+    diff "$json" "$new_json" >&2 || true
+    echo "==> [$stage] $target output differs from $json;" \
+         "baseline kept (rerun with --force to re-record)" >&2
+    rm -f "$new_json"
+    exit 1
+  fi
+  mv "$new_json" "$json"
+  echo "==> [$stage] $json matches"
+}
+
+# Micro-kernel snapshot gate: Release build of bench_micro_kernels, three
+# runs whose per-row median is the snapshot, then a guarded overwrite of
+# the committed BENCH_kernels.json.  Every row present in both the old and
+# the new snapshot must stay within 20% of its recorded throughput, or the
+# stage fails and keeps the baseline (override with --force after an
+# intentional change).  The fence also refuses a baseline whose host line
+# (nproc, SIMD tier) differs from this machine's: that throughput was
+# measured on another kind of machine.
+kernel_snapshot_gate() {
+  local target=bench_micro_kernels json=BENCH_kernels.json runs=3
+  echo "==> [bench] configure + build (build-bench, Release)"
   # Lock-held assertions off: the benches are measured, not checked, and the
   # per-call held-list scan would perturb the hot paths.
   cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=Release \
@@ -261,28 +283,22 @@ snapshot_gate() {
   new_json=$(mktemp)
   run_dir=$(mktemp -d)
   for run in $(seq "$runs"); do
-    echo "==> [$stage] $target (run $run of $runs)"
+    echo "==> [bench] $target (run $run of $runs)"
     "./build-bench/bench/$target" > "$run_dir/$run.json"
   done
-  if (( runs > 1 )); then
-    median_snapshot $(seq -f "$run_dir/%g.json" "$runs") > "$new_json"
-  else
-    mv "$run_dir/1.json" "$new_json"
-  fi
+  median_snapshot $(seq -f "$run_dir/%g.json" "$runs") > "$new_json"
   rm -rf "$run_dir"
   local extract='s/.*"name": "\([^"]*\)".*"throughput": \([0-9.eE+-]*\).*/\1 \2/p'
   if [[ -f "$json" && "$FORCE" != 1 ]]; then
-    if [[ "$host" == host ]]; then
-      local host_line='s/^ *"host": \(.*\),$/\1/p' old_host new_host
-      old_host=$(sed -n "$host_line" "$json")
-      new_host=$(sed -n "$host_line" "$new_json")
-      if [[ "$old_host" != "$new_host" ]]; then
-        echo "==> [$stage] $json came from another host" \
-             "(${old_host:-no host block}; this one is $new_host): not fenced," \
-             "baseline kept (rerun with --force to overwrite)" >&2
-        rm -f "$new_json"
-        exit 1
-      fi
+    local host_line='s/^ *"host": \(.*\),$/\1/p' old_host new_host
+    old_host=$(sed -n "$host_line" "$json")
+    new_host=$(sed -n "$host_line" "$new_json")
+    if [[ "$old_host" != "$new_host" ]]; then
+      echo "==> [bench] $json came from another host" \
+           "(${old_host:-no host block}; this one is $new_host): not fenced," \
+           "baseline kept (rerun with --force to overwrite)" >&2
+      rm -f "$new_json"
+      exit 1
     fi
     if ! awk 'NR==FNR { old[$1] = $2; next }
               ($1 in old) && old[$1] > 0 && $2 < 0.8 * old[$1] {
@@ -291,14 +307,14 @@ snapshot_gate() {
               }
               END { exit bad }' \
           <(sed -n "$extract" "$json") <(sed -n "$extract" "$new_json"); then
-      echo "==> [$stage] >20% throughput regression vs $json;" \
+      echo "==> [bench] >20% throughput regression vs $json;" \
            "baseline kept (rerun with --force to overwrite)" >&2
       rm -f "$new_json"
       exit 1
     fi
   fi
   mv "$new_json" "$json"
-  echo "==> [$stage] snapshot written to $json"
+  echo "==> [bench] snapshot written to $json"
 }
 
 # Schedule-independence gate: every functional end-to-end test must pass
@@ -398,13 +414,11 @@ for stage in "${STAGES[@]}"; do
       # Focused gate for the elastic membership layer (live join/drain,
       # shard rebalancing, straggler quarantine): its suite in the plain
       # tree, then under ThreadSanitizer — membership transitions race
-      # against live training — and finally the simulated elastic bench
-      # snapshotted against the committed baseline.  The bench quantities
-      # are simulated (deterministic, build-type independent), so the 20%
-      # throughput fence catches modelling regressions, not machine noise.
+      # against live training — and finally the simulated elastic bench,
+      # byte for byte against the committed snapshot.
       run_stage elastic-plain build "" "-L elastic" shm_tests
       run_stage elastic-tsan build-tsan thread "-L elastic" shm_tests
-      snapshot_gate elastic bench_ext_elastic BENCH_elastic.json
+      exact_snapshot_gate elastic bench_ext_elastic BENCH_elastic.json
       ;;
     integrity)
       # Focused gate for the data-integrity layer (chunk checksums,
@@ -412,13 +426,11 @@ for stage in "${STAGES[@]}"; do
       # plain tree, then the same tests under AddressSanitizer+UBSan — the
       # checksum and repair paths do raw byte-span arithmetic over segment
       # storage, so memory errors are the failure mode to hunt — and finally
-      # the simulated integrity bench snapshotted against the committed
-      # baseline.  The bench quantities are simulated (deterministic,
-      # build-type independent), so the 20% throughput fence catches
-      # modelling regressions, not machine noise.
+      # the simulated integrity bench, byte for byte against the committed
+      # snapshot.
       run_stage integrity-plain build "" "-L integrity" shm_tests
       run_stage integrity-asan build-asan address "-L integrity" shm_tests
-      snapshot_gate integrity bench_ext_integrity BENCH_integrity.json
+      exact_snapshot_gate integrity bench_ext_integrity BENCH_integrity.json
       ;;
     simd)
       # Kernel-core tier cross-check: build a second tree with the SIMD tier
@@ -441,7 +453,7 @@ for stage in "${STAGES[@]}"; do
       # against a baseline from the same host: kernel throughput depends on
       # the core count and SIMD tier.  One process can read a row 40% off on
       # a shared VM, so the fence sees the per-row median of three.
-      snapshot_gate bench bench_micro_kernels BENCH_kernels.json host 3
+      kernel_snapshot_gate
       ;;
     stress)
       stress_stage "$REPEATS"
