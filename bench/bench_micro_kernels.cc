@@ -1,5 +1,6 @@
 // Micro-kernel throughput snapshot for the deterministic work pool.
-// Measures the pooled hot paths — Conv2d im2col+GEMM forward/backward,
+// Measures the pooled hot paths — Conv2d im2col+GEMM forward/backward (a
+// ShmCaffe-A-sized block and mini_vgg's conv1_2),
 // FullyConnected forward on the same tiled GEMM engine, the fused SEASGD
 // elastic exchange (eqs. 5+6), the SMB server-side accumulate (eq. 7) and
 // the synthetic dataset's batch fill — each at pool widths 1, 2 and 4, plus
@@ -52,6 +53,25 @@ constexpr int kOutC = 32;
 constexpr int kSide = 16;
 constexpr int kFwdReps = 40;
 constexpr int kBwdReps = 20;
+
+/// One timed Conv2d geometry (3x3, stride 1, pad 1), its key in the
+/// document and its row names.
+struct ConvShape {
+  const char* key;
+  const char* fwd_row;
+  const char* bwd_row;
+  int batch;
+  int in_c;
+  int out_c;
+  int side;
+  int fwd_reps;
+  int bwd_reps;
+};
+constexpr ConvShape kConvBlock{"conv", "conv_fwd", "conv_bwd", kBatch, kInC, kOutC, kSide,
+                               kFwdReps, kBwdReps};
+// mini_vgg's conv1_2 (16 -> 16 channels at 24x24, batch 16), where the
+// lowering is a larger share of a pass than in the block above: ~42 MFLOP.
+constexpr ConvShape kConvVgg{"conv1_2", "conv1_2_fwd", "conv1_2_bwd", 16, 16, 16, 24, 20, 10};
 // FullyConnected geometry: fc1 of the seasgd-wide workload (batch 16,
 // 64x64 inputs -> 64 hidden units).  2 * 16 * 4096 * 64 ~ 8.4 MFLOP.
 constexpr int kFcBatch = 16;
@@ -229,23 +249,23 @@ struct RefConv {
 
 // --- kernels ----------------------------------------------------------------
 
-void bench_conv(int threads) {
+void bench_conv(const ConvShape& shape, int threads) {
   common::parallel::set_thread_count(threads);
-  dl::Conv2d conv("c", kInC, kOutC, 3, 1, 1);
+  dl::Conv2d conv("c", shape.in_c, shape.out_c, 3, 1, 1);
   common::Rng rng(7);
   conv.init_params(rng);
-  dl::Tensor x({kBatch, kInC, kSide, kSide});
+  dl::Tensor x({shape.batch, shape.in_c, shape.side, shape.side});
   for (float& v : x.span()) v = static_cast<float>(rng.uniform(-1, 1));
   dl::Tensor top;
   conv.setup({&x}, top);
   conv.forward({&x}, top, true);  // size the arenas outside the timed loop
 
-  const double columns = static_cast<double>(kSide) * kSide;
-  const double kk = static_cast<double>(kInC) * 9;
-  const double flops = 2.0 * kk * kOutC * columns * kBatch;
+  const double columns = static_cast<double>(shape.side) * shape.side;
+  const double kk = static_cast<double>(shape.in_c) * 9;
+  const double flops = 2.0 * kk * shape.out_c * columns * shape.batch;
 
-  const double fwd_best = best_of(kFwdReps, [&] { conv.forward({&x}, top, true); });
-  emit("conv_fwd", threads, fwd_best, kFwdReps, flops, "gflops",
+  const double fwd_best = best_of(shape.fwd_reps, [&] { conv.forward({&x}, top, true); });
+  emit(shape.fwd_row, threads, fwd_best, shape.fwd_reps, flops, "gflops",
        flops / 2.0 * sizeof(float), checksum(top.data(), top.size()));
 
   dl::Tensor top_grad;
@@ -257,14 +277,14 @@ void bench_conv(int threads) {
   conv.backward({&x}, top, top_grad, bottom_grads);  // size dcol_
   dl::Tensor& dw = conv.params()[0]->grad;
   dl::Tensor& db = conv.params()[1]->grad;
-  const double bwd_best = best_of(kBwdReps, [&] {
+  const double bwd_best = best_of(shape.bwd_reps, [&] {
     x_grad.zero();
     dw.zero();
     db.zero();
     conv.backward({&x}, top, top_grad, bottom_grads);
   });
   // dW, dcol and col2im each stream the full GEMM volume: ~3x forward work.
-  emit("conv_bwd", threads, bwd_best, kBwdReps, 3.0 * flops, "gflops",
+  emit(shape.bwd_row, threads, bwd_best, shape.bwd_reps, 3.0 * flops, "gflops",
        3.0 * flops / 2.0 * sizeof(float),
        checksum(x_grad.data(), x_grad.size()) + checksum(dw.data(), dw.size()) +
            checksum(db.data(), db.size()));
@@ -591,7 +611,8 @@ void bench_smb_read() {
 
 int main() {
   for (const int threads : {1, 2, 4}) {
-    bench_conv(threads);
+    bench_conv(kConvBlock, threads);
+    bench_conv(kConvVgg, threads);
     bench_fc(threads);
     bench_seasgd(threads);
     bench_smb_accumulate(threads);
@@ -647,13 +668,16 @@ int main() {
     }
   }
 
-  std::printf("{\n  \"schema\": \"bench_micro_kernels/v5\",\n");
+  std::printf("{\n  \"schema\": \"bench_micro_kernels/v6\",\n");
   // The machine the rows were measured on: tools/check.sh fences only
   // against a baseline whose host line matches this one exactly.
   std::printf("  \"host\": {\"nproc\": %ld, \"simd\": \"%s\"},\n",
               sysconf(_SC_NPROCESSORS_ONLN), common::simd::dispatch_name());
-  std::printf("  \"conv\": {\"batch\": %d, \"in_c\": %d, \"out_c\": %d, \"side\": %d},\n",
-              kBatch, kInC, kOutC, kSide);
+  for (const ConvShape& shape : {kConvBlock, kConvVgg}) {
+    std::printf("  \"%s\": {\"batch\": %d, \"in_c\": %d, \"out_c\": %d, \"side\": %d},\n",
+                shape.key, shape.batch, shape.in_c,
+                shape.out_c, shape.side);
+  }
   std::printf("  \"fc\": {\"batch\": %d, \"in\": %d, \"out\": %d},\n", kFcBatch, kFcIn,
               kFcOut);
   std::printf("  \"synth_fill\": {\"batch\": %d, \"channels\": 1, \"side\": %d, "

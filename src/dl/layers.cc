@@ -16,10 +16,8 @@ void check(bool condition, const char* message) {
   if (!condition) throw std::invalid_argument(message);
 }
 
-// im2col / dcol rows handed to one pool chunk.
+// dcol rows handed to one pool chunk.
 constexpr std::size_t kRowGrain = 4;
-// Floats the transposed im2col writes per pool chunk (whole rows of kk).
-constexpr std::size_t kLoweringChunkFloats = 2048;
 // Inputs per block of FullyConnected's x transpose.
 constexpr std::size_t kTransposeBlock = 16;
 
@@ -27,8 +25,8 @@ constexpr std::size_t kTransposeBlock = 16;
 // The one dense product in dl:  out (= or +=) init + A . B,  for row-major
 // A[m][k] and B[k][n], with output element (i, j) at
 // out[i * row_stride + j * col_stride].  Conv2d forward (W . col), the conv
-// weight gradient (dY . col^T, added into dW) and FullyConnected forward
-// (W . x^T, written as Y[n][o]) all run through it.
+// weight gradient (col . dY^T, added into dW as dW^T) and FullyConnected
+// forward (W . x^T, written as Y[n][o]) all run through it.
 //
 // Cache-block tiled: each work item computes a kRowTile x kColTile block of
 // the output in a stack-local accumulator (8 KiB), streaming B row by row.
@@ -117,6 +115,24 @@ int conv_out_extent(int in, int kernel, int stride, int pad) {
   return (in + 2 * pad - kernel) / stride + 1;
 }
 
+/// The output columns [begin, end) of one kernel column `kx` whose input
+/// column xo * stride + kx - pad lies inside [0, width); the columns before
+/// and after it read padding.  The same for every output row.
+struct ColumnRun {
+  int begin;
+  int end;
+};
+
+ColumnRun valid_columns(int kx, int stride, int pad, int width, int ow) {
+  // The first output column whose input column is at least `ix`.
+  const auto first_reaching = [&](int ix) {
+    const int need = ix + pad - kx;
+    return need <= 0 ? 0 : (need + stride - 1) / stride;
+  };
+  const int begin = std::min(first_reaching(0), ow);
+  return ColumnRun{begin, std::max(begin, std::min(first_reaching(width), ow))};
+}
+
 /// MSRA (He) initialisation for ReLU networks.
 void msra_fill(Tensor& t, std::size_t fan_in, common::Rng& rng) {
   const double stddev = std::sqrt(2.0 / static_cast<double>(fan_in));
@@ -176,59 +192,69 @@ void Conv2d::backward(const std::vector<const Tensor*>& bottoms, const Tensor& t
 
 void Conv2d::im2col(const Tensor& x, int sample, int oh, int ow) {
   // col_ layout: rows = (ic, ky, kx), columns = (y, xo).  The arena grows to
-  // the layer's geometry once and is reused; rows are filled in parallel and
-  // every element is written (padded positions get an explicit 0), so no
-  // pre-zeroing pass over the whole matrix is needed.
-  const int columns = oh * ow;
-  const std::size_t rows = static_cast<std::size_t>(in_channels_) * kernel_ * kernel_;
-  col_.ensure(rows * static_cast<std::size_t>(columns));
-  common::parallel::parallel_for(rows, kRowGrain, [&](std::size_t rb, std::size_t re) {
-    for (std::size_t row = rb; row < re; ++row) {
-      const int ic = static_cast<int>(row) / (kernel_ * kernel_);
-      const int rem = static_cast<int>(row) % (kernel_ * kernel_);
-      const int ky = rem / kernel_;
-      const int kx = rem % kernel_;
-      float* dst = col_.data() + row * static_cast<std::size_t>(columns);
-      for (int y = 0; y < oh; ++y) {
-        const int iy = y * stride_ + ky - pad_;
-        if (iy < 0 || iy >= x.h()) {
-          std::fill(dst, dst + ow, 0.0F);
-          dst += ow;
-          continue;
-        }
-        for (int xo = 0; xo < ow; ++xo, ++dst) {
-          const int ix = xo * stride_ + kx - pad_;
-          *dst = (ix >= 0 && ix < x.w()) ? x.at(sample, ic, iy, ix) : 0.0F;
+  // the layer's geometry once and is reused.  Each (row, y) is three runs:
+  // zeros for the left padding, the valid input run (a strided gather when
+  // stride > 1) and zeros for the right padding, so every element is
+  // written and no pre-zeroing pass is needed.  A copy, so it runs inline.
+  const int height = x.h();
+  const int width = x.w();
+  const std::size_t plane = static_cast<std::size_t>(height) * width;
+  col_.ensure(static_cast<std::size_t>(in_channels_) * kernel_ * kernel_ * oh * ow);
+  float* dst = col_.data();
+  for (int ic = 0; ic < in_channels_; ++ic) {
+    const float* src_plane =
+        x.data() + (static_cast<std::size_t>(sample) * in_channels_ + ic) * plane;
+    for (int ky = 0; ky < kernel_; ++ky) {
+      for (int kx = 0; kx < kernel_; ++kx) {
+        const ColumnRun run = valid_columns(kx, stride_, pad_, width, ow);
+        for (int y = 0; y < oh; ++y, dst += ow) {
+          const int iy = y * stride_ + ky - pad_;
+          if (iy < 0 || iy >= height || run.begin == run.end) {
+            std::fill(dst, dst + ow, 0.0F);
+            continue;
+          }
+          std::fill(dst, dst + run.begin, 0.0F);
+          const float* src = src_plane + static_cast<std::size_t>(iy) * width +
+                             (run.begin * stride_ + kx - pad_);
+          if (stride_ == 1) {
+            std::copy(src, src + (run.end - run.begin), dst + run.begin);
+          } else {
+            for (int xo = run.begin; xo < run.end; ++xo) {
+              dst[xo] = src[(xo - run.begin) * stride_];
+            }
+          }
+          std::fill(dst + run.end, dst + ow, 0.0F);
         }
       }
     }
-  });
+  }
 }
 
-void Conv2d::im2col_transposed(const Tensor& x, int sample, int oh, int ow) {
-  // col_ layout: rows = output positions (y, xo), columns = (ic, ky, kx).
-  // Each chunk writes whole rows, padded positions included.
-  const std::size_t columns = static_cast<std::size_t>(oh) * ow;
-  const std::size_t kk = static_cast<std::size_t>(in_channels_) * kernel_ * kernel_;
-  col_.ensure(columns * kk);
-  const std::size_t grain = std::max<std::size_t>(1, kLoweringChunkFloats / kk);
-  common::parallel::parallel_for(columns, grain, [&](std::size_t cb, std::size_t ce) {
-    for (std::size_t c = cb; c < ce; ++c) {
-      const int y = static_cast<int>(c) / ow;
-      const int xo = static_cast<int>(c) % ow;
-      float* dst = col_.data() + c * kk;
-      for (int ic = 0; ic < in_channels_; ++ic) {
-        for (int ky = 0; ky < kernel_; ++ky) {
+void Conv2d::col2im(Tensor& dx, int sample, int oh, int ow) const {
+  // The runs of im2col, added into dx in row order (ic, ky, kx, y, xo): each
+  // dx element receives its contributions in that order.
+  const int height = dx.h();
+  const int width = dx.w();
+  const std::size_t plane = static_cast<std::size_t>(height) * width;
+  const float* src = dcol_.data();
+  for (int ic = 0; ic < in_channels_; ++ic) {
+    float* dst_plane =
+        dx.data() + (static_cast<std::size_t>(sample) * in_channels_ + ic) * plane;
+    for (int ky = 0; ky < kernel_; ++ky) {
+      for (int kx = 0; kx < kernel_; ++kx) {
+        const ColumnRun run = valid_columns(kx, stride_, pad_, width, ow);
+        for (int y = 0; y < oh; ++y, src += ow) {
           const int iy = y * stride_ + ky - pad_;
-          const bool row_inside = iy >= 0 && iy < x.h();
-          for (int kx = 0; kx < kernel_; ++kx, ++dst) {
-            const int ix = xo * stride_ + kx - pad_;
-            *dst = row_inside && ix >= 0 && ix < x.w() ? x.at(sample, ic, iy, ix) : 0.0F;
+          if (iy < 0 || iy >= height || run.begin == run.end) continue;
+          float* dst = dst_plane + static_cast<std::size_t>(iy) * width +
+                       (run.begin * stride_ + kx - pad_);
+          for (int xo = run.begin; xo < run.end; ++xo) {
+            dst[(xo - run.begin) * stride_] += src[xo];
           }
         }
       }
     }
-  });
+  }
 }
 
 void Conv2d::forward_gemm(const Tensor& x, Tensor& top) {
@@ -253,6 +279,9 @@ void Conv2d::backward_gemm(const Tensor& x, const Tensor& top, const Tensor& top
   const int kk = in_channels_ * kernel_ * kernel_;
   const float* w = weight_.value.data();
   dcol_.ensure(static_cast<std::size_t>(kk) * columns);
+  // dY^T of one sample, [columns][oc]: the weight gradient's B operand.
+  common::arena::Buffer gout_t("dl.conv.dyt");
+  gout_t.ensure(static_cast<std::size_t>(columns) * out_channels_);
 
   for (int n = 0; n < x.n(); ++n) {
     const float* gout = top_grad.data() +
@@ -264,12 +293,20 @@ void Conv2d::backward_gemm(const Tensor& x, const Tensor& top, const Tensor& top
       for (int cidx = 0; cidx < columns; ++cidx) bias_acc += grow[cidx];
       bias_.grad[static_cast<std::size_t>(oc)] += bias_acc;
     }
-    // dW += dY[oc][columns] . col^T[columns][kk].  One engine call per
-    // sample: the per-sample partials add into dW in sample order.
-    im2col_transposed(x, n, oh, ow);
-    gemm(static_cast<std::size_t>(out_channels_), static_cast<std::size_t>(kk),
-         static_cast<std::size_t>(columns), gout, col_.data(), nullptr,
-         GemmOut{weight_.grad.data(), static_cast<std::size_t>(kk), 1, true});
+    // dW^T[kk][oc] += col[kk][columns] . dY^T[columns][oc]: each dW[oc][r]
+    // sums col[r][c] * dY[oc][c] for c ascending from 0, the bits of
+    // dY . col^T.  One engine call per sample: the per-sample partials add
+    // into dW in sample order.
+    im2col(x, n, oh, ow);
+    for (int cidx = 0; cidx < columns; ++cidx) {
+      float* trow = gout_t.data() + static_cast<std::size_t>(cidx) * out_channels_;
+      for (int oc = 0; oc < out_channels_; ++oc) {
+        trow[oc] = gout[static_cast<std::size_t>(oc) * columns + cidx];
+      }
+    }
+    gemm(static_cast<std::size_t>(kk), static_cast<std::size_t>(out_channels_),
+         static_cast<std::size_t>(columns), col_.data(), gout_t.data(), nullptr,
+         GemmOut{weight_.grad.data(), 1, static_cast<std::size_t>(kk), true});
     if (dx == nullptr) continue;
     // dcol = W^T . dY, parallel over column-matrix rows; each row is owned by
     // one chunk and accumulates over output channels in ascending order.
@@ -285,30 +322,7 @@ void Conv2d::backward_gemm(const Tensor& x, const Tensor& top, const Tensor& top
             }
           }
         });
-    // col2im: scatter-add dcol back into dx.  Parallel over input channels —
-    // rows of one channel touch only that channel's dx slice, so chunks
-    // write disjoint memory.
-    common::parallel::parallel_for(
-        static_cast<std::size_t>(in_channels_), 1, [&](std::size_t ib, std::size_t ie) {
-          for (std::size_t ic = ib; ic < ie; ++ic) {
-            for (int ky = 0; ky < kernel_; ++ky) {
-              for (int kx = 0; kx < kernel_; ++kx) {
-                const std::size_t row = (ic * kernel_ + ky) * kernel_ + kx;
-                const float* drow = dcol_.data() + row * static_cast<std::size_t>(columns);
-                for (int y = 0; y < oh; ++y) {
-                  const int iy = y * stride_ + ky - pad_;
-                  if (iy < 0 || iy >= x.h()) continue;
-                  for (int xo = 0; xo < ow; ++xo) {
-                    const int ix = xo * stride_ + kx - pad_;
-                    if (ix >= 0 && ix < x.w()) {
-                      dx->at(n, static_cast<int>(ic), iy, ix) += drow[y * ow + xo];
-                    }
-                  }
-                }
-              }
-            }
-          }
-        });
+    col2im(*dx, n, oh, ow);
   }
 }
 

@@ -16,10 +16,11 @@ namespace shmcaffe::dl {
 /// 2-D convolution with square kernel, stride and zero padding.  Each
 /// sample is lowered to a column matrix (im2col) and the convolution runs as
 /// matrix products on dl's tiled GEMM engine (Caffe's strategy): forward
-/// is W . col, the weight gradient dY . col^T.  The engine runs on the
-/// shared work pool (common/parallel.h) with chunking that is a pure
+/// is W . col, the weight gradient col . dY^T (dW^T).  The engine runs on
+/// the shared work pool (common/parallel.h) with chunking that is a pure
 /// function of the geometry, so outputs and gradients are bitwise identical
-/// for every SHMCAFFE_THREADS.
+/// for every SHMCAFFE_THREADS; the lowering and col2im are copies and run
+/// inline.
 class Conv2d final : public Layer {
  public:
   Conv2d(std::string name, int in_channels, int out_channels, int kernel, int stride = 1,
@@ -42,11 +43,11 @@ class Conv2d final : public Layer {
   SHMCAFFE_HOT_KERNEL void forward_gemm(const Tensor& x, Tensor& top);
   SHMCAFFE_HOT_KERNEL void backward_gemm(const Tensor& x, const Tensor& top,
                                          const Tensor& top_grad, Tensor* dx);
-  /// Lowers one sample into col_ as [kk][columns] (forward's B operand).
+  /// Lowers one sample into col_ as [kk][columns]: forward's B operand and
+  /// the weight gradient's A operand.
   SHMCAFFE_HOT_KERNEL void im2col(const Tensor& x, int sample, int oh, int ow);
-  /// The same lowering as [columns][kk] (col^T, the weight gradient's B
-  /// operand), filled by output position.
-  void im2col_transposed(const Tensor& x, int sample, int oh, int ow);
+  /// Adds dcol_ ([kk][columns]) back into sample `sample` of dx.
+  void col2im(Tensor& dx, int sample, int oh, int ow) const;
 
   int in_channels_;
   int out_channels_;

@@ -3,8 +3,9 @@
 //   * against a direct convolution oracle kept here, across a sweep of
 //     geometries (forward, dx, dW and db within float tolerance);
 //   * bitwise against the serial dot-product loops the engine replaced —
-//     FullyConnected::forward's per-output chain and Conv2d's per-sample dW
-//     and db chains — at pool widths 1, 2 and 4;
+//     FullyConnected::forward's per-output chain, Conv2d's per-sample dW
+//     and db chains, and its dx (per-row dcol chains, then the row-order
+//     col2im scatter) — at pool widths 1, 2 and 4;
 //   * end to end: one-worker training runs whose final loss must equal the
 //     value recorded before the engine existed.
 // The `simd` label re-runs all of it in the forced-scalar tree, so the
@@ -152,7 +153,13 @@ INSTANTIATE_TEST_SUITE_P(
                       Geometry{3, 4, 6, 9, 7, 3, 2, 1},     // strided, non-square
                       Geometry{2, 8, 4, 8, 8, 1, 1, 0},     // 1x1 projection
                       Geometry{1, 2, 2, 11, 11, 5, 2, 2},   // big kernel, stride 2
-                      Geometry{2, 3, 5, 6, 6, 3, 3, 0}));   // stride == kernel
+                      Geometry{2, 3, 5, 6, 6, 3, 3, 0},     // stride == kernel
+                      Geometry{2, 3, 4, 2, 5, 3, 1, 2},     // shorter than the kernel
+                      Geometry{1, 2, 3, 6, 2, 5, 1, 2},     // narrower than the kernel
+                      Geometry{2, 2, 3, 5, 5, 3, 1, 3},     // pad == kernel
+                      Geometry{1, 2, 2, 4, 4, 2, 2, 3},     // pad > kernel, stride 2
+                      Geometry{2, 4, 3, 7, 7, 1, 2, 0},     // 1x1 at stride 2
+                      Geometry{2, 3, 4, 8, 9, 3, 2, 0}));   // stride 2, odd width
 
 TEST(ConvEngines, NullBottomGradSupportedByBoth) {
   const Geometry g{1, 2, 3, 6, 6, 3, 1, 1};
@@ -316,10 +323,47 @@ void serial_conv_param_grads(const Geometry& g, const Tensor& x, const Tensor& t
   }
 }
 
+/// Conv2d's input gradient as the serial loops compute it: per sample, one
+/// chain per dcol element, w[oc][r] * dY[oc][c] for oc ascending from 0,
+/// then dcol added into dx row by row, (ic, ky, kx) then (y, xo), skipping
+/// padded positions.
+void serial_conv_dx(const Geometry& g, const Tensor& w, const Tensor& top_grad, Tensor& dx) {
+  const int oh = top_grad.h();
+  const int ow = top_grad.w();
+  const int columns = oh * ow;
+  const int kk = g.in_channels * g.kernel * g.kernel;
+  std::vector<float> dcol(static_cast<std::size_t>(kk) * columns);
+  for (int n = 0; n < dx.n(); ++n) {
+    for (int r = 0; r < kk; ++r) {
+      for (int c = 0; c < columns; ++c) {
+        float acc = 0.0F;
+        for (int oc = 0; oc < g.out_channels; ++oc) {
+          acc += w[static_cast<std::size_t>(oc) * kk + r] * top_grad.at(n, oc, c / ow, c % ow);
+        }
+        dcol[static_cast<std::size_t>(r) * columns + c] = acc;
+      }
+    }
+    for (int r = 0; r < kk; ++r) {
+      const int ic = r / (g.kernel * g.kernel);
+      const int ky = r % (g.kernel * g.kernel) / g.kernel;
+      const int kx = r % g.kernel;
+      for (int c = 0; c < columns; ++c) {
+        const int iy = c / ow * g.stride + ky - g.pad;
+        const int ix = c % ow * g.stride + kx - g.pad;
+        if (iy < 0 || iy >= dx.h() || ix < 0 || ix >= dx.w()) continue;
+        dx.at(n, ic, iy, ix) += dcol[static_cast<std::size_t>(r) * columns + c];
+      }
+    }
+  }
+}
+
 TEST(ConvEngines, ForwardAndWeightGradMatchSerialDotBitwise) {
   // kk of 9, 45, 144 and 288 (two column tiles); 1 to 576 output columns;
-  // output-channel counts off the 8-row tile; kk and columns of 8 and 16
-  // for the engine's narrow-tile paths.
+  // output-channel counts off the 8-row tile; 8 and 16 columns (forward's
+  // tile width) and output channels (the weight gradient's) for the
+  // engine's narrow-tile paths; and the lowering's run bounds: whole rows
+  // of padding, output columns with no valid input, a 1x1 kernel at
+  // stride 2 and stride 2 on an odd width.
   const Geometry geometries[] = {
       {1, 1, 3, 3, 3, 3, 1, 0},       // kk 9, 1 column
       {7, 5, 9, 5, 7, 3, 1, 1},       // kk 45, 35 columns
@@ -330,6 +374,12 @@ TEST(ConvEngines, ForwardAndWeightGradMatchSerialDotBitwise) {
       {2, 32, 7, 6, 6, 3, 1, 1},      // kk 288, 36 columns
       {3, 16, 6, 4, 4, 1, 1, 0},      // kk 16, 16 columns
       {2, 8, 5, 4, 2, 1, 1, 0},       // kk 8, 8 columns
+      {2, 3, 8, 2, 5, 3, 1, 2},       // shorter than the kernel, padded
+      {3, 2, 16, 6, 2, 5, 1, 2},      // narrower than the kernel, padded
+      {2, 2, 3, 5, 5, 3, 1, 3},       // pad == kernel
+      {2, 2, 5, 4, 4, 2, 2, 3},       // pad > kernel, stride 2
+      {3, 4, 3, 7, 7, 1, 2, 0},       // 1x1 at stride 2
+      {2, 3, 4, 8, 9, 3, 2, 0},       // stride 2, odd width
   };
   for (const Geometry& g : geometries) {
     Conv2d conv("c", g.in_channels, g.out_channels, g.kernel, g.stride, g.pad);
@@ -353,6 +403,14 @@ TEST(ConvEngines, ForwardAndWeightGradMatchSerialDotBitwise) {
     std::vector<float> dw_expect = dw0;
     std::vector<float> db_expect = db0;
     serial_conv_param_grads(g, x, top_grad, dw_expect, db_expect);
+    // dx starts nonzero too: col2im adds into it.
+    Tensor dx0;
+    dx0.reshape(x.shape());
+    fill_uniform(dx0, rng);
+    Tensor dx_expect;
+    dx_expect.reshape(x.shape());
+    std::copy(dx0.span().begin(), dx0.span().end(), dx_expect.span().begin());
+    serial_conv_dx(g, conv.params()[0]->value, top_grad, dx_expect);
 
     for (const int threads : {1, 2, 4}) {
       parallel::set_thread_count(threads);
@@ -364,8 +422,12 @@ TEST(ConvEngines, ForwardAndWeightGradMatchSerialDotBitwise) {
           << top.h() * top.w() << " batch " << g.batch << " threads " << threads;
       Tensor dx;
       dx.reshape(x.shape());
+      std::copy(dx0.span().begin(), dx0.span().end(), dx.span().begin());
       std::vector<Tensor*> grads{&dx};
       conv.backward({&x}, top, top_grad, grads);
+      EXPECT_TRUE(same_bits(dx.span(), dx_expect.span()))
+          << "dx, kk " << g.in_channels * g.kernel * g.kernel << " columns "
+          << top.h() * top.w() << " batch " << g.batch << " threads " << threads;
       EXPECT_TRUE(same_bits(conv.params()[0]->grad.span(), dw_expect))
           << "dW, kk " << g.in_channels * g.kernel * g.kernel << " columns "
           << top.h() * top.w() << " batch " << g.batch << " threads " << threads;

@@ -946,6 +946,72 @@ TEST(BlockingUnderLockRule, FlagsLiteralSleepInsideALockRegion) {
   EXPECT_TRUE(repo_fires({{"src/core/nap.cc", source}}, "no-blocking-under-lock"));
 }
 
+TEST(BlockingUnderLockRule, LambdaBodyGuardCoversOnlyTheStatementsAfterIt) {
+  // A guard declared inside a thread lambda holds from its declaration to
+  // the lambda body's closing brace: not at the call before it, and not at
+  // the statements after the enclosing statement.
+  const std::string silent =
+      "class Crew {\n"
+      " public:\n"
+      "  SHMCAFFE_BLOCKS void work(int w);\n"
+      "  void run_all() {\n"
+      "    std::vector<std::thread> threads;\n"
+      "    for (int w = 0; w < 4; ++w) {\n"
+      "      threads.emplace_back([this, w] { work(w); std::scoped_lock lock(mu_); ++exited_; });\n"
+      "    }\n"
+      "    work(0);\n"
+      "  }\n"
+      " private:\n"
+      "  common::OrderedMutex mu_{\"crew\", 100};\n"
+      "  int exited_ SHMCAFFE_GUARDED_BY(mu_) = 0;\n"
+      "};\n";
+  // The lock rules only: a raw std::thread in src/core has a rule of its own.
+  const auto lock_findings = [](const std::string& source) {
+    std::vector<Finding> out;
+    for (const Finding& finding : lint_repo({{"src/core/crew.cc", source}})) {
+      if (finding.rule == "no-blocking-under-lock" || finding.rule == "lock-region") {
+        out.push_back(finding);
+      }
+    }
+    return out;
+  };
+  EXPECT_TRUE(lock_findings(silent).empty());
+
+  const std::string locked_first =
+      "class Crew {\n"
+      " public:\n"
+      "  SHMCAFFE_BLOCKS void work(int w);\n"
+      "  void run_all() {\n"
+      "    std::vector<std::thread> threads;\n"
+      "    for (int w = 0; w < 4; ++w) {\n"
+      "      threads.emplace_back([this, w] { std::scoped_lock lock(mu_); work(w); });\n"
+      "    }\n"
+      "  }\n"
+      " private:\n"
+      "  common::OrderedMutex mu_{\"crew\", 100};\n"
+      "};\n";
+  const std::vector<Finding> findings = lock_findings(locked_first);
+  ASSERT_EQ(findings.size(), 1U);
+  EXPECT_EQ(findings[0].rule, "no-blocking-under-lock");
+  EXPECT_EQ(findings[0].line, 7);
+
+  // unlock() on the lambda's own guard ends its hold there.
+  const std::string unlocked_first =
+      "class Crew {\n"
+      " public:\n"
+      "  SHMCAFFE_BLOCKS void work(int w);\n"
+      "  void run_all() {\n"
+      "    std::vector<std::thread> threads;\n"
+      "    for (int w = 0; w < 4; ++w) {\n"
+      "      threads.emplace_back([this, w] { std::unique_lock lock(mu_); lock.unlock(); work(w); });\n"
+      "    }\n"
+      "  }\n"
+      " private:\n"
+      "  common::OrderedMutex mu_{\"crew\", 100};\n"
+      "};\n";
+  EXPECT_TRUE(lock_findings(unlocked_first).empty());
+}
+
 TEST(BlockingUnderLockRule, VerifiesNonblockingContracts) {
   const std::string broken =
       "class Probe {\n"

@@ -1091,7 +1091,38 @@ struct LockEvent {
   std::string var;                   ///< the guard variable
   std::vector<std::string> mutexes;  ///< last identifiers of the lock args
   bool held = true;                  ///< false for std::defer_lock
+  std::size_t pos = 0;               ///< offset of the guard type in the statement
 };
+
+/// The offset of the closing brace of the innermost `{...}` block of `stmt`
+/// that encloses `pos` (the statement's end if the block is unclosed), or
+/// npos when `pos` sits in no block.  A statement holds a block only where a
+/// lambda body sits inside parentheses (`threads.emplace_back([&] { ... })`):
+/// body_statements splits every other brace.
+std::size_t enclosing_block_end(const std::string& stmt, std::size_t pos) {
+  int depth = 0;
+  for (std::size_t i = 0; i < pos; ++i) {
+    if (stmt[i] == '{') ++depth;
+    if (stmt[i] == '}' && depth > 0) --depth;
+  }
+  if (depth == 0) return std::string::npos;
+  int inner = 0;
+  for (std::size_t i = pos; i < stmt.size(); ++i) {
+    if (stmt[i] == '{') ++inner;
+    if (stmt[i] == '}' && inner-- == 0) return i;
+  }
+  return stmt.size();
+}
+
+/// Offsets of every match of `pattern` in `text`.
+std::vector<std::size_t> match_positions(const std::string& text, const std::regex& pattern) {
+  std::vector<std::size_t> positions;
+  for (auto it = std::sregex_iterator(text.begin(), text.end(), pattern);
+       it != std::sregex_iterator(); ++it) {
+    positions.push_back(static_cast<std::size_t>(it->position(0)));
+  }
+  return positions;
+}
 
 /// RAII guard declarations: `std::scoped_lock l(mu_)`, lock_guard /
 /// unique_lock / shared_lock with optional template arguments, multi-mutex
@@ -1124,6 +1155,7 @@ std::vector<LockEvent> lock_events(const std::string& stmt) {
     }
     if (pos == name_begin) continue;  // a mention, not a declaration
     LockEvent event;
+    event.pos = static_cast<std::size_t>(it->position(0));
     event.var = stmt.substr(name_begin, pos - name_begin);
     skip_space();
     if (pos >= stmt.size() || (stmt[pos] != '(' && stmt[pos] != '{')) continue;
@@ -1706,8 +1738,44 @@ RepoAnalysis analyze_repo(const std::vector<SourceFile>& files,
     for (const BodyStatement& stmt : body_statements(func.body, func.body_line)) {
       if (stmt.term == '{') stack.emplace_back();
       Frame& frame = stack.back();
+      // A guard declared in a lambda body inside this statement holds its
+      // mutexes over [begin, end) of the statement's text only: from the
+      // declaration to the body's closing brace.
+      struct ScopedHold {
+        std::string mutex;
+        std::size_t begin;
+        std::size_t end;
+      };
+      std::vector<ScopedHold> scoped;
+      std::map<std::string, std::vector<std::string>> scoped_vars;
+      const auto holds_at = [&](const std::string& mutex, std::size_t pos) {
+        for (const ScopedHold& hold : scoped) {
+          if (hold.mutex == mutex && hold.begin < pos && pos < hold.end) return true;
+        }
+        return holds(mutex);
+      };
+      const auto held_at = [&](std::size_t pos) {
+        std::vector<std::string> held = held_mutexes();
+        for (const ScopedHold& hold : scoped) {
+          if (hold.begin < pos && pos < hold.end &&
+              std::find(held.begin(), held.end(), hold.mutex) == held.end()) {
+            held.push_back(hold.mutex);
+          }
+        }
+        return held;
+      };
       // Lock events first: an if-init guard covers the condition's accesses.
       for (const LockEvent& event : lock_events(stmt.text)) {
+        const std::size_t block_end = enclosing_block_end(stmt.text, event.pos);
+        if (block_end != std::string::npos) {
+          scoped_vars[event.var] = event.mutexes;
+          if (event.held) {
+            for (const std::string& mutex : event.mutexes) {
+              scoped.push_back(ScopedHold{mutex, event.pos, block_end});
+            }
+          }
+          continue;
+        }
         frame.lock_vars[event.var] = event.mutexes;
         if (event.held) {
           for (const std::string& mutex : event.mutexes) {
@@ -1724,6 +1792,23 @@ RepoAnalysis analyze_repo(const std::vector<SourceFile>& files,
            it != std::sregex_iterator(); ++it) {
         const std::string var = (*it)[1].str();
         const bool is_lock = (*it)[2].str() == "lock";
+        const auto scoped_var = scoped_vars.find(var);
+        if (scoped_var != scoped_vars.end()) {
+          // A lambda-body guard: unlock() ends its holds there, lock() starts
+          // one that lasts to the end of the enclosing block.
+          const auto at = static_cast<std::size_t>(it->position(0));
+          for (const std::string& mutex : scoped_var->second) {
+            if (is_lock) {
+              const std::size_t block_end = enclosing_block_end(stmt.text, at);
+              if (block_end != std::string::npos) scoped.push_back(ScopedHold{mutex, at, block_end});
+              continue;
+            }
+            for (ScopedHold& hold : scoped) {
+              if (hold.mutex == mutex && hold.begin < at && at < hold.end) hold.end = at;
+            }
+          }
+          continue;
+        }
         // The override lands in the *current* frame regardless of where the
         // guard variable was declared: leaving the branch discards it.
         for (const Frame& scope : stack) {
@@ -1776,13 +1861,21 @@ RepoAnalysis analyze_repo(const std::vector<SourceFile>& files,
       // that guard's mutexes for the duration of the wait; a wait over an
       // unresolvable guard variable (a unique_lock parameter) releases the
       // function's own SHMCAFFE_REQUIRES mutexes by convention.
-      const bool waits = std::regex_search(stmt.text, kIntrinsicWait);
-      const bool sleeps = !waits && std::regex_search(stmt.text, kIntrinsicSleep);
-      if (waits || sleeps) {
+      std::vector<std::size_t> blocking_at = match_positions(stmt.text, kIntrinsicWait);
+      const bool waits = !blocking_at.empty();
+      if (!waits) blocking_at = match_positions(stmt.text, kIntrinsicSleep);
+      for (const std::size_t at : blocking_at) {
         std::set<std::string> released;
         std::smatch wait_arg;
-        if (waits && std::regex_search(stmt.text, wait_arg, kIntrinsicWaitArg)) {
+        if (waits &&
+            std::regex_search(stmt.text.cbegin() + static_cast<std::ptrdiff_t>(at),
+                              stmt.text.cend(), wait_arg, kIntrinsicWaitArg,
+                              std::regex_constants::match_continuous)) {
           const std::string guard_var = wait_arg[1].str();
+          const auto scoped_var = scoped_vars.find(guard_var);
+          if (scoped_var != scoped_vars.end()) {
+            released.insert(scoped_var->second.begin(), scoped_var->second.end());
+          }
           for (const Frame& scope : stack) {
             const auto lock_var = scope.lock_vars.find(guard_var);
             if (lock_var == scope.lock_vars.end()) continue;
@@ -1794,7 +1887,7 @@ RepoAnalysis analyze_repo(const std::vector<SourceFile>& files,
             }
           }
         }
-        for (const std::string& mutex : held_mutexes()) {
+        for (const std::string& mutex : held_at(at)) {
           if (released.count(mutex) != 0) continue;
           if (allowed(allows_of(func.file), stmt.line, "no-blocking-under-lock")) continue;
           if (reported.emplace(stmt.line, "block/" + mutex).second) {
@@ -1822,7 +1915,7 @@ RepoAnalysis analyze_repo(const std::vector<SourceFile>& files,
           // A guarded-field access (reads, writes, and std::function fields
           // invoked as calls all count).
           ++result.access[field->second.owner].accesses;
-          if (!holds(field->second.guard)) {
+          if (!holds_at(field->second.guard, token.pos)) {
             if (allowed(allows_of(func.file), stmt.line, "lock-region")) continue;
             if (reported.emplace(stmt.line, token.text).second) {
               result.findings.push_back(Finding{
@@ -1841,7 +1934,7 @@ RepoAnalysis analyze_repo(const std::vector<SourceFile>& files,
           const FunctionInfo& callee = funcs[idx];
           for (const std::string& req : callee.requires_locks) {
             const std::string mutex = last_identifier(req);
-            if (mutex.empty() || holds(mutex)) continue;
+            if (mutex.empty() || holds_at(mutex, token.pos)) continue;
             if (allowed(allows_of(func.file), stmt.line, "lock-region")) continue;
             if (reported.emplace(stmt.line, token.text + "/" + mutex).second) {
               result.findings.push_back(Finding{
@@ -1855,7 +1948,7 @@ RepoAnalysis analyze_repo(const std::vector<SourceFile>& files,
           // the callee waits *on* the caller's lock and releases it (the
           // prepare_write_locked idiom).
           if (blocking[idx] != 0) {
-            for (const std::string& mutex : held_mutexes()) {
+            for (const std::string& mutex : held_at(token.pos)) {
               bool callee_releases = false;
               for (const std::string& req : callee.requires_locks) {
                 if (last_identifier(req) == mutex) {
@@ -1879,7 +1972,7 @@ RepoAnalysis analyze_repo(const std::vector<SourceFile>& files,
           // pin-lifetime: pin acquisition while any guard is held inverts
           // the pin-then-lock retirement protocol.
           if (pin_rules && pin_return[idx] != 0) {
-            const std::vector<std::string> held = held_mutexes();
+            const std::vector<std::string> held = held_at(token.pos);
             if (!held.empty() &&
                 !allowed(allows_of(func.file), stmt.line, "pin-lifetime") &&
                 reported.emplace(stmt.line, token.text + "/pin").second) {
