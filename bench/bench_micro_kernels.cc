@@ -7,7 +7,12 @@
 // single-threaded references: the pre-pool conv GEMM (row-at-a-time,
 // per-call scratch), the serial per-output dot product FullyConnected used
 // before the engine, and the per-pixel image generator, so the speedup of
-// the tuned kernels is visible in the numbers themselves.
+// the tuned kernels is visible in the numbers themselves.  Both conv
+// geometries' products (1.2M and 1.3M multiply-adds per sample) sit below
+// the GEMM engine's inline threshold, so their _t2 and _t4 rows run inline
+// and read what _t1 reads: conv1_2_bwd_t2 and _t4 no longer gain from the
+// fan-out dcol had before it ran on the engine.  fc_fwd (4.2M) still fans
+// out.
 //
 // Output is one JSON document.  Timings vary run to run, but the layout is
 // fixed and every kernel row carries a `checksum` computed from the kernel's

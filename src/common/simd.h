@@ -8,19 +8,28 @@
 // tools/check.sh builds this configuration and re-runs the
 // kernel-equivalence tests against it).
 //
-// Only axpy carries intrinsics: it is the one core whose intrinsics
-// measured faster than the plain loop (conv forward, BENCH_kernels.json).
-// The add, sub and SEASGD exchange cores are plain loops on every tier —
-// hand-written intrinsics bought nothing there, and the compiler is free to
-// vectorise the loops itself under the same bitwise contract.
+// Only the GEMM register block (gemm_block) carries intrinsics, and only
+// for AVX2: it is the one core whose intrinsics measured faster than the
+// plain loop (BENCH_kernels.json's conv and fc rows).  On the SSE2 and
+// scalar tiers it runs its plain loops.  The add, sub and SEASGD exchange
+// cores are plain loops on every tier — hand-written intrinsics bought
+// nothing there, and the compiler is free to vectorise the loops itself
+// under the same bitwise contract.
 //
 // Bitwise-identity contract (the reason these kernels are safe to adopt
 // under the determinism story of common/parallel.h):
 //
-//   * Every core is a *lane-independent elementwise* operation — axpy,
-//     add/sub, the SEASGD exchange algebra.  Each output element is a fixed
-//     expression of same-index inputs, so lane width cannot change results:
-//     an 8-wide lane computes exactly the scalar expression.
+//   * The elementwise cores (add/sub, the SEASGD exchange algebra) compute
+//     each output element as a fixed expression of same-index inputs, so
+//     lane width cannot change results: an 8-wide lane computes exactly the
+//     scalar expression.
+//   * The register block vectorises across independent outputs, never
+//     within one sum: each output element starts at its accumulator value
+//     and adds a[i][r] * b[r][j] for r ascending, the order of a serial dot
+//     product, whether it sits in a 4x16 or a 4x8 block of registers or in
+//     the scalar column tail.  dl's GEMM engine (dl/layers.cc) runs every
+//     dense product on it — conv forward, the conv weight gradient, the
+//     conv input gradient and FullyConnected forward.
 //   * Multiplies and adds stay *separate* instructions (no FMA
 //     intrinsics, and the build never passes -mfma): a fused
 //     multiply-add skips the intermediate rounding and would make the
@@ -31,10 +40,6 @@
 //     checksum fields).
 //   * Reductions (dot products, checksums over doubles) are NOT offered
 //     here on purpose: any widened reduction reorders the summation.
-//     Callers vectorise across independent outputs instead of within one
-//     sum: dl's GEMM engine (dl/layers.cc) runs every dense product — conv
-//     forward, the conv weight gradient, FullyConnected forward — as axpy
-//     rows, so each output element still adds its products in serial order.
 //
 // The FNV-1a word hash lives here too: it is the integrity layer's
 // per-chunk checksum core, processing 8 bytes per multiply instead of one.
@@ -53,7 +58,6 @@
 #include <immintrin.h>
 #elif defined(__SSE2__) || defined(_M_X64) || (defined(_M_IX86_FP) && _M_IX86_FP >= 2)
 #define SHMCAFFE_SIMD_SSE2 1
-#include <emmintrin.h>
 #endif
 
 namespace shmcaffe::common::simd {
@@ -79,36 +83,110 @@ inline constexpr const char* dispatch_name() {
 #endif
 }
 
-/// y[i] += a * x[i].  The GEMM engine's tile accumulator core
-/// (dl/layers.cc): one A element broadcast against a row of B.
-inline void axpy(std::size_t n, float a, const float* x, float* y) {
+namespace detail {
+
 #if defined(SHMCAFFE_SIMD_AVX2)
-  const __m256 av = _mm256_set1_ps(a);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m256 y0 = _mm256_loadu_ps(y + i);
-    const __m256 y1 = _mm256_loadu_ps(y + i + 8);
-    const __m256 p0 = _mm256_mul_ps(av, _mm256_loadu_ps(x + i));
-    const __m256 p1 = _mm256_mul_ps(av, _mm256_loadu_ps(x + i + 8));
-    _mm256_storeu_ps(y + i, _mm256_add_ps(y0, p0));
-    _mm256_storeu_ps(y + i + 8, _mm256_add_ps(y1, p1));
+/// One `MR` x 8*`NV` block of gemm_block's accumulator, held in AVX2
+/// registers for the whole k loop.  The row and vector loops carry unroll
+/// pragmas because GCC at -O2 (the default RelWithDebInfo tree) leaves them
+/// rolled, and a rolled block keeps its accumulators in memory.
+template <std::size_t MR, std::size_t NV>
+inline void register_block(std::size_t cols, std::size_t k, const float* a,
+                           std::size_t a_row_stride, std::size_t a_k_stride, const float* b,
+                           std::size_t b_row_stride, float* acc) {
+  __m256 c[MR][NV];
+#pragma GCC unroll 4
+  for (std::size_t i = 0; i < MR; ++i) {
+#pragma GCC unroll 2
+    for (std::size_t v = 0; v < NV; ++v) c[i][v] = _mm256_loadu_ps(acc + i * cols + 8 * v);
   }
-  for (; i + 8 <= n; i += 8) {
-    const __m256 p = _mm256_mul_ps(av, _mm256_loadu_ps(x + i));
-    _mm256_storeu_ps(y + i, _mm256_add_ps(_mm256_loadu_ps(y + i), p));
+  for (std::size_t r = 0; r < k; ++r, a += a_k_stride, b += b_row_stride) {
+    __m256 bv[NV];
+#pragma GCC unroll 2
+    for (std::size_t v = 0; v < NV; ++v) bv[v] = _mm256_loadu_ps(b + 8 * v);
+#pragma GCC unroll 4
+    for (std::size_t i = 0; i < MR; ++i) {
+      const __m256 av = _mm256_broadcast_ss(a + i * a_row_stride);
+#pragma GCC unroll 2
+      for (std::size_t v = 0; v < NV; ++v) {
+        c[i][v] = _mm256_add_ps(c[i][v], _mm256_mul_ps(av, bv[v]));
+      }
+    }
   }
-  for (; i < n; ++i) y[i] += a * x[i];
-#elif defined(SHMCAFFE_SIMD_SSE2)
-  const __m128 av = _mm_set1_ps(a);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128 p = _mm_mul_ps(av, _mm_loadu_ps(x + i));
-    _mm_storeu_ps(y + i, _mm_add_ps(_mm_loadu_ps(y + i), p));
+#pragma GCC unroll 4
+  for (std::size_t i = 0; i < MR; ++i) {
+#pragma GCC unroll 2
+    for (std::size_t v = 0; v < NV; ++v) _mm256_storeu_ps(acc + i * cols + 8 * v, c[i][v]);
   }
-  for (; i < n; ++i) y[i] += a * x[i];
-#else
-  for (std::size_t i = 0; i < n; ++i) y[i] += a * x[i];
+}
 #endif
+
+/// gemm_block over `MR` rows (1 to 4): 16-column register blocks, then
+/// 8-column ones (AVX2 only), then one column at a time in scalars.
+template <std::size_t MR>
+inline void gemm_block_rows(std::size_t cols, std::size_t k, const float* a,
+                            std::size_t a_row_stride, std::size_t a_k_stride, const float* b,
+                            std::size_t b_row_stride, float* acc) {
+  std::size_t j = 0;
+#if defined(SHMCAFFE_SIMD_AVX2)
+  for (; j + 16 <= cols; j += 16) {
+    register_block<MR, 2>(cols, k, a, a_row_stride, a_k_stride, b + j, b_row_stride, acc + j);
+  }
+  for (; j + 8 <= cols; j += 8) {
+    register_block<MR, 1>(cols, k, a, a_row_stride, a_k_stride, b + j, b_row_stride, acc + j);
+  }
+#endif
+  for (; j < cols; ++j) {
+    float c[MR];
+#pragma GCC unroll 4
+    for (std::size_t i = 0; i < MR; ++i) c[i] = acc[i * cols + j];
+    const float* acol = a;
+    for (std::size_t r = 0; r < k; ++r, acol += a_k_stride) {
+      const float bv = b[r * b_row_stride + j];
+#pragma GCC unroll 4
+      for (std::size_t i = 0; i < MR; ++i) c[i] += acol[i * a_row_stride] * bv;
+    }
+#pragma GCC unroll 4
+    for (std::size_t i = 0; i < MR; ++i) acc[i * cols + j] = c[i];
+  }
+}
+
+}  // namespace detail
+
+/// The GEMM engine's register block (dl/layers.cc), over one `rows` x
+/// `cols` tile: acc[i][j] += a[i][r] * b[r][j] for r ascending from 0 to
+/// k, multiply and add separate, so each element keeps the bits of a serial
+/// dot product started at its accumulator value.  A element (i, r) sits at
+/// a[i * a_row_stride + r * a_k_stride] (a k-stride lets a caller pass a
+/// transpose without forming it), B row r at b + r * b_row_stride, and
+/// acc's rows are packed at `cols` floats.  Rows go in blocks of four,
+/// then one block of the remaining one to three.
+inline void gemm_block(std::size_t rows, std::size_t cols, std::size_t k, const float* a,
+                       std::size_t a_row_stride, std::size_t a_k_stride, const float* b,
+                       std::size_t b_row_stride, float* acc) {
+  std::size_t i = 0;
+  for (; i + 4 <= rows; i += 4) {
+    detail::gemm_block_rows<4>(cols, k, a + i * a_row_stride, a_row_stride, a_k_stride, b,
+                               b_row_stride, acc + i * cols);
+  }
+  const float* arest = a + i * a_row_stride;
+  float* accrest = acc + i * cols;
+  switch (rows - i) {
+    case 3:
+      detail::gemm_block_rows<3>(cols, k, arest, a_row_stride, a_k_stride, b, b_row_stride,
+                                 accrest);
+      break;
+    case 2:
+      detail::gemm_block_rows<2>(cols, k, arest, a_row_stride, a_k_stride, b, b_row_stride,
+                                 accrest);
+      break;
+    case 1:
+      detail::gemm_block_rows<1>(cols, k, arest, a_row_stride, a_k_stride, b, b_row_stride,
+                                 accrest);
+      break;
+    default:
+      break;
+  }
 }
 
 /// dst[i] += src[i].  The SMB server-side accumulate core (eq. 7).

@@ -16,29 +16,39 @@ void check(bool condition, const char* message) {
   if (!condition) throw std::invalid_argument(message);
 }
 
-// dcol rows handed to one pool chunk.
-constexpr std::size_t kRowGrain = 4;
 // Inputs per block of FullyConnected's x transpose.
 constexpr std::size_t kTransposeBlock = 16;
 
 // --- the GEMM engine ---------------------------------------------------------
-// The one dense product in dl:  out (= or +=) init + A . B,  for row-major
-// A[m][k] and B[k][n], with output element (i, j) at
-// out[i * row_stride + j * col_stride].  Conv2d forward (W . col), the conv
-// weight gradient (col . dY^T, added into dW as dW^T) and FullyConnected
-// forward (W . x^T, written as Y[n][o]) all run through it.
+// The one dense product in dl:  out (= or +=) init + A . B,  for A[m][k]
+// with element (i, r) at a[i * row_stride + r * k_stride] and row-major
+// B[k][n], with output element (i, j) at out[i * row_stride + j *
+// col_stride].  Conv2d forward (W . col), the conv weight gradient (col .
+// dY^T, added into dW as dW^T), the conv input gradient (W^T . dY, A read
+// straight from W through its k-stride) and FullyConnected forward (W .
+// x^T, written as Y[n][o]) all run through it.
 //
 // Cache-block tiled: each work item computes a kRowTile x kColTile block of
-// the output in a stack-local accumulator (8 KiB), streaming B row by row.
-// Every accumulator element starts at init[i] (0 without init) and adds
-// A[i][r] * B[r][j] for r ascending through simd::axpy — multiply and add
-// kept separate.  That is exactly the order of a serial dot product, so
-// each output element has the bits of the naive loop whatever the tile,
-// the pool width or the SIMD tier; what the tile buys is that a row's
-// kColTile outputs accumulate as independent lanes instead of one
-// add-latency-bound chain.
+// the output in a stack-local accumulator (8 KiB), which
+// common::simd::gemm_block fills in register blocks.  Every accumulator
+// element starts at init[i] (0 without init) and adds A[i][r] * B[r][j] for
+// r ascending — multiply and add kept separate.  That is exactly the order
+// of a serial dot product, so each output element has the bits of the
+// naive loop whatever the tile, the block, the pool width or the SIMD tier.
 constexpr std::size_t kRowTile = 8;
 constexpr std::size_t kColTile = 256;
+// A product with fewer multiply-adds than this runs its tiles inline: below
+// it the pool's wake-ups cost more than the helpers save (mini_vgg's convs
+// all sit below it, a 32->64 conv at 24x24 and mini_vgg's fc1 above).  A
+// pure function of the geometry, like the tiles, so the bits do not depend
+// on it.
+constexpr std::size_t kInlineWork = std::size_t{1} << 21;
+
+struct GemmA {
+  const float* data;
+  std::size_t row_stride;
+  std::size_t k_stride;
+};
 
 struct GemmOut {
   float* data;
@@ -47,68 +57,44 @@ struct GemmOut {
   bool accumulate;  // out += product instead of out = product
 };
 
-/// acc[i][j] += a[i][r] * b[r][j] for r ascending, one axpy per `a`
-/// element, over one `rows` x `cols` tile: `a` and `b` point at the tile's
-/// first A row (stride k) and B column (row stride n), and acc's rows are
-/// packed at `cols` floats.  A nonzero `Width` fixes `cols` at compile time:
-/// full tiles, and narrow ones of one or two AVX2 vectors, whose rows the
-/// compiler can then keep in registers (FullyConnected forward's tile width
-/// is its batch).  The float order is the same for every Width.
-template <std::size_t Width>
-void accumulate_tile(std::size_t rows, std::size_t cols, std::size_t k, const float* a,
-                     const float* b, std::size_t n, float* acc) {
-  const std::size_t width = Width != 0 ? Width : cols;
-  for (std::size_t r = 0; r < k; ++r) {
-    const float* brow = b + r * n;
-    for (std::size_t i = 0; i < rows; ++i) {
-      common::simd::axpy(width, a[i * k + r], brow, acc + i * width);
-    }
-  }
-}
-
-void gemm(std::size_t m, std::size_t n, std::size_t k, const float* a, const float* b,
+void gemm(std::size_t m, std::size_t n, std::size_t k, const GemmA& a, const float* b,
           const float* init, const GemmOut& out) {
   const std::size_t row_tiles = (m + kRowTile - 1) / kRowTile;
   const std::size_t col_tiles = (n + kColTile - 1) / kColTile;
-  common::parallel::parallel_for(
-      row_tiles * col_tiles, 1, [&](std::size_t tb, std::size_t te) {
-        // Rows packed at the tile's width: a narrow tile's rows then share
-        // cache lines instead of sitting 1 KiB apart, where every fourth row
-        // would 4K-alias its store against the next row's load.
-        float acc[kRowTile * kColTile];
-        for (std::size_t tile = tb; tile < te; ++tile) {
-          const std::size_t i0 = tile / col_tiles * kRowTile;
-          const std::size_t j0 = tile % col_tiles * kColTile;
-          const std::size_t rows = std::min(kRowTile, m - i0);
-          const std::size_t cols = std::min(kColTile, n - j0);
-          for (std::size_t i = 0; i < rows; ++i) {
-            std::fill(acc + i * cols, acc + (i + 1) * cols,
-                      init == nullptr ? 0.0F : init[i0 + i]);
-          }
-          const float* atile = a + i0 * k;
-          const float* btile = b + j0;
-          if (cols == kColTile) {
-            accumulate_tile<kColTile>(rows, cols, k, atile, btile, n, acc);
-          } else if (cols == 16) {
-            accumulate_tile<16>(rows, cols, k, atile, btile, n, acc);
-          } else if (cols == 8) {
-            accumulate_tile<8>(rows, cols, k, atile, btile, n, acc);
-          } else {
-            accumulate_tile<0>(rows, cols, k, atile, btile, n, acc);
-          }
-          for (std::size_t i = 0; i < rows; ++i) {
-            const float* arow = acc + i * cols;
-            float* orow = out.data + (i0 + i) * out.row_stride + j0 * out.col_stride;
-            if (out.accumulate) {
-              for (std::size_t j = 0; j < cols; ++j) orow[j * out.col_stride] += arow[j];
-            } else if (out.col_stride == 1) {
-              std::copy(arow, arow + cols, orow);
-            } else {
-              for (std::size_t j = 0; j < cols; ++j) orow[j * out.col_stride] = arow[j];
-            }
-          }
+  const auto run_tiles = [&](std::size_t tb, std::size_t te) {
+    // Rows packed at the tile's width: a narrow tile's rows then share
+    // cache lines instead of sitting 1 KiB apart, where every fourth row
+    // would 4K-alias its store against the next row's load.
+    float acc[kRowTile * kColTile];
+    for (std::size_t tile = tb; tile < te; ++tile) {
+      const std::size_t i0 = tile / col_tiles * kRowTile;
+      const std::size_t j0 = tile % col_tiles * kColTile;
+      const std::size_t rows = std::min(kRowTile, m - i0);
+      const std::size_t cols = std::min(kColTile, n - j0);
+      for (std::size_t i = 0; i < rows; ++i) {
+        std::fill(acc + i * cols, acc + (i + 1) * cols, init == nullptr ? 0.0F : init[i0 + i]);
+      }
+      common::simd::gemm_block(rows, cols, k, a.data + i0 * a.row_stride, a.row_stride,
+                               a.k_stride, b + j0, n, acc);
+      for (std::size_t i = 0; i < rows; ++i) {
+        const float* arow = acc + i * cols;
+        float* orow = out.data + (i0 + i) * out.row_stride + j0 * out.col_stride;
+        if (out.accumulate) {
+          for (std::size_t j = 0; j < cols; ++j) orow[j * out.col_stride] += arow[j];
+        } else if (out.col_stride == 1) {
+          std::copy(arow, arow + cols, orow);
+        } else {
+          for (std::size_t j = 0; j < cols; ++j) orow[j * out.col_stride] = arow[j];
         }
-      });
+      }
+    }
+  };
+  const std::size_t tiles = row_tiles * col_tiles;
+  if (m * n * k < kInlineWork) {
+    run_tiles(0, tiles);
+  } else {
+    common::parallel::parallel_for(tiles, 1, run_tiles);
+  }
 }
 
 int conv_out_extent(int in, int kernel, int stride, int pad) {
@@ -266,7 +252,7 @@ void Conv2d::forward_gemm(const Tensor& x, Tensor& top) {
   for (int n = 0; n < x.n(); ++n) {
     im2col(x, n, oh, ow);
     // top[n] = bias + W[oc][kk] . col[kk][columns]
-    gemm(oc, columns, kk, weight_.value.data(), col_.data(), bias_.value.data(),
+    gemm(oc, columns, kk, GemmA{weight_.value.data(), kk, 1}, col_.data(), bias_.value.data(),
          GemmOut{top.data() + static_cast<std::size_t>(n) * oc * columns, columns, 1, false});
   }
 }
@@ -275,53 +261,39 @@ void Conv2d::backward_gemm(const Tensor& x, const Tensor& top, const Tensor& top
                            Tensor* dx) {
   const int oh = top.h();
   const int ow = top.w();
-  const int columns = oh * ow;
-  const int kk = in_channels_ * kernel_ * kernel_;
-  const float* w = weight_.value.data();
-  dcol_.ensure(static_cast<std::size_t>(kk) * columns);
+  const auto columns = static_cast<std::size_t>(oh) * ow;
+  const auto kk = static_cast<std::size_t>(in_channels_) * kernel_ * kernel_;
+  const auto oc = static_cast<std::size_t>(out_channels_);
+  dcol_.ensure(kk * columns);
   // dY^T of one sample, [columns][oc]: the weight gradient's B operand.
   common::arena::Buffer gout_t("dl.conv.dyt");
-  gout_t.ensure(static_cast<std::size_t>(columns) * out_channels_);
+  gout_t.ensure(columns * oc);
 
   for (int n = 0; n < x.n(); ++n) {
-    const float* gout = top_grad.data() +
-                        static_cast<std::size_t>(n) * out_channels_ * columns;
+    const float* gout = top_grad.data() + static_cast<std::size_t>(n) * oc * columns;
     // db += row sums of dY, each in ascending column order.
-    for (int oc = 0; oc < out_channels_; ++oc) {
-      const float* grow = gout + static_cast<std::size_t>(oc) * columns;
+    for (std::size_t o = 0; o < oc; ++o) {
+      const float* grow = gout + o * columns;
       float bias_acc = 0.0F;
-      for (int cidx = 0; cidx < columns; ++cidx) bias_acc += grow[cidx];
-      bias_.grad[static_cast<std::size_t>(oc)] += bias_acc;
+      for (std::size_t cidx = 0; cidx < columns; ++cidx) bias_acc += grow[cidx];
+      bias_.grad[o] += bias_acc;
     }
     // dW^T[kk][oc] += col[kk][columns] . dY^T[columns][oc]: each dW[oc][r]
     // sums col[r][c] * dY[oc][c] for c ascending from 0, the bits of
     // dY . col^T.  One engine call per sample: the per-sample partials add
     // into dW in sample order.
     im2col(x, n, oh, ow);
-    for (int cidx = 0; cidx < columns; ++cidx) {
-      float* trow = gout_t.data() + static_cast<std::size_t>(cidx) * out_channels_;
-      for (int oc = 0; oc < out_channels_; ++oc) {
-        trow[oc] = gout[static_cast<std::size_t>(oc) * columns + cidx];
-      }
+    for (std::size_t cidx = 0; cidx < columns; ++cidx) {
+      float* trow = gout_t.data() + cidx * oc;
+      for (std::size_t o = 0; o < oc; ++o) trow[o] = gout[o * columns + cidx];
     }
-    gemm(static_cast<std::size_t>(kk), static_cast<std::size_t>(out_channels_),
-         static_cast<std::size_t>(columns), col_.data(), gout_t.data(), nullptr,
-         GemmOut{weight_.grad.data(), 1, static_cast<std::size_t>(kk), true});
+    gemm(kk, oc, columns, GemmA{col_.data(), columns, 1}, gout_t.data(), nullptr,
+         GemmOut{weight_.grad.data(), 1, kk, true});
     if (dx == nullptr) continue;
-    // dcol = W^T . dY, parallel over column-matrix rows; each row is owned by
-    // one chunk and accumulates over output channels in ascending order.
-    common::parallel::parallel_for(
-        static_cast<std::size_t>(kk), kRowGrain, [&](std::size_t rb, std::size_t re) {
-          for (std::size_t r = rb; r < re; ++r) {
-            float* drow = dcol_.data() + r * static_cast<std::size_t>(columns);
-            std::fill(drow, drow + columns, 0.0F);
-            for (int oc = 0; oc < out_channels_; ++oc) {
-              const float wv = w[static_cast<std::size_t>(oc) * kk + r];
-              const float* grow = gout + static_cast<std::size_t>(oc) * columns;
-              common::simd::axpy(static_cast<std::size_t>(columns), wv, grow, drow);
-            }
-          }
-        });
+    // dcol[kk][columns] = W^T . dY: A element (r, o) is W[o][r], so each
+    // dcol element sums over output channels in ascending order from 0.
+    gemm(kk, columns, oc, GemmA{weight_.value.data(), 1, kk}, gout, nullptr,
+         GemmOut{dcol_.data(), columns, 1, false});
     col2im(*dx, n, oh, ow);
   }
 }
@@ -496,7 +468,7 @@ void FullyConnected::forward(const std::vector<const Tensor*>& bottoms, Tensor& 
     }
   }
   // Y[n][o] = bias[o] + W[o][in] . x^T[in][n]: product row o, column n.
-  gemm(out, batch, in, weight_.value.data(), xt.data(), bias_.value.data(),
+  gemm(out, batch, in, GemmA{weight_.value.data(), in, 1}, xt.data(), bias_.value.data(),
        GemmOut{top.data(), 1, out, false});
 }
 

@@ -225,11 +225,14 @@ struct FcShape {
 
 TEST(FcEngine, ForwardMatchesSerialDotBitwise) {
   // Feature counts off every multiple of 8 and 256, so both tile edges are
-  // partial; batches straddle the 8-lane and 16-float axpy widths, and 8
-  // and 16 take the engine's compile-time narrow-tile paths.
-  const FcShape shapes[] = {{1, 1}, {13, 3}, {300, 37}, {1029, 10}, {4099, 17}};
+  // partial, and output counts of 1-3 mod 4 leave every remainder of the
+  // 4-row register block.  Batches (the product's columns) cover the 16-
+  // and 8-column blocks and their scalar tails (36 = 16 + 16 + 4).
+  // mini_vgg's fc1 (1152 -> 128) runs inline up to batch 14 and fans out
+  // from batch 16 on; 4099 -> 17 fans out at batch 36 and 64.
+  const FcShape shapes[] = {{1, 1}, {13, 3}, {300, 37}, {1029, 10}, {1152, 128}, {4099, 17}};
   for (const FcShape& shape : shapes) {
-    for (const int batch : {1, 7, 8, 9, 16, 17, 64}) {
+    for (const int batch : {1, 7, 8, 9, 12, 16, 17, 24, 36, 64}) {
       FullyConnected fc("fc", shape.in_features, shape.out_features);
       common::Rng rng(static_cast<std::uint64_t>(shape.in_features * 131 + batch));
       fc.init_params(rng);
@@ -359,11 +362,16 @@ void serial_conv_dx(const Geometry& g, const Tensor& w, const Tensor& top_grad, 
 
 TEST(ConvEngines, ForwardAndWeightGradMatchSerialDotBitwise) {
   // kk of 9, 45, 144 and 288 (two column tiles); 1 to 576 output columns;
-  // output-channel counts off the 8-row tile; 8 and 16 columns (forward's
-  // tile width) and output channels (the weight gradient's) for the
-  // engine's narrow-tile paths; and the lowering's run bounds: whole rows
-  // of padding, output columns with no valid input, a 1x1 kernel at
-  // stride 2 and stride 2 on an odd width.
+  // output-channel counts (forward's rows) and kk (the weight and input
+  // gradients' rows) of 1-3 mod 4 for every remainder of the 4-row register
+  // block; columns (forward's and dcol's block width) and output channels
+  // (the weight gradient's) that fill 16- and 8-column blocks and leave
+  // scalar tails; and the lowering's run bounds: whole rows of padding,
+  // output columns with no valid input, a 1x1 kernel at stride 2 and stride
+  // 2 on an odd width.  The 32 -> 64 conv at 24x24 (about 10.6M
+  // multiply-adds per product) and the 32 -> 26 conv at 21x21 (3.3M, with
+  // 8-column blocks in every product) fan their products out; mini_vgg's
+  // conv1_2 and everything smaller run inline.
   const Geometry geometries[] = {
       {1, 1, 3, 3, 3, 3, 1, 0},       // kk 9, 1 column
       {7, 5, 9, 5, 7, 3, 1, 1},       // kk 45, 35 columns
@@ -380,6 +388,16 @@ TEST(ConvEngines, ForwardAndWeightGradMatchSerialDotBitwise) {
       {2, 2, 5, 4, 4, 2, 2, 3},       // pad > kernel, stride 2
       {3, 4, 3, 7, 7, 1, 2, 0},       // 1x1 at stride 2
       {2, 3, 4, 8, 9, 3, 2, 0},       // stride 2, odd width
+      {2, 3, 6, 7, 7, 3, 1, 1},       // kk 27 (3 mod 4), 6 output channels
+      {2, 7, 11, 5, 5, 1, 1, 0},      // kk 7 (3 mod 4), 11 output channels
+      {2, 2, 7, 5, 6, 1, 1, 0},       // kk 2, 30 columns (16 + 8 + 6)
+      {4, 16, 4, 6, 6, 1, 1, 0},      // mini_inception 6x6 1x1: 36 columns, dW width 4
+      {4, 16, 8, 6, 6, 1, 1, 0},      // ... dW width 8
+      {4, 16, 12, 6, 6, 1, 1, 0},     // ... dW width 12
+      {4, 8, 12, 6, 6, 3, 1, 1},      // mini_inception 6x6 3x3
+      {2, 16, 16, 24, 24, 3, 1, 1},   // mini_vgg conv1_2: inline
+      {2, 32, 64, 24, 24, 3, 1, 1},   // fans out
+      {2, 32, 26, 21, 21, 3, 1, 1},   // fans out: 441 columns (27 x 16 + 8 + 1), dW width 26
   };
   for (const Geometry& g : geometries) {
     Conv2d conv("c", g.in_channels, g.out_channels, g.kernel, g.stride, g.pad);
@@ -418,19 +436,19 @@ TEST(ConvEngines, ForwardAndWeightGradMatchSerialDotBitwise) {
       std::copy(db0.begin(), db0.end(), conv.params()[1]->grad.span().begin());
       conv.forward({&x}, top, true);
       EXPECT_TRUE(same_bits(top.span(), top_expect))
-          << "forward, kk " << g.in_channels * g.kernel * g.kernel << " columns "
-          << top.h() * top.w() << " batch " << g.batch << " threads " << threads;
+          << "forward, kk " << g.in_channels * g.kernel * g.kernel << " oc " << g.out_channels
+          << " columns " << top.h() * top.w() << " batch " << g.batch << " threads " << threads;
       Tensor dx;
       dx.reshape(x.shape());
       std::copy(dx0.span().begin(), dx0.span().end(), dx.span().begin());
       std::vector<Tensor*> grads{&dx};
       conv.backward({&x}, top, top_grad, grads);
       EXPECT_TRUE(same_bits(dx.span(), dx_expect.span()))
-          << "dx, kk " << g.in_channels * g.kernel * g.kernel << " columns "
-          << top.h() * top.w() << " batch " << g.batch << " threads " << threads;
+          << "dx, kk " << g.in_channels * g.kernel * g.kernel << " oc " << g.out_channels
+          << " columns " << top.h() * top.w() << " batch " << g.batch << " threads " << threads;
       EXPECT_TRUE(same_bits(conv.params()[0]->grad.span(), dw_expect))
-          << "dW, kk " << g.in_channels * g.kernel * g.kernel << " columns "
-          << top.h() * top.w() << " batch " << g.batch << " threads " << threads;
+          << "dW, kk " << g.in_channels * g.kernel * g.kernel << " oc " << g.out_channels
+          << " columns " << top.h() * top.w() << " batch " << g.batch << " threads " << threads;
       EXPECT_TRUE(same_bits(conv.params()[1]->grad.span(), db_expect))
           << "db, batch " << g.batch << " threads " << threads;
     }

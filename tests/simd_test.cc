@@ -45,18 +45,45 @@ TEST(SimdDispatch, TierMatchesCompileFlags) {
 #endif
 }
 
-TEST(SimdCores, AxpyMatchesScalarBitwise) {
-  for (const std::size_t n : kSizes) {
-    const std::vector<float> x = random_floats(n, 0xA0 + static_cast<std::uint32_t>(n));
-    const std::vector<float> y0 = random_floats(n, 0xB0 + static_cast<std::uint32_t>(n));
-    const float a = 0.731F;
+TEST(SimdCores, GemmBlockMatchesScalarBitwise) {
+  // Row counts 1-9 cover the 4-row blocks and every 1-3-row remainder;
+  // column counts cover the 16- and 8-column register blocks and every
+  // scalar tail (36 = 16 + 16 + 4, mini_inception's 6x6 maps); k = 0 must
+  // leave the accumulator untouched.  A is read both row-major and through
+  // its k-stride (the engine's W^T operand), from inside wider buffers so
+  // the strides differ from the extents.
+  for (const std::size_t rows : {1U, 2U, 3U, 4U, 5U, 6U, 7U, 8U, 9U}) {
+    for (const std::size_t cols : {1U, 4U, 7U, 8U, 9U, 12U, 15U, 16U, 17U, 24U, 31U, 36U, 40U}) {
+      for (const std::size_t k : {0U, 1U, 5U, 18U}) {
+        for (const bool transposed : {false, true}) {
+          const auto seed = static_cast<std::uint32_t>(rows * 10007 + cols * 101 + k);
+          const std::size_t b_row_stride = cols + 3;
+          const std::size_t a_row_stride = transposed ? 1 : k + 2;
+          const std::size_t a_k_stride = transposed ? rows + 5 : 1;
+          const std::vector<float> a = random_floats((rows + 5) * (k + 2), seed);
+          const std::vector<float> b = random_floats(k * b_row_stride, seed + 1);
+          const std::vector<float> acc0 = random_floats(rows * cols, seed + 2);
 
-    std::vector<float> expected = y0;
-    for (std::size_t i = 0; i < n; ++i) expected[i] += a * x[i];
+          std::vector<float> expected = acc0;
+          for (std::size_t i = 0; i < rows; ++i) {
+            for (std::size_t j = 0; j < cols; ++j) {
+              float e = expected[i * cols + j];
+              for (std::size_t r = 0; r < k; ++r) {
+                e += a[i * a_row_stride + r * a_k_stride] * b[r * b_row_stride + j];
+              }
+              expected[i * cols + j] = e;
+            }
+          }
 
-    std::vector<float> actual = y0;
-    axpy(n, a, x.data(), actual.data());
-    EXPECT_TRUE(same_bits(expected, actual)) << "n=" << n;
+          std::vector<float> actual = acc0;
+          gemm_block(rows, cols, k, a.data(), a_row_stride, a_k_stride, b.data(), b_row_stride,
+                     actual.data());
+          EXPECT_TRUE(same_bits(expected, actual))
+              << "rows=" << rows << " cols=" << cols << " k=" << k
+              << (transposed ? " k-strided A" : " row-major A");
+        }
+      }
+    }
   }
 }
 

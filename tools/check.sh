@@ -58,7 +58,9 @@
 # and examples still compile in the plain and ASan trees; the stages that
 # run a ctest label (tsan, lint, recovery, elastic, integrity, simd and its
 # scalar tree) build only the gtest binaries (the `shm_tests` target), plus
-# shmcaffe-lint in `lint`.  Exits non-zero on the first failing stage.
+# shmcaffe-lint in `lint`.  A stage also fails if the compiler printed a
+# warning while building any of its trees.  Exits non-zero on the first
+# failing stage.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -76,15 +78,33 @@ done
 STAGES=("${ARGS[@]:-plain tsan asan}")
 STAGES=(${STAGES[@]})  # re-split when the default multi-word string is used
 
+# build_clean <name> <build dir> [cmake --build args...]: builds, and fails
+# the stage if the compiler printed a warning, so a new one cannot hide in
+# a long log.  Only the units this run compiles can print one: an up-to-date
+# tree passes.
+build_clean() {
+  local name=$1 build_dir=$2 log warnings
+  log=$(mktemp)
+  cmake --build "$build_dir" -j "$JOBS" "${@:3}" 2>&1 | tee "$log"
+  warnings=$(grep 'warning:' "$log" || true)
+  rm -f "$log"
+  if [[ -n "$warnings" ]]; then
+    echo "==> [$name] the $build_dir build printed warnings:" >&2
+    echo "$warnings" >&2
+    exit 1
+  fi
+}
+
 # run_stage <name> <build dir> <sanitizer> <ctest args> [targets...]: builds
-# the named targets (every target when none is given), then runs ctest.
+# the named targets (every target when none is given) with no compiler
+# warning, then runs ctest.
 run_stage() {
   local name=$1 build_dir=$2 sanitize=$3 ctest_args=$4
   local build_args=()
   (( $# > 4 )) && build_args=(--target "${@:5}")
   echo "==> [$name] configure + build ($build_dir${5:+: ${*:5}})"
   cmake -B "$build_dir" -S . -DSHMCAFFE_SANITIZE="$sanitize" >/dev/null
-  cmake --build "$build_dir" -j "$JOBS" "${build_args[@]}"
+  build_clean "$name" "$build_dir" "${build_args[@]}"
   echo "==> [$name] ctest $ctest_args"
   (cd "$build_dir" && ctest --output-on-failure -j "$JOBS" $ctest_args)
 }
@@ -96,7 +116,7 @@ run_stage() {
 perfbench_build() {
   echo "==> [plain] configure + build perfbench (build-perfbench, Release)"
   cmake -S perfbench -B build-perfbench -DCMAKE_BUILD_TYPE=Release >/dev/null
-  cmake --build build-perfbench -j "$JOBS" --target perfbench
+  build_clean plain build-perfbench --target perfbench
 }
 
 # Fails the gate if a per-class count (`sed` script $2 prints "class count"
@@ -248,7 +268,7 @@ median_snapshot() {
 exact_snapshot_gate() {
   local stage=$1 target=$2 json=$3
   echo "==> [$stage] build $target (build)"
-  cmake --build build -j "$JOBS" --target "$target"
+  build_clean "$stage" build --target "$target"
   local new_json
   new_json=$(mktemp)
   "./build/bench/$target" > "$new_json"
@@ -278,7 +298,7 @@ kernel_snapshot_gate() {
   # per-call held-list scan would perturb the hot paths.
   cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=Release \
         -DSHMCAFFE_LOCK_ASSERTS=OFF >/dev/null
-  cmake --build build-bench -j "$JOBS" --target "$target"
+  build_clean bench build-bench --target "$target"
   local new_json run_dir
   new_json=$(mktemp)
   run_dir=$(mktemp -d)
@@ -335,7 +355,7 @@ stress_stage() {
   local repeats=$1
   echo "==> [stress] configure + build (build)"
   cmake -B build -S . >/dev/null
-  cmake --build build -j "$JOBS" --target elastic_test recovery_test integrity_test fault_test \
+  build_clean stress build --target elastic_test recovery_test integrity_test fault_test \
       conv_engine_test
   local failed=0 mode suite log
   for mode in full pinned loaded; do
@@ -443,7 +463,7 @@ for stage in "${STAGES[@]}"; do
       run_stage simd-on build "" "-L simd" shm_tests
       echo "==> [simd] configure + build (build-scalar, SIMD tier off: shm_tests)"
       cmake -B build-scalar -S . -DSHMCAFFE_SIMD=OFF >/dev/null
-      cmake --build build-scalar -j "$JOBS" --target shm_tests
+      build_clean simd-scalar build-scalar --target shm_tests
       echo "==> [simd] ctest -L simd (scalar cores)"
       (cd build-scalar && ctest --output-on-failure -j "$JOBS" -L simd)
       ;;
